@@ -17,11 +17,11 @@ from .expo import (EquilibriumResult, G_fun, G_inv, Regime, constrained_equilibr
                    unconstrained_fixed_point)
 from .market import (ClaimDistribution, Exponential, GenericClaims, LayerMoments,
                      MarketParams, PremiumPoint, RateCurve, TruncatedMoments,
-                     accumulation, admissible_box, claim_moments,
-                     insurer_premium_rate, layer_moments, premium_rates)
+                     accumulation, admissible_box, insurer_premium_rate,
+                     layer_moments, premium_rates)
 from .reaction import (FocRatios, foc_ratios, foc_residual_r1, foc_residual_r2,
                        general_equilibrium, instantaneous_reward, reaction_xi1,
-                       reaction_xi2, truncated_moments)
+                       reaction_xi2)
 from .response import (ResponseStrategy, full_cession_to_r2, indemnity,
                        no_reinsurance, response)
 from .simulate import (ObjectiveEstimate, SimConfig, TerminalSamples,

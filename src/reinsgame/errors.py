@@ -32,7 +32,7 @@ class NoRootError(ReinsGameError):
 
 
 class ConvergenceError(ReinsGameError):
-    """An iterative solver exhausted its iteration budget."""
+    """A solver's result fails its residual check."""
 
 
 class ConfigError(ReinsGameError):

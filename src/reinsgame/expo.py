@@ -3,9 +3,10 @@
 Reinsurer 1's first-order condition reduces to a quadratic whose positive
 root is ``G_fun``; composing with the deductible gives the two reaction
 curves ``h1`` (reinsurer 1's, via the inverse of G) and ``h2`` (reinsurer
-2's, fully explicit).  Their unique crossing is the unconstrained premium
-equilibrium; clamping it to the admissibility box follows the published
-three-case construction, with the resulting regime tagged.
+2's, fully explicit).  The solvers bisect R1's FOC in x = beta*d instead,
+where R2's FOC gives xi1 in closed form.  The curves' unique crossing is the
+unconstrained premium equilibrium; clamping it to the admissibility box
+follows the published three-case construction, with the regime tagged.
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket
@@ -24,6 +25,7 @@ from .response import ResponseStrategy, response
 from .roots import bisect
 
 _SERIES_CUTOFF = 1e-3
+_EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
 _ENDPOINT_SHRINK = 1e-12
 
 
@@ -128,8 +130,7 @@ def _beta(params: MarketParams) -> float:
 def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
     """Open xi1 interval on which reinsurer 1's reaction curve is defined.
 
-    These are also the endpoints bracketing the unconstrained fixed point:
-    (gamma_R1 A_R1 / g(0), gamma_R1 A_R1 (2C+1)/(2C)).
+    (gamma_R1 A_R1 / g(0), gamma_R1 A_R1 (2C+1)/(2C)); xi1_bar lies inside.
     """
     _, a_r1, _, c1, _ = _coeffs(params, t)
     lim_inf, g0 = g_range(c1)
@@ -151,29 +152,40 @@ def h2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     return (a_i / beta) * (1.0 + c2 - a_i / (a_i + 2.0 * xi1))
 
 
+def _delta(x: float, c: float) -> float:
+    """G(x) - G(inf) without cancellation (0 once e(x) overflows): the positive
+    root of D^2 + s D - K, K = 4C(C+1)/(2C+1)^2, s = 2G(inf) + 2C - 1 + e(x)(2C+1)."""
+    if x >= _EXP_OVERFLOW:
+        return 0.0
+    k = 4.0 * c * (c + 1.0) / (2.0 * c + 1.0) ** 2
+    s = 4.0 * c / (2.0 * c + 1.0) + 2.0 * c - 1.0 + e_fun(x) * (2.0 * c + 1.0)
+    root = math.hypot(s, 2.0 * math.sqrt(k))
+    return 2.0 * k / (s + root) if s > 0 else 0.5 * (root - s)
+
+
 def h1_inv(xi2: float, params: MarketParams, t: float = 0.0) -> float:
-    """Solve h1(xi1) = xi2 by bisection over h1's domain (tolerance 1e-12)."""
+    """R1's best response, h1(xi1) = xi2: bisects its FOC delta(beta d) - G(inf)
+    (hi/xi1 - 1) on h1's domain [lo, hi], negative at lo and >= 0 at hi."""
     if not xi2 > 0:
         raise RangeError("h1 only takes positive values")
+    beta = _beta(params)
+    a_i, _, _, c1, _ = _coeffs(params, t)
     lo, hi = h1_domain(params, t)
-    lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
-    f = lambda x: h1(x, params, t) - xi2
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > 0 or f_hi < 0:  # only reachable within ~1e-9 of the domain ends
-        raise RangeError(f"xi2 = {xi2!r} outside the reachable reaction range")
-    return bisect(f, lo, hi, xtol=1e-12, f_lo=f_lo, f_hi=f_hi)
+    return bisect(lambda x: _delta(beta * xi2 * (1.0 / a_i + 0.5 / x), c1)
+                  - g_range(c1)[0] * (hi / x - 1.0), lo, hi, xtol=0.0)
 
 
 def unconstrained_fixed_point(params: MarketParams, t: float = 0.0) -> tuple[float, float]:
     """Unique positive crossing of the two reaction curves (no box).
 
-    h1 - h2 changes sign exactly once on the open domain of h1; located by
-    bisection to 1e-12.  The xi1 coordinate does not depend on beta.
+    R2's FOC gives beta d = 1 + C_R2 + u, u = a_R2/(2 xi1); R1's FOC then reads
+    delta(beta d) = 2C_R1 (u - u_lo)/C_R2 with one root on [u_lo, u_hi], free of beta.
     """
-    _beta(params)
-    lo, hi = h1_domain(params, t)
-    lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
-    xi1_bar = bisect(lambda x: h1(x, params, t) - h2(x, params, t), lo, hi, xtol=1e-12)
+    _, _, a_r2, c1, c2 = _coeffs(params, t)
+    u_lo, u_hi = c2 / (2.0 * c1 + 1.0), c2 / (2.0 * c1)
+    u = bisect(lambda u: _delta(1.0 + c2 + u, c1) - 2.0 * c1 * (u - u_lo) / c2,
+               u_lo, u_hi, xtol=0.0)
+    xi1_bar = a_r2 / (2.0 * u)
     return xi1_bar, h2(xi1_bar, params, t)
 
 
@@ -192,7 +204,6 @@ def constrained_equilibrium(params: MarketParams, t: float = 0.0) -> Equilibrium
     if params.bound_convention != SECTION4:
         raise ConfigError("the closed-form box construction assumes the "
                           f"'{SECTION4}' admissibility convention")
-    _beta(params)
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
     xi1_bar, xi2_bar = unconstrained_fixed_point(params, t)
 
@@ -207,14 +218,7 @@ def constrained_equilibrium(params: MarketParams, t: float = 0.0) -> Equilibrium
         branch = "cap"
         xi2_star = _clamp(h2(xi1_hi, params, t), xi2_lo, xi2_hi)
 
-    try:
-        xi1_react = h1_inv(xi2_star, params, t)
-    except RangeError:
-        # snap to the box edge on the side the reaction curve points to
-        dom_lo, dom_hi = h1_domain(params, t)
-        probe = _clamp(0.5 * (dom_lo + dom_hi), dom_lo * (1 + 1e-9), dom_hi * (1 - 1e-9))
-        xi1_react = xi1_hi if h1(probe, params, t) < xi2_star else xi1_lo
-    xi1_star = _clamp(xi1_react, xi1_lo, xi1_hi)
+    xi1_star = _clamp(h1_inv(xi2_star, params, t), xi1_lo, xi1_hi)
 
     # regime per the published case analysis: the branch that fired plus
     # where xi2* landed (this reproduces the published regime thresholds;

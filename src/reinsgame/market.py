@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .errors import ConfigError, DomainError, IntegrationError
 
@@ -133,6 +132,15 @@ class ClaimDistribution:
     def truncated(self, d: float) -> TruncatedMoments:
         raise NotImplementedError
 
+    def tail_cut(self) -> float:
+        """Smallest power of two y >= 1 with tail mass 1 - F(y) below 1e-12."""
+        y = 1.0
+        while float(self.survival(y)) >= _TAIL_MASS:
+            y *= 2.0
+            if y > 1e15:
+                raise IntegrationError("claim CDF tail mass does not fall below 1e-12")
+        return y
+
 
 @dataclass(frozen=True)
 class Exponential(ClaimDistribution):
@@ -189,21 +197,16 @@ class GenericClaims(ClaimDistribution):
 
     def __init__(self, cdf: Callable[[float], float]):
         self._cdf = cdf
-        self._ymax = self._find_tail_cut()
+        self._ymax = self.tail_cut()
         self._mean = self._quad(lambda y: self.survival(y), 0.0, self._ymax)
         self._m2 = self._quad(lambda y: 2.0 * y * self.survival(y), 0.0, self._ymax)
         self._ppf_spline = None
 
-    def _find_tail_cut(self) -> float:
-        y = 1.0
-        while 1.0 - float(self._cdf(y)) >= _TAIL_MASS:
-            y *= 2.0
-            if y > 1e15:
-                raise IntegrationError("claim CDF tail mass does not fall below 1e-12")
-        return y
-
     @staticmethod
     def _quad(f, a, b) -> float:
+        # scipy is imported where it is used: it adds about 50 MB to the
+        # resident size of a process that never integrates numerically
+        from scipy import integrate
         val, err, *info = integrate.quad(f, a, b, epsabs=_QUAD_ABS_TOL, limit=200,
                                          full_output=1)
         if len(info) > 1:  # quadpack appended an error message
@@ -225,6 +228,7 @@ class GenericClaims(ClaimDistribution):
 
     def ppf(self, u):
         if self._ppf_spline is None:
+            from scipy import interpolate
             grid = np.linspace(0.0, self._ymax, 4097)
             fvals = np.clip([float(self._cdf(y)) for y in grid], 0.0, 1.0)
             fvals, idx = np.unique(fvals, return_index=True)
@@ -243,11 +247,6 @@ class GenericClaims(ClaimDistribution):
         m1 = self._mean - em - d * surv
         m2 = self._m2 - esq - 2.0 * d * em - d * d * surv
         return TruncatedMoments(d, m2, em, surv, m1, esq)
-
-
-def claim_moments(dist: ClaimDistribution) -> tuple[float, float]:
-    """(a_Y, sigma_Y^2) = (int y dF, int y^2 dF)."""
-    return dist.mean, dist.second_moment
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ class PremiumPoint:
 
 def admissible_box(params: MarketParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """(xi1 range, xi2 range) under the configured admissibility convention."""
-    a_y, sig2 = claim_moments(params.claims)
+    a_y, sig2 = params.claims.mean, params.claims.second_moment
     if params.bound_convention == DEFINITION21:
         scale = a_y / sig2
     else:

@@ -2,24 +2,26 @@
 
 Both reduced FOCs are one-dimensional in the probed loading once the
 insurer's response is substituted, and both are free of the claim intensity
-(lambda cancels), so roots are located by sign scans plus bisection.  For
-exponential claims the results must (and do, see tests) coincide with the
-closed forms in :mod:`reinsgame.expo`; for other laws the fixed point is a
-candidate equilibrium only, since no uniqueness theory is available.
+(lambda cancels), so roots are located by sign scans plus bisection; the
+fixed point is one such root in the deductible.  For exponential claims the
+results must (and do, see tests) coincide with the closed forms in
+:mod:`reinsgame.expo`; for other laws the fixed point is a candidate
+equilibrium only, since no uniqueness theory is available.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError
 from .expo import g_range
-from .market import (ClaimDistribution, Exponential, MarketParams, PremiumPoint,
-                     TruncatedMoments, admissible_box, gamma_accumulations,
-                     layer_moments)
+from .market import (Exponential, MarketParams, PremiumPoint, TruncatedMoments,
+                     admissible_box, gamma_accumulations, layer_moments)
 from .response import response
 from .roots import scan_bisect
 
 _XTOL = 1e-12
+_FOC_TOL = 1e-8
 _BRACKET_PAD = 0.10
 
 
@@ -39,11 +41,9 @@ def foc_ratios(point: PremiumPoint, params: MarketParams) -> FocRatios:
     return FocRatios(a_r1 / a_i, a_r2 / a_i, a_r1 / point.xi1)
 
 
-def truncated_moments(dist: ClaimDistribution, d: float) -> TruncatedMoments:
-    """Layer moments (int_0^d y^2 dF, int_d^inf (y-d) dF, S(d), ...) at deductible d."""
-    if d < 0:
-        raise DomainError("deductible must be non-negative")
-    return dist.truncated(d)
+def _r1_foc(q: float, d: float, ratio: float, c_r1: float, tm: TruncatedMoments) -> float:
+    return ((2.0 * q * (c_r1 + 1.0) - 1.0) * tm.m2_below
+            + d ** 2 * (ratio - 1.0) * tm.survival)
 
 
 def foc_residual_r1(point: PremiumPoint, params: MarketParams) -> float:
@@ -53,9 +53,8 @@ def foc_residual_r1(point: PremiumPoint, params: MarketParams) -> float:
     """
     ratios = foc_ratios(point, params)
     resp = response(point, params)
-    tm = truncated_moments(params.claims, resp.d)
-    return ((2.0 * resp.q * (ratios.c_r1 + 1.0) - 1.0) * tm.m2_below
-            + resp.d ** 2 * (ratios.b_r1_ratio - 1.0) * tm.survival)
+    return _r1_foc(resp.q, resp.d, ratios.b_r1_ratio, ratios.c_r1,
+                   params.claims.truncated(resp.d))
 
 
 def foc_residual_r2(point: PremiumPoint, params: MarketParams) -> float:
@@ -66,7 +65,7 @@ def foc_residual_r2(point: PremiumPoint, params: MarketParams) -> float:
     _, _, a_r2 = gamma_accumulations(params, point.t)
     ratios = foc_ratios(point, params)
     resp = response(point, params)
-    tm = truncated_moments(params.claims, resp.d)
+    tm = params.claims.truncated(resp.d)
     return ((1.0 + ratios.c_r2 + a_r2 / (2.0 * point.xi1)) * tm.excess_mean
             - resp.d * tm.survival)
 
@@ -137,30 +136,35 @@ def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0,
     return _clip_to_box(root, admissible_box(params)[1]) if clamp else root
 
 
-def general_equilibrium(params: MarketParams, t: float = 0.0, max_iter: int = 200,
-                        damping: float = 0.5, residual_tol: float = 1e-8) -> PremiumPoint:
-    """Candidate premium equilibrium by damped best-response iteration.
+def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
+    """Candidate premium equilibrium: one scan-and-bisect root in the deductible d.
 
-    Alternates the two reaction maps with step damping to suppress
-    oscillation; accepts when both FOC residuals fall below ``residual_tol``.
-    For exponential claims the result matches the closed-form fixed point.
+    R2's FOC is linear in 1/xi1: 1/(2 xi1) = (d S(d)/EM(d) - 1)/a_R2 - 1/a_I,
+    and xi2 = d/(1/a_I + 1/(2 xi1)); R1's FOC at that point is the residual in d.
+    Raises ConvergenceError if either FOC residual at the result exceeds 1e-8.
     """
-    (_, _), (xi2_lo, xi2_hi) = admissible_box(params)
-    xi2 = 0.5 * (xi2_lo + xi2_hi)
-    xi1 = reaction_xi1(xi2, params, t)
-    for _ in range(max_iter):
-        xi1 = reaction_xi1(xi2, params, t)
-        proposal = reaction_xi2(xi1, params, t)
-        nxt = damping * xi2 + (1.0 - damping) * proposal
-        if abs(nxt - xi2) <= 1e-13 * max(1.0, abs(xi2)):
-            xi2 = nxt
-            break
-        xi2 = nxt
-    else:
-        raise ConvergenceError(f"best-response iteration did not settle in {max_iter} steps")
-    xi1 = reaction_xi1(xi2, params, t)
-    point = PremiumPoint(xi1, xi2, t)
+    a_i, a_r1, a_r2 = gamma_accumulations(params, t)
+
+    def half_inv_xi1(d: float) -> tuple[float, TruncatedMoments]:
+        # 1/(2 xi1) solving R2's FOC at d: <= 0 where no positive xi1 does,
+        # +inf beyond the support
+        tm = params.claims.truncated(d)
+        if tm.excess_mean == 0.0:
+            return math.inf, tm
+        return (d * tm.survival / tm.excess_mean - 1.0 - a_r2 / a_i) / a_r2, tm
+
+    def residual(d: float) -> float:
+        v, tm = half_inv_xi1(d)
+        if v == math.inf:
+            return 1.0
+        if v <= 0.0:
+            return -1.0
+        return _r1_foc(a_i * v / (1.0 + a_i * v), d, 2.0 * a_r1 * v, a_r1 / a_i, tm)
+
+    d = scan_bisect(residual, 0.0, params.claims.tail_cut(), xtol=_XTOL)
+    v = float(half_inv_xi1(d)[0])
+    point = PremiumPoint(0.5 / v, d / (1.0 / a_i + v), t)
     r1, r2 = foc_residual_r1(point, params), foc_residual_r2(point, params)
-    if abs(r1) > residual_tol or abs(r2) > residual_tol:
+    if abs(r1) > _FOC_TOL or abs(r2) > _FOC_TOL:
         raise ConvergenceError(f"fixed point residuals too large: ({r1:g}, {r2:g})")
     return point

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
@@ -72,20 +71,17 @@ class StrategyPath:
 def equilibrium_path(params: MarketParams, n_grid: int = _DEFAULT_PATH_GRID) -> StrategyPath:
     """Equilibrium loadings precomputed on a uniform time grid.
 
-    Exponential claims use the closed-form boxed equilibrium; other laws fall
-    back to the damped best-response candidate.
+    Exponential claims use the closed-form boxed equilibrium; other laws use
+    the general-law candidate fixed point.
     """
     grid = np.linspace(0.0, params.T, n_grid)
     xi1 = np.empty(n_grid)
     xi2 = np.empty(n_grid)
     exponential = isinstance(params.claims, Exponential)
     for i, t in enumerate(grid):
-        if exponential:
-            eq = constrained_equilibrium(params, float(t))
-            xi1[i], xi2[i] = eq.xi1_star, eq.xi2_star
-        else:
-            point = general_equilibrium(params, float(t))
-            xi1[i], xi2[i] = point.xi1, point.xi2
+        point = (constrained_equilibrium(params, float(t)).point() if exponential
+                 else general_equilibrium(params, float(t)))
+        xi1[i], xi2[i] = point.xi1, point.xi2
     return StrategyPath(params, grid, xi1, xi2)
 
 
@@ -181,6 +177,7 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
     Composite Simpson with ``panels`` panels over [t, T]; at t = T the
     objective is the surplus itself.
     """
+    from scipy import integrate  # imported on use, as in market.GenericClaims
     gamma = params.gamma(party)
     a_t = params.accum(party, t)
     if t >= params.T:
@@ -227,6 +224,7 @@ class ValueIntercept:
         self.panels = panels
 
     def __call__(self, t: float) -> float:
+        from scipy import integrate
         if t >= self.params.T:
             return 0.0
         s = np.linspace(t, self.params.T, self.panels + 1)

@@ -171,6 +171,14 @@ class TestSweepCommand:
         assert all(a < b for a, b in zip(q, q[1:]))
         assert all(a > b for a, b in zip(d, d[1:]))
 
+    def test_gamma_r2_sweep_solves_every_row(self, capsys):
+        # large gamma_R2 puts R2's relative risk aversion C_R2 above 10
+        code, out, _ = run_cli(capsys, "--command", "sweep", "--param", "gamma_R2",
+                               "--grid", "0.5:4:8")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 8
+
     def test_sweep_requires_param(self, capsys):
         code, _, err = run_cli(capsys, "--command", "sweep", "--grid", "0.5:2:4")
         assert code == 2

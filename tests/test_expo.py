@@ -8,7 +8,8 @@ from reinsgame.errors import ConfigError, DomainError, RangeError
 from reinsgame.expo import (G_fun, G_inv, Regime, constrained_equilibrium, e_fun,
                             g_fun, g_range, h1, h1_domain, h1_inv, h2,
                             unconstrained_fixed_point)
-from reinsgame.market import DEFINITION21, Exponential, admissible_box
+from reinsgame.market import (DEFINITION21, Exponential, MarketParams, RateCurve,
+                              admissible_box)
 from reinsgame.reaction import reaction_xi1, reaction_xi2
 from tests.conftest import with_beta
 
@@ -290,3 +291,52 @@ class TestConstrainedEquilibrium:
         assert locate(0.25, 0.38) == pytest.approx(xi1_bar / base_params.eta, abs=1e-8)
         assert locate(0.38, 0.6) == pytest.approx(xi2_bar / base_params.eta, abs=1e-8)
         assert locate(2.0, 3.5) == pytest.approx(xi1_bar / base_params.theta, abs=1e-8)
+
+
+def flat_rate_params(T, gammas, beta, rhos):
+    return MarketParams(
+        T=T, lam=1.0, theta=0.1, eta=0.9,
+        gamma_I=gammas[0], gamma_R1=gammas[1], gamma_R2=gammas[2],
+        rho_I=RateCurve.flat(rhos[0], T), rho_R1=RateCurve.flat(rhos[1], T),
+        rho_R2=RateCurve.flat(rhos[2], T), claims=Exponential(beta))
+
+
+def assert_boxed_mutual_best_response(params, t, rel):
+    (lo1, hi1), (lo2, hi2) = admissible_box(params)
+    eq = constrained_equilibrium(params, t)
+    assert math.isfinite(eq.xi1_star) and math.isfinite(eq.xi2_star)
+    assert lo1 <= eq.xi1_star <= hi1 and lo2 <= eq.xi2_star <= hi2
+    assert reaction_xi1(eq.xi2_star, params, t, clamp=True) == \
+        pytest.approx(eq.xi1_star, rel=rel)
+    assert reaction_xi2(eq.xi1_star, params, t, clamp=True) == \
+        pytest.approx(eq.xi2_star, rel=rel)
+
+
+class TestAdmissibleBoxRobustness:
+    def test_xi1_best_response_on_the_right_box_edge(self):
+        # R1's best response to xi2* lies below its box, so xi1* is the
+        # floor 0.199154, not the opposite edge 1.79239
+        params = flat_rate_params(
+            5.243636430180709,
+            (0.020837887978882502, 0.02836078371940826, 0.3534624496123488),
+            1.9915400244665955,
+            (0.036533565367416566, 0.18817457793610443, 0.12158616369688631))
+        t = 3.425782287664062
+        eq = constrained_equilibrium(params, t)
+        assert eq.xi1_star == pytest.approx(0.199154, abs=1e-6)
+        assert_boxed_mutual_best_response(params, t, rel=1e-8)
+
+    def test_seeded_box_points(self):
+        # 200 points drawn as the benchmark's sweep_box workload draws them
+        # (seed 7, batch 0): log-uniform risk aversions on [0.02, 1] and beta
+        # on [0.25, 4], flat rates on [0, 0.2], T on [1, 10], t on [0, T)
+        rng = np.random.default_rng([7, 0])
+        for _ in range(200):
+            g_i, g_r1, g_r2 = np.exp(rng.uniform(math.log(0.02), 0.0, 3))
+            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            rhos = [float(r) for r in rng.uniform(0.0, 0.2, 3)]
+            T = float(rng.uniform(1.0, 10.0))
+            t = float(rng.uniform(0.0, T))
+            params = flat_rate_params(T, (float(g_i), float(g_r1), float(g_r2)),
+                                      beta, rhos)
+            assert_boxed_mutual_best_response(params, t, rel=1e-8)

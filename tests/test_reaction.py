@@ -10,8 +10,7 @@ from reinsgame.expo import h1, h1_inv, h2, unconstrained_fixed_point
 from reinsgame.market import Exponential, GenericClaims, PremiumPoint, admissible_box
 from reinsgame.reaction import (foc_ratios, foc_residual_r1, foc_residual_r2,
                                 general_equilibrium, instantaneous_reward,
-                                reaction_xi1, reaction_xi2, truncated_moments,
-                                xi1_search_bracket)
+                                reaction_xi1, reaction_xi2, xi1_search_bracket)
 
 
 def uniform_claims(upper=2.0):
@@ -20,14 +19,14 @@ def uniform_claims(upper=2.0):
 
 class TestTruncatedMoments:
     def test_exponential_closed_form(self):
-        tm = truncated_moments(Exponential(1.0), 2.3936)
+        tm = Exponential(1.0).truncated(2.3936)
         assert tm.m2_below == pytest.approx(0.857236503777027, rel=1e-12)
         assert tm.excess_mean == pytest.approx(0.091300410064026, rel=1e-12)
         assert tm.survival == pytest.approx(0.091300410064026, rel=1e-12)
 
     def test_exponential_vs_quadrature_oracle(self):
         beta, d = 1.7, 0.8
-        tm = truncated_moments(Exponential(beta), d)
+        tm = Exponential(beta).truncated(d)
         dens = lambda y: beta * math.exp(-beta * y)
         m2 = integrate.quad(lambda y: y * y * dens(y), 0, d)[0]
         em = integrate.quad(lambda y: (y - d) * dens(y), d, np.inf)[0]
@@ -41,7 +40,7 @@ class TestTruncatedMoments:
 
     def test_uniform_vs_quadrature_oracle(self):
         dist, d = uniform_claims(), 0.7
-        tm = truncated_moments(dist, d)
+        tm = dist.truncated(d)
         m2 = integrate.quad(lambda y: y * y * 0.5, 0, d)[0]
         em = integrate.quad(lambda y: (y - d) * 0.5, d, 2.0)[0]
         assert tm.m2_below == pytest.approx(m2, abs=1e-8)
@@ -50,7 +49,7 @@ class TestTruncatedMoments:
 
     @pytest.mark.parametrize("dist", [Exponential(1.0), Exponential(0.4)])
     def test_no_truncation(self, dist):
-        tm = truncated_moments(dist, 0.0)
+        tm = dist.truncated(0.0)
         assert tm.m2_below == 0.0
         assert tm.excess_mean == pytest.approx(dist.mean, rel=1e-12)
         assert tm.survival == 1.0
@@ -58,7 +57,7 @@ class TestTruncatedMoments:
     @pytest.mark.parametrize("dist,d", [(Exponential(1.0), math.inf),
                                         (uniform_claims(), 1e9)])
     def test_full_truncation(self, dist, d):
-        tm = truncated_moments(dist, d)
+        tm = dist.truncated(d)
         assert tm.m2_below == pytest.approx(dist.second_moment, rel=1e-12)
         assert tm.excess_mean == 0.0
         assert tm.survival == 0.0
@@ -66,14 +65,14 @@ class TestTruncatedMoments:
     def test_monotone_in_deductible(self):
         dist = Exponential(1.3)
         ds = np.linspace(0.0, 6.0, 40)
-        tms = [truncated_moments(dist, d) for d in ds]
+        tms = [dist.truncated(d) for d in ds]
         assert all(a.m2_below <= b.m2_below for a, b in zip(tms, tms[1:]))
         assert all(a.excess_mean >= b.excess_mean for a, b in zip(tms, tms[1:]))
         assert all(a.survival >= b.survival for a, b in zip(tms, tms[1:]))
 
     def test_negative_deductible_rejected(self):
         with pytest.raises(DomainError):
-            truncated_moments(Exponential(1.0), -0.1)
+            Exponential(1.0).truncated(-0.1)
 
 
 class TestFocResiduals:
@@ -224,6 +223,17 @@ class TestGeneralEquilibrium:
         point = general_equilibrium(params, 0.0)
         assert abs(foc_residual_r1(point, params)) < 1e-8
         assert abs(foc_residual_r2(point, params)) < 1e-8
+
+    @pytest.mark.parametrize("cdf,expected", [
+        (lambda y: min(max(y / 2.0, 0.0), 1.0),
+         (0.24700236477966, 0.16896297278171)),
+        (lambda y: 0.0 if y <= 0.0 else -math.expm1(-2.0 * y) - 2.0 * y * math.exp(-2.0 * y),
+         (0.27348273300756, 0.23787541729409)),
+    ], ids=["uniform_0_2", "erlang2_rate2"])
+    def test_pinned_candidates(self, base_params, cdf, expected):
+        params = dataclasses.replace(base_params, claims=GenericClaims(cdf))
+        point = general_equilibrium(params, 0.0)
+        assert (point.xi1, point.xi2) == pytest.approx(expected, abs=1e-10)
 
     def test_lambda_invariance(self, base_params):
         p5 = dataclasses.replace(base_params, lam=5.0)
