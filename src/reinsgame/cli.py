@@ -144,8 +144,8 @@ def cmd_validate(params: MarketParams, t: float, args) -> int:
     summary = {
         "passed": bool(all(r.passed for r in results)),
         "tolerance_scale": tol_scale,
-        "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail}
-                   for r in results],
+        "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail,
+                    "seconds": r.seconds} for r in results],
     }
     payload = json.dumps(summary, indent=2) + "\n"
     sys.stdout.write(payload)

@@ -33,34 +33,46 @@ class ResponseStrategy:
 
 
 def response(point: PremiumPoint, params: MarketParams) -> ResponseStrategy:
-    """Equilibrium contract for the loadings in ``point``.
+    """Equilibrium contract for the loadings in ``point``."""
+    return layered_response(point.xi1, point.xi2,
+                            params.gamma_I * params.accum("I", point.t), point.t)
 
-    q = gamma_I*A_I / (2*xi1 + gamma_I*A_I), cap = xi2/(2*xi1),
-    retention = xi2/(gamma_I*A_I), d = retention + cap.
+
+def layered_response(xi1, xi2, a_i, t) -> ResponseStrategy:
+    """Contract for loadings (xi1, xi2) against the insurer's a_i = gamma_I*A_I(t).
+
+    q = a_i / (2*xi1 + a_i), cap = xi2/(2*xi1), retention = xi2/a_i,
+    d = retention + cap.  Arguments may be arrays of one shape, which gives
+    array-valued fields.
     """
-    if np.any(np.equal(point.xi1, 0.0)):
+    if np.any(np.equal(xi1, 0.0)):
         raise DegeneratePremiumError("xi1 = 0: proportional layer is unpriced")
-    if np.any(np.less(point.xi1, 0)) or np.any(np.less(point.xi2, 0)):
+    if np.any(np.less(xi1, 0)) or np.any(np.less(xi2, 0)):
         raise DomainError("loadings must be non-negative")
-    a_i = params.gamma_I * params.accum("I", point.t)
-    q = a_i / (2.0 * point.xi1 + a_i)
-    cap = point.xi2 / (2.0 * point.xi1)
-    retention = point.xi2 / a_i
+    q = a_i / (2.0 * xi1 + a_i)
+    cap = xi2 / (2.0 * xi1)
+    retention = xi2 / a_i
     return ResponseStrategy(q=q, d=retention + cap, cap=cap,
-                            retention_limit=retention, t=point.t)
+                            retention_limit=retention, t=t)
 
 
-def indemnity(y: float, resp: ResponseStrategy) -> tuple[float, float, float]:
+def indemnity(y, resp: ResponseStrategy):
     """Per-claim split (to reinsurer 1, to reinsurer 2, retained).
 
-    The boundary y = d is assigned to the proportional branch; the split is
-    continuous there, so the choice only fixes determinism.
+    A scalar claim gives three floats; an array of claims, with scalar or
+    same-shape contract fields, gives three arrays.  The boundary y = d is
+    assigned to the proportional branch; the split is continuous there, so
+    the choice only fixes determinism.
     """
-    if y < 0:
+    if np.any(np.less(y, 0)):
         raise DomainError("claim size must be non-negative")
-    if y <= resp.d:
-        return resp.q * y, 0.0, (1.0 - resp.q) * y
-    return resp.cap, y - resp.d, resp.retention_limit
+    below = np.less_equal(y, resp.d)
+    split = (np.where(below, resp.q * y, resp.cap),
+             np.where(below, 0.0, y - resp.d),
+             np.where(below, (1.0 - resp.q) * y, resp.retention_limit))
+    if np.ndim(split[0]) == 0:
+        return tuple(float(v) for v in split)
+    return split
 
 
 def no_reinsurance(t: float = 0.0) -> ResponseStrategy:

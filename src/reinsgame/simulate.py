@@ -1,11 +1,21 @@
-"""Exact-event simulation of the three surplus processes.
+"""Monte Carlo terminal surpluses as one discounted sum over claim events.
 
-Claim arrivals are exact Poisson event times; between events each surplus
-grows by the exact linear ODE (piecewise-constant rates integrate in closed
-form) while premium flows are accumulated by trapezoid quadrature on a fixed
-time grid.  Per-path randomness comes from counter-based Philox streams
-keyed on (seed, path index), so runs are reproducible bit for bit and paths
-could be distributed across workers without changing the output.
+Between claims each surplus follows a linear ODE, so with the accumulation
+factor A_k(t) = exp(int_t^T rho_k) the terminal surplus of party k is
+
+    X_k(T) = A_k(0) x0_k + int_0^T A_k(s) flow_k(s) ds - sum_j A_k(t_j) payout_k(t_j, y_j).
+
+The first two terms are the same on every path and are computed once (the
+premium flows by trapezoid quadrature on a fixed time grid).  Given the
+Poisson(lam*T) claim count, event times are iid uniform on [0, T] and their
+order does not matter, so each path's claim term is one array sum.
+
+Paths are drawn in blocks of ``_BLOCK``.  Each block has its own
+counter-based Philox stream keyed on (seed, block index) and draws, in this
+order, the claim counts of all its paths, the event times and the claim
+sizes.  A full block is always drawn and the last one is truncated, so runs
+are reproducible bit for bit and ``simulate`` with n paths returns exactly
+the first n paths of any longer run with the same seed.
 """
 from __future__ import annotations
 
@@ -17,9 +27,10 @@ import numpy as np
 from .errors import DomainError
 from .market import MarketParams, insurer_premium_rate
 from .response import indemnity
-from .valuation import StrategyPath, path_profile
+from .valuation import PARTIES, StrategyPath, accum_profile, path_profile
 
 _DEFAULT_GRID_CELLS = 8000
+_BLOCK = 1024  # paths per random stream; changing it changes every sample
 
 
 @dataclass(frozen=True)
@@ -55,75 +66,42 @@ class TerminalSamples:
         return {"I": self.x_i, "R1": self.x_r1, "R2": self.x_r2}[party]
 
 
-def _flow_tables(path: StrategyPath, params: MarketParams, step: float):
-    """Precompute, per party, the deterministic pieces of the surplus ODE.
-
-    With I_k(s) = int_0^s rho_k, X(t1) = X(t0) e^{I(t1)-I(t0)}
-    + e^{I(t1)} [G(t1) - G(t0)] where G(s) = int_0^s e^{-I(u)} flow(u) du.
-    """
-    cells = max(1, int(round(params.T / step)))
-    s = np.linspace(0.0, params.T, cells + 1)
-    profile = path_profile(path, params, s)
-    c = insurer_premium_rate(params)
-    flows = {"I": c - profile.p1 - profile.p2, "R1": profile.p1, "R2": profile.p2}
-    tables = {}
-    for party, flow in flows.items():
-        i_s = params.rho(party).cumulative(s)
-        integrand = np.exp(-i_s) * flow
-        g = np.concatenate(([0.0], np.cumsum(
-            0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s))))
-        tables[party] = (i_s, g)
-    return s, tables
-
-
 def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> TerminalSamples:
     """Terminal surplus samples under the given strategy path."""
-    step = config.step if config.step is not None else params.T / _DEFAULT_GRID_CELLS
-    s_grid, tables = _flow_tables(path, params, step)
-    i_i, g_i = tables["I"]
-    i_r1, g_r1 = tables["R1"]
-    i_r2, g_r2 = tables["R2"]
-    T, lam = params.T, params.lam
-    mean_gap = math.inf if lam == 0.0 else 1.0 / lam
-    dist = params.claims
+    T = params.T
+    step = config.step if config.step is not None else T / _DEFAULT_GRID_CELLS
+    s = np.linspace(0.0, T, max(1, int(round(T / step))) + 1)
+    profile = path_profile(path, params, s)
+    flows = (insurer_premium_rate(params) - profile.p1 - profile.p2, profile.p1, profile.p2)
+    deterministic = []
+    for party, flow in zip(PARTIES, flows):
+        a_s = accum_profile(params, party, s)
+        integrand = a_s * flow
+        deterministic.append(a_s[0] * params.x0(party) + 0.5 * float(
+            np.sum((integrand[1:] + integrand[:-1]) * np.diff(s))))
 
-    out = np.empty((config.paths, 3))
+    out = np.empty((3, config.paths))
     total_claims = 0.0
     total_jumps = np.zeros(3)
-    for idx in range(config.paths):
+    for block, first in enumerate(range(0, config.paths, _BLOCK)):
+        keep = min(_BLOCK, config.paths - first)
         rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.seed, idx], dtype=np.uint64)))
-        x = [params.x0_I, params.x0_R1, params.x0_R2]
-        t_prev = 0.0
-        i_prev = (0.0, 0.0, 0.0)
-        g_prev = (0.0, 0.0, 0.0)
-
-        def advance(t_now):
-            i_now = (np.interp(t_now, s_grid, i_i), np.interp(t_now, s_grid, i_r1),
-                     np.interp(t_now, s_grid, i_r2))
-            g_now = (np.interp(t_now, s_grid, g_i), np.interp(t_now, s_grid, g_r1),
-                     np.interp(t_now, s_grid, g_r2))
-            for k in range(3):
-                x[k] = x[k] * math.exp(i_now[k] - i_prev[k]) \
-                    + math.exp(i_now[k]) * (g_now[k] - g_prev[k])
-            return i_now, g_now
-
-        t_event = rng.exponential(mean_gap) if lam > 0 else math.inf
-        while t_event <= T:
-            i_prev, g_prev = advance(t_event)
-            t_prev = t_event
-            y = float(dist.ppf(rng.random()))
-            l1, l2, retained = indemnity(y, path.response(t_event))
-            x[0] -= retained
-            x[1] -= l1
-            x[2] -= l2
-            total_claims += y
-            total_jumps += (retained, l1, l2)
-            t_event = t_prev + rng.exponential(mean_gap)
-        advance(T)
-        out[idx] = x
-    return TerminalSamples(out[:, 0].copy(), out[:, 1].copy(), out[:, 2].copy(),
-                           total_claims, tuple(float(v) for v in total_jumps))
+            key=np.array([config.seed, block], dtype=np.uint64)))
+        counts = rng.poisson(params.lam * T, _BLOCK)
+        times = rng.uniform(0.0, T, counts.sum())
+        sizes = params.claims.ppf(rng.random(counts.sum()))
+        events = counts[:keep].sum()
+        times, sizes = times[:events], sizes[:events]
+        owner = np.repeat(np.arange(keep), counts[:keep])
+        l1, l2, retained = indemnity(sizes, path.response(times))
+        for k, (party, paid) in enumerate(zip(PARTIES, (retained, l1, l2))):
+            discounted = accum_profile(params, party, times) * paid
+            out[k, first:first + keep] = deterministic[k] - np.bincount(
+                owner, weights=discounted, minlength=keep)
+            total_jumps[k] += paid.sum()
+        total_claims += float(sizes.sum())
+    return TerminalSamples(out[0], out[1], out[2], total_claims,
+                           tuple(float(v) for v in total_jumps))
 
 
 @dataclass(frozen=True)

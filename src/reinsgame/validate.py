@@ -1,11 +1,13 @@
 """Self-check suite behind the CLI ``validate`` command.
 
-Each check returns (name, passed, detail); tolerances scale with a single
-multiplier so they can be loosened for exploratory runs via REINS_TOL
-without touching the defaults.
+Each check returns (name, passed, detail), and ``run_checks`` adds its wall
+time in seconds; tolerances scale with a single multiplier so they can be
+loosened for exploratory runs via REINS_TOL without touching the defaults.
 """
 from __future__ import annotations
 
+import dataclasses
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0
 
 
 def _strictly_monotone(vals, increasing: bool) -> bool:
@@ -135,7 +138,6 @@ def check_time_monotone(params: MarketParams, t: float, tol: float) -> CheckResu
 
 
 def check_lambda_invariance(params: MarketParams, t: float, tol: float) -> CheckResult:
-    import dataclasses
     p5 = dataclasses.replace(params, lam=5.0 * max(params.lam, 1.0))
     a = expo.constrained_equilibrium(params, t)
     b = expo.constrained_equilibrium(p5, t)
@@ -153,7 +155,6 @@ def check_mc_vs_closed_form(params: MarketParams, t: float, tol: float) -> Check
         cf = closed_form_objective(party, path, params, 0.0, params.x0(party))
         est = estimates[party]
         worst_z = max(worst_z, abs(est.j - cf.j) / max(est.se_j, 1e-300))
-    import dataclasses
     p0 = dataclasses.replace(params, lam=0.0)
     s0 = simulate(equilibrium_path(p0, n_grid=3), p0, SimConfig(paths=2, seed=1))
     det = max(abs(s0.x_i[0] - p0.accum("I", 0.0) * p0.x0_I),
@@ -165,7 +166,6 @@ def check_mc_vs_closed_form(params: MarketParams, t: float, tol: float) -> Check
 
 
 def _with_beta(params: MarketParams, beta: float) -> MarketParams:
-    import dataclasses
     return dataclasses.replace(params, claims=Exponential(beta))
 
 
@@ -183,9 +183,11 @@ def run_checks(params: MarketParams | None = None, t: float = 0.0,
         raise ValueError("the validation suite assumes exponential claims")
     results = []
     for check in _CHECKS:
+        start = time.perf_counter()
         try:
-            results.append(check(params, t, tol_scale))
+            result = check(params, t, tol_scale)
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(check.__name__.removeprefix("check_"),
-                                       False, f"raised {type(exc).__name__}: {exc}"))
+            result = CheckResult(check.__name__.removeprefix("check_"),
+                                 False, f"raised {type(exc).__name__}: {exc}")
+        results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
     return results

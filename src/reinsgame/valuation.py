@@ -10,16 +10,16 @@ agree, which the tests use as a cross-module check.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
-from .market import (Exponential, MarketParams, PremiumPoint, insurer_premium_rate,
-                     layer_moments)
+from .market import Exponential, MarketParams, insurer_premium_rate, layer_moments
 from .reaction import general_equilibrium
-from .response import ResponseStrategy, no_reinsurance, response
+from .response import ResponseStrategy, layered_response, no_reinsurance
 
 PARTIES = ("I", "R1", "R2")
 _DEFAULT_PANELS = 2000
@@ -59,13 +59,12 @@ class StrategyPath:
     def xi2(self, t):
         return np.interp(t, self.grid, self._xi2)
 
-    def response(self, t: float) -> ResponseStrategy:
+    def response(self, t) -> ResponseStrategy:
+        """Insurer's contract at time(s) ``t``; array-valued fields for an array ``t``."""
         if self.fixed_response is not None:
-            return ResponseStrategy(self.fixed_response.q, self.fixed_response.d,
-                                    self.fixed_response.cap,
-                                    self.fixed_response.retention_limit, t)
-        point = PremiumPoint(float(self.xi1(t)), float(self.xi2(t)), t)
-        return response(point, self.params)
+            return dataclasses.replace(self.fixed_response, t=t)
+        a_i = self.params.gamma_I * accum_profile(self.params, "I", t)
+        return layered_response(self.xi1(t), self.xi2(t), a_i, t)
 
 
 def equilibrium_path(params: MarketParams, n_grid: int = _DEFAULT_PATH_GRID) -> StrategyPath:
@@ -129,12 +128,8 @@ def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> Pat
         p2 = (1.0 + xi2) * params.lam * fields[2]
         return PathProfile(s, xi1, xi2, *fields, p1, p2)
 
-    a_i = params.gamma_I * np.exp(params.rho_I.cumulative(params.T)
-                                  - params.rho_I.cumulative(s))
-    q = a_i / (2.0 * xi1 + a_i)
-    cap = xi2 / (2.0 * xi1)
-    ret = xi2 / a_i
-    d = ret + cap
+    resp = layered_response(xi1, xi2, params.gamma_I * accum_profile(params, "I", s), s)
+    q, cap, ret, d = resp.q, resp.cap, resp.retention_limit, resp.d
     if isinstance(params.claims, Exponential):
         tm = params.claims.truncated(d)
         m1b, m2b, em, esq, surv = tm.m1_below, tm.m2_below, tm.excess_mean, \
@@ -152,7 +147,8 @@ def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> Pat
     return PathProfile(s, xi1, xi2, l1, l1_sq, em, esq, retained, retained_sq, p1, p2)
 
 
-def _accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray:
+def accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray:
+    """A_k(s) = exp(int_s^T rho_k), exact for piecewise-constant rates; vectorized in s."""
     curve = params.rho(party)
     return np.exp(curve.cumulative(params.T) - curve.cumulative(s))
 
@@ -184,7 +180,7 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
         return ObjectiveValue(party, x, 0.0, x)
     s = np.linspace(t, params.T, panels + 1)
     profile = path_profile(path, params, s)
-    a_s = _accum_profile(params, party, s)
+    a_s = accum_profile(params, party, s)
     drift, covered_sq = _drift_and_covered_sq(profile, params, party)
     mean = a_t * x + integrate.simpson(a_s * drift, x=s)
     variance = integrate.simpson(a_s * a_s * params.lam * covered_sq, x=s)
@@ -229,7 +225,7 @@ class ValueIntercept:
             return 0.0
         s = np.linspace(t, self.params.T, self.panels + 1)
         profile = path_profile(self.path, self.params, s)
-        a_s = _accum_profile(self.params, self.party, s)
+        a_s = accum_profile(self.params, self.party, s)
         reward = _running_reward(profile, self.params, self.party, a_s)
         return float(integrate.simpson(a_s * reward, x=s))
 

@@ -252,6 +252,12 @@ class TestValidateCommand:
         assert summary["passed"] is True
         assert len(summary["checks"]) >= 8
 
+    def test_every_check_reports_its_wall_time(self, capsys):
+        _, out, _ = run_cli(capsys, "--command", "validate")
+        for check in json.loads(out)["checks"]:
+            assert isinstance(check["seconds"], float), check["name"]
+            assert check["seconds"] >= 0.0, check["name"]
+
     def test_loosened_tolerance_same_pass_set(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "--command", "validate")
         baseline = [(c["name"], c["passed"]) for c in json.loads(out)["checks"]]

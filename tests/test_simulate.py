@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from reinsgame.errors import DomainError
-from reinsgame.market import RateCurve
+from reinsgame.market import GenericClaims, RateCurve
 from reinsgame.simulate import SimConfig, estimate_objectives, simulate
 from reinsgame.valuation import (closed_form_objective, constant_path,
-                                 no_reinsurance_path)
+                                 equilibrium_path, no_reinsurance_path)
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +17,15 @@ def flat_short_params(base_params):
                                rho_R2=zero)
 
 
+def assert_means_match_closed_form(samples, path, params, panels=2000, label=""):
+    for party in ("I", "R1", "R2"):
+        cf = closed_form_objective(party, path, params, 0.0, params.x0(party),
+                                   panels=panels)
+        xs = samples.by_party(party)
+        se = xs.std(ddof=1) / np.sqrt(len(xs))
+        assert abs(xs.mean() - cf.mean) <= 3 * se, (label, party)
+
+
 class TestSimulate:
     def test_same_seed_bit_identical(self, base_params, eq_path):
         a = simulate(eq_path, base_params, SimConfig(paths=200, seed=77))
@@ -24,6 +33,15 @@ class TestSimulate:
         assert np.array_equal(a.x_i, b.x_i)
         assert np.array_equal(a.x_r1, b.x_r1)
         assert np.array_equal(a.x_r2, b.x_r2)
+
+    def test_prefix_of_longer_run_for_any_path_count(self, base_params, eq_path):
+        # path counts that are not multiples of the block size, and a single path
+        full = simulate(eq_path, base_params, SimConfig(paths=5000, seed=13))
+        for n in (1500, 1):
+            short = simulate(eq_path, base_params, SimConfig(paths=n, seed=13))
+            assert short.n == n
+            for party in ("I", "R1", "R2"):
+                assert np.array_equal(short.by_party(party), full.by_party(party)[:n])
 
     def test_different_seeds_differ(self, base_params, eq_path):
         a = simulate(eq_path, base_params, SimConfig(paths=50, seed=1))
@@ -65,12 +83,28 @@ class TestSimulate:
                  "pricey": constant_path(base_params, 0.45, 0.6)}
         for label, path in paths.items():
             samples = simulate(path, base_params, SimConfig(paths=8000, seed=29))
-            for party in ("I", "R1", "R2"):
-                cf = closed_form_objective(party, path, base_params, 0.0,
-                                           base_params.x0(party))
-                xs = samples.by_party(party)
-                se = xs.std(ddof=1) / np.sqrt(len(xs))
-                assert abs(xs.mean() - cf.mean) <= 3 * se, (label, party)
+            assert_means_match_closed_form(samples, path, base_params, label=label)
+
+    def test_piecewise_rates_discount_each_event(self, base_params):
+        # A_k(t_j) at the event times differs from any single flat-rate factor
+        curve = RateCurve(((0.0, 0.05), (4.0, 0.2)), base_params.T)
+        params = dataclasses.replace(base_params, rho_I=curve, rho_R1=curve,
+                                     rho_R2=curve)
+        path = equilibrium_path(params)
+        samples = simulate(path, params, SimConfig(paths=20000, seed=41))
+        assert_means_match_closed_form(samples, path, params)
+
+    def test_general_law_mean_and_accounting(self, base_params):
+        uniform = GenericClaims(lambda y: min(max(y / 2.0, 0.0), 1.0))
+        params = dataclasses.replace(base_params, claims=uniform)
+        path = constant_path(params, 0.45, 0.3)
+        # the flows are smooth in time, so 400 cells resolve them; every cell
+        # of the grid costs two quadratures for a general law
+        samples = simulate(path, params, SimConfig(paths=20000, seed=43,
+                                                   step=params.T / 400))
+        assert sum(samples.total_jumps) == pytest.approx(samples.total_claims,
+                                                         rel=1e-9)
+        assert_means_match_closed_form(samples, path, params, panels=400)
 
     def test_invalid_config(self):
         with pytest.raises(DomainError):
