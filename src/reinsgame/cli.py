@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, build_market_params, parse_config_file
-from .errors import ConfigError, ReinsGameError
+from .errors import ConfigError, DomainError, ReinsGameError
 from .expo import constrained_equilibrium
 from .market import Exponential, MarketParams, RateCurve, premium_rates
 from .reaction import foc_residual_r1, foc_residual_r2
@@ -75,6 +75,8 @@ def cmd_equilibrium(params: MarketParams, t: float, args) -> int:
 
 def cmd_trajectory(params: MarketParams, t: float, args) -> int:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, params.T, 81)
+    if np.any((grid < 0.0) | (grid > params.T)):
+        raise ConfigError(f"--grid {args.grid} leaves [0, T = {params.T:g}]")
     path = equilibrium_path(params)
     intercepts = {p: value_intercept(p, params, path) for p in ("I", "R1", "R2")}
     rows = []
@@ -91,6 +93,9 @@ def cmd_trajectory(params: MarketParams, t: float, args) -> int:
 
 
 def _apply_sweep_value(params: MarketParams, name: str, value: float) -> MarketParams:
+    sign = "non-negative" if name.startswith("rho") else "positive"
+    if not (value >= 0.0 if name.startswith("rho") else value > 0.0):
+        raise ConfigError(f"--param {name} must be {sign}, got {value:g}")
     if name == "beta":
         return dataclasses.replace(params, claims=Exponential(value))
     if name == "mu":
@@ -186,7 +191,9 @@ def main(argv=None) -> int:
         cfg = parse_config_file(args.config) if args.config else dict(DEFAULTS)
         params = build_market_params(cfg)
         t = float(cfg["t"])
-    except ConfigError as exc:
+        if not 0.0 <= t <= params.T:
+            raise ConfigError(f"t = {t:g} outside [0, T = {params.T:g}]")
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

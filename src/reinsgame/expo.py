@@ -87,10 +87,9 @@ def g_fun(x: float, c_r1: float) -> float:
 
 
 def g_range(c_r1: float) -> tuple[float, float]:
-    """Open range (lim_{x->inf} g, g(0)) of g_fun(., c_r1)."""
-    b = 2.0 * c_r1 - 1.0
-    g0 = 0.5 * (-b + math.sqrt(b * b + 8.0 * c_r1))
-    return 2.0 * c_r1 / (2.0 * c_r1 + 1.0), g0
+    """Open range (lim_{x->inf} g, g(0)) = (2C/(2C+1), 1) of g_fun(., c_r1);
+    g(0) = (1 - 2C + sqrt((2C-1)^2 + 8C))/2 = 1 as (2C-1)^2 + 8C = (2C+1)^2."""
+    return 2.0 * c_r1 / (2.0 * c_r1 + 1.0), 1.0
 
 
 def G_fun(x: float, c_r1: float) -> float:
@@ -99,21 +98,18 @@ def G_fun(x: float, c_r1: float) -> float:
 
 
 def G_inv(y: float, c_r1: float) -> float:
-    """Inverse of G_fun by bisection to 1e-12 interval width.
+    """Inverse of G_fun by bisection on [1e-300, 709] to 1e-12 interval width.
 
     Raises RangeError when y is not strictly inside G's open range; the
     endpoints are shrunk by 1e-12 relative so boundary values are rejected
-    rather than evaluated.
+    rather than evaluated; that keeps the root below x = 40, and the end
+    signs are known (G falls from 1 towards G(inf) < y).
     """
     lim_inf, g0 = g_range(c_r1)
     if not (lim_inf * (1.0 + _ENDPOINT_SHRINK) <= y <= g0 * (1.0 - _ENDPOINT_SHRINK)):
         raise RangeError(f"G_inv argument {y!r} outside open range ({lim_inf}, {g0})")
-    hi = 1.0
-    while G_fun(hi, c_r1) > y:
-        hi *= 2.0
-        if hi > 1024.0:
-            raise RangeError(f"G_inv argument {y!r} too close to the range infimum")
-    return bisect(lambda x: G_fun(x, c_r1) - y, 1e-300, hi, xtol=1e-12)
+    return bisect(lambda x: G_fun(x, c_r1) - y, 1e-300, _EXP_OVERFLOW, xtol=1e-12,
+                  f_lo=1.0, f_hi=-1.0)
 
 
 def _coeffs(params: MarketParams, t: float):
@@ -128,13 +124,13 @@ def _beta(params: MarketParams) -> float:
 
 
 def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
-    """Open xi1 interval on which reinsurer 1's reaction curve is defined.
+    """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve.
 
-    (gamma_R1 A_R1 / g(0), gamma_R1 A_R1 (2C+1)/(2C)); xi1_bar lies inside.
+    R1's exact bracket for every claim law: its FOC is int_0^d y^2 dF/(2C+1)
+    >= 0 at the lower end and -d^2 S(d)/(2C+1) <= 0 at the upper end.
     """
-    _, a_r1, _, c1, _ = _coeffs(params, t)
-    lim_inf, g0 = g_range(c1)
-    return a_r1 / g0, a_r1 / lim_inf
+    a_i, a_r1, _ = gamma_accumulations(params, t)
+    return a_r1, a_r1 + 0.5 * a_i
 
 
 def h1(xi1: float, params: MarketParams, t: float = 0.0) -> float:

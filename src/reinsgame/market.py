@@ -6,7 +6,7 @@ these as read-only and may share them freely across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,11 +55,6 @@ class RateCurve:
     @classmethod
     def flat(cls, rate: float, horizon: float) -> "RateCurve":
         return cls(((0.0, rate),), horizon)
-
-    def rate_at(self, t: float) -> float:
-        starts = [s for s, _ in self.segments]
-        idx = int(np.searchsorted(starts, t, side="right")) - 1
-        return self.segments[max(idx, 0)][1]
 
     def integral(self, t0: float, t1: float) -> float:
         """Exact int_{t0}^{t1} rho(s) ds; requires 0 <= t0 <= t1 <= horizon."""
@@ -110,8 +105,6 @@ class ClaimDistribution:
     ``second_moment`` is int y^2 dF (not the central variance).
     """
 
-    kind = "generic"
-
     @property
     def mean(self) -> float:
         raise NotImplementedError
@@ -129,7 +122,8 @@ class ClaimDistribution:
     def ppf(self, u):
         raise NotImplementedError
 
-    def truncated(self, d: float) -> TruncatedMoments:
+    def truncated(self, d) -> TruncatedMoments:
+        """Layer moments at deductible ``d``; an array ``d`` gives arrays of its shape."""
         raise NotImplementedError
 
     def tail_cut(self) -> float:
@@ -147,7 +141,6 @@ class Exponential(ClaimDistribution):
     """Exponential(beta) severities: mean 1/beta, second moment 2/beta^2."""
 
     beta: float
-    kind = "exponential"
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -193,8 +186,6 @@ class GenericClaims(ClaimDistribution):
     Sampling inverts a cached monotone (PCHIP) spline of F.
     """
 
-    kind = "generic"
-
     def __init__(self, cdf: Callable[[float], float]):
         self._cdf = cdf
         self._ymax = self.tail_cut()
@@ -235,7 +226,10 @@ class GenericClaims(ClaimDistribution):
             self._ppf_spline = interpolate.PchipInterpolator(fvals, grid[idx])
         return self._ppf_spline(np.clip(u, 0.0, self.cdf(self._ymax)))
 
-    def truncated(self, d: float) -> TruncatedMoments:
+    def truncated(self, d) -> TruncatedMoments:
+        if np.ndim(d):
+            return TruncatedMoments(*np.vectorize(
+                lambda x: astuple(self.truncated(x)), otypes=[float] * 6)(d))
         d = float(d)
         if d < 0:
             raise DomainError("deductible must be non-negative")
@@ -330,12 +324,9 @@ class PremiumPoint:
 def admissible_box(params: MarketParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """(xi1 range, xi2 range) under the configured admissibility convention."""
     a_y, sig2 = params.claims.mean, params.claims.second_moment
-    if params.bound_convention == DEFINITION21:
-        scale = a_y / sig2
-    else:
-        # [theta*beta, eta*beta]; for non-exponential laws beta_eff = 2 a_Y / sigma2
-        scale = params.claims.beta if isinstance(params.claims, Exponential) \
-            else 2.0 * a_y / sig2
+    # section4: [theta, eta] * beta_eff, beta_eff = 2 a_Y / sigma2 (beta for
+    # exponential claims); definition21 uses half that scale
+    scale = a_y / sig2 if params.bound_convention == DEFINITION21 else 2.0 * a_y / sig2
     return ((params.theta * scale, params.eta * scale), (params.theta, params.eta))
 
 
@@ -352,9 +343,9 @@ class LayerMoments:
 
 
 def _bounded_term(coef, survival):
-    # retention/cap may be +inf in degenerate contracts where survival is 0
-    return np.where(survival == 0.0, 0.0, coef * survival) if np.ndim(survival) \
-        else (0.0 if survival == 0.0 else coef * survival)
+    # retention/cap may be +inf in a degenerate fixed (scalar) contract, where
+    # survival is 0; contracts on a grid come from layered_response and are finite
+    return 0.0 if np.ndim(survival) == 0 and survival == 0.0 else coef * survival
 
 
 def layer_moments(response, dist: ClaimDistribution) -> LayerMoments:

@@ -2,11 +2,12 @@
 
 Both reduced FOCs are one-dimensional in the probed loading once the
 insurer's response is substituted, and both are free of the claim intensity
-(lambda cancels), so roots are located by sign scans plus bisection; the
-fixed point is one such root in the deductible.  For exponential claims the
-results must (and do, see tests) coincide with the closed forms in
-:mod:`reinsgame.expo`; for other laws the fixed point is a candidate
-equilibrium only, since no uniqueness theory is available.
+(lambda cancels).  Reinsurer 1's best response bisects on the exact bracket
+``expo.h1_domain``; only R2's and the fixed point, a root in the deductible,
+scan for a sign change first.  For exponential claims the results must (and
+do, see tests) coincide with the closed forms in :mod:`reinsgame.expo`; for
+other laws the fixed point is a candidate equilibrium only, since no
+uniqueness theory is available.
 """
 from __future__ import annotations
 
@@ -14,15 +15,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError
-from .expo import g_range
-from .market import (Exponential, MarketParams, PremiumPoint, TruncatedMoments,
-                     admissible_box, gamma_accumulations, layer_moments)
+from .expo import h1_domain
+from .market import (MarketParams, PremiumPoint, TruncatedMoments, admissible_box,
+                     gamma_accumulations, layer_moments)
 from .response import response
-from .roots import scan_bisect
+from .roots import bisect, scan_bisect
 
 _XTOL = 1e-12
 _FOC_TOL = 1e-8
-_BRACKET_PAD = 0.10
 
 
 @dataclass(frozen=True)
@@ -86,27 +86,14 @@ def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) 
     raise DomainError(f"which must be 'R1' or 'R2', got {which!r}")
 
 
-def xi1_search_bracket(params: MarketParams, t: float) -> tuple[float, float]:
-    """Default xi1 bracket: the fixed-point interval widened 10% each side.
-
-    The interval provably contains the exponential-claims crossing and is a
-    sane default for other laws.
-    """
-    a_i, a_r1, _ = gamma_accumulations(params, t)
-    lim_inf, g0 = g_range(a_r1 / a_i)
-    return (a_r1 / g0) * (1.0 - _BRACKET_PAD), (a_r1 / lim_inf) * (1.0 + _BRACKET_PAD)
-
-
 def xi2_search_bracket(params: MarketParams, t: float) -> tuple[float, float]:
     """Default xi2 bracket [1e-8, 10 * gamma_I A_I (1 + C_R2) / beta_eff].
 
-    h2's horizontal asymptote bounds the root for exponential claims; other
-    laws get the generous multiple with beta_eff = 2 a_Y / sigma_Y^2.
+    beta_eff = 2 a_Y / sigma_Y^2, which is beta for exponential claims, where
+    h2's horizontal asymptote gamma_I A_I (1 + C_R2) / beta bounds the root.
     """
     a_i, _, a_r2 = gamma_accumulations(params, t)
-    a_y, sig2 = params.claims.mean, params.claims.second_moment
-    beta_eff = params.claims.beta if isinstance(params.claims, Exponential) \
-        else 2.0 * a_y / sig2
+    beta_eff = 2.0 * params.claims.mean / params.claims.second_moment
     return 1e-8, 10.0 * a_i * (1.0 + a_r2 / a_i) / beta_eff
 
 
@@ -116,12 +103,13 @@ def _clip_to_box(x: float, box: tuple[float, float]) -> float:
 
 def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0,
                  clamp: bool = False) -> float:
-    """Reinsurer 1's best-response loading: the root of its FOC in xi1."""
+    """Reinsurer 1's best-response loading: the root of its FOC in xi1, bisected on
+    ``h1_domain`` with its known end signs (computed ones can be rounding noise)."""
     if not xi2 > 0:
         raise DomainError("reaction_xi1 requires xi2 > 0")
-    lo, hi = xi1_search_bracket(params, t)
-    root = scan_bisect(lambda x: foc_residual_r1(PremiumPoint(x, xi2, t), params),
-                       lo, hi, xtol=_XTOL)
+    lo, hi = h1_domain(params, t)
+    root = bisect(lambda x: foc_residual_r1(PremiumPoint(x, xi2, t), params),
+                  lo, hi, xtol=_XTOL, f_lo=1.0, f_hi=-1.0)
     return _clip_to_box(root, admissible_box(params)[0]) if clamp else root
 
 

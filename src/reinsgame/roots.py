@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import NoRootError
 
+_SCAN_POINTS = 64
+
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12,
            f_lo: float | None = None, f_hi: float | None = None) -> float:
@@ -39,15 +41,15 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-def scan_bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12,
-                scan_points: int = 64) -> float:
-    """Bisect after locating the first sign change on a scan grid.
+def scan_bisect(f: Callable[[float], float], lo: float, hi: float,
+                xtol: float = 1e-12) -> float:
+    """Bisect after locating the first sign change on a 64-point scan grid.
 
     Robust against brackets whose far end has decayed to (numerical) zero,
     e.g. bounded-support claim laws where both FOC terms vanish beyond the
     support.
     """
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     prev_x, prev_f = xs[0], f(xs[0])
     if prev_f == 0.0:
         return float(prev_x)

@@ -61,10 +61,14 @@ class StrategyPath:
 
     def response(self, t) -> ResponseStrategy:
         """Insurer's contract at time(s) ``t``; array-valued fields for an array ``t``."""
+        return self._contract(t, self.xi1(t), self.xi2(t))
+
+    def _contract(self, t, xi1, xi2) -> ResponseStrategy:
+        # the contract at t against the loadings xi1(t), xi2(t)
         if self.fixed_response is not None:
             return dataclasses.replace(self.fixed_response, t=t)
         a_i = self.params.gamma_I * accum_profile(self.params, "I", t)
-        return layered_response(self.xi1(t), self.xi2(t), a_i, t)
+        return layered_response(xi1, xi2, a_i, t)
 
 
 def equilibrium_path(params: MarketParams, n_grid: int = _DEFAULT_PATH_GRID) -> StrategyPath:
@@ -99,7 +103,7 @@ def no_reinsurance_path(params: MarketParams) -> StrategyPath:
 
 @dataclass(frozen=True)
 class PathProfile:
-    """Layer moments and premium rates of a strategy path on a time grid."""
+    """Layer moments (scalars for a fixed contract) and premium rates on a time grid."""
 
     s: np.ndarray
     xi1: np.ndarray
@@ -115,36 +119,14 @@ class PathProfile:
 
 
 def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> PathProfile:
-    """Evaluate a path's moments on grid ``s`` (vectorized where the law allows)."""
+    """Evaluate a path's layer moments and premium rates on grid ``s``."""
     s = np.asarray(s, dtype=float)
     xi1, xi2 = np.atleast_1d(path.xi1(s)), np.atleast_1d(path.xi2(s))
-    n = s.size
-    if path.fixed_response is not None:
-        lm = layer_moments(path.fixed_response, params.claims)
-        ones = np.ones(n)
-        fields = [lm.l1 * ones, lm.l1_sq * ones, lm.l2 * ones, lm.l2_sq * ones,
-                  lm.retained * ones, lm.retained_sq * ones]
-        p1 = params.lam * (fields[0] + xi1 * fields[1])
-        p2 = (1.0 + xi2) * params.lam * fields[2]
-        return PathProfile(s, xi1, xi2, *fields, p1, p2)
-
-    resp = layered_response(xi1, xi2, params.gamma_I * accum_profile(params, "I", s), s)
-    q, cap, ret, d = resp.q, resp.cap, resp.retention_limit, resp.d
-    if isinstance(params.claims, Exponential):
-        tm = params.claims.truncated(d)
-        m1b, m2b, em, esq, surv = tm.m1_below, tm.m2_below, tm.excess_mean, \
-            tm.excess_sq, tm.survival
-    else:
-        cols = np.array([[t.m1_below, t.m2_below, t.excess_mean, t.excess_sq, t.survival]
-                         for t in (params.claims.truncated(float(dd)) for dd in d)])
-        m1b, m2b, em, esq, surv = cols.T
-    l1 = q * m1b + cap * surv
-    l1_sq = q * q * m2b + cap * cap * surv
-    retained = (1.0 - q) * m1b + ret * surv
-    retained_sq = (1.0 - q) ** 2 * m2b + ret * ret * surv
-    p1 = params.lam * (l1 + xi1 * l1_sq)
-    p2 = (1.0 + xi2) * params.lam * em
-    return PathProfile(s, xi1, xi2, l1, l1_sq, em, esq, retained, retained_sq, p1, p2)
+    lm = layer_moments(path._contract(s, xi1, xi2), params.claims)
+    p1 = params.lam * (lm.l1 + xi1 * lm.l1_sq)
+    p2 = (1.0 + xi2) * params.lam * lm.l2
+    return PathProfile(s, xi1, xi2, lm.l1, lm.l1_sq, lm.l2, lm.l2_sq, lm.retained,
+                       lm.retained_sq, p1, p2)
 
 
 def accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray:

@@ -92,6 +92,27 @@ class TestConfigErrors:
                                "--grid", "oops")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,named", [
+        (("--command", "sweep", "--param", "mu", "--grid", "0:4:3"), ("mu", "got 0")),
+        (("--command", "sweep", "--param", "beta", "--grid=-1:1:3"), ("beta", "got -1")),
+        (("--command", "trajectory", "--grid", "0:9:3"), ("--grid", "0:9:3")),
+    ], ids=["mu_zero", "beta_negative", "trajectory_past_horizon"])
+    def test_value_outside_domain(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert all(text in err for text in named)
+        assert out == ""
+
+    @pytest.mark.parametrize("line,named", [("beta = 0", "beta"), ("rho_I = -0.1", "-0.1"),
+                                            ("t = 9", "t = 9")])
+    def test_config_value_outside_domain(self, capsys, tmp_path, line, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "--command", "equilibrium")
+        assert code == 2
+        assert err.startswith("config error:") and named in err
+
 
 @pytest.fixture(scope="module")
 def trajectory():

@@ -340,3 +340,28 @@ class TestAdmissibleBoxRobustness:
             params = flat_rate_params(T, (float(g_i), float(g_r1), float(g_r2)),
                                       beta, rhos)
             assert_boxed_mutual_best_response(params, t, rel=1e-8)
+
+    def test_r1_reaction_matches_h1_inv(self):
+        # here beta d ~ 50 at the top of h1_domain, which is also the root:
+        # R1's FOC computes to +3e-17 there against a true value of about -1e-20
+        params = flat_rate_params(
+            4.203329212038864,
+            (0.03901277240443706, 0.18175724610349758, 0.7240522505595385),
+            3.822924985559782,
+            (0.12974970594132443, 0.04683997975560453, 0.08287854993611772))
+        t, xi2 = 2.3308472952896917, 0.5826704231859197
+        assert reaction_xi1(xi2, params, t) == pytest.approx(h1_inv(xi2, params, t),
+                                                             rel=1e-10)
+        # the draw of test_seeded_box_points, probed at the xi2 box ends and middle
+        rng = np.random.default_rng([7, 0])
+        for _ in range(200):
+            g_i, g_r1, g_r2 = np.exp(rng.uniform(math.log(0.02), 0.0, 3))
+            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            rhos = [float(r) for r in rng.uniform(0.0, 0.2, 3)]
+            T = float(rng.uniform(1.0, 10.0))
+            t = float(rng.uniform(0.0, T))
+            params = flat_rate_params(T, (float(g_i), float(g_r1), float(g_r2)),
+                                      beta, rhos)
+            for xi2 in (0.1, 0.5, 0.9):
+                assert reaction_xi1(xi2, params, t) == pytest.approx(
+                    h1_inv(xi2, params, t), rel=1e-10)

@@ -6,15 +6,24 @@ import pytest
 from scipy import integrate
 
 from reinsgame.errors import DegeneratePremiumError, DomainError
-from reinsgame.expo import h1, h1_inv, h2, unconstrained_fixed_point
+from reinsgame.expo import h1, h1_domain, h1_inv, h2, unconstrained_fixed_point
 from reinsgame.market import Exponential, GenericClaims, PremiumPoint, admissible_box
 from reinsgame.reaction import (foc_ratios, foc_residual_r1, foc_residual_r2,
                                 general_equilibrium, instantaneous_reward,
-                                reaction_xi1, reaction_xi2, xi1_search_bracket)
+                                reaction_xi1, reaction_xi2)
 
 
 def uniform_claims(upper=2.0):
     return GenericClaims(lambda y: min(max(y / upper, 0.0), 1.0))
+
+
+@pytest.fixture(scope="module")
+def claim_laws(base_params):
+    """Exponential(1), uniform[0, 2] and Erlang-2 with rate 2."""
+    return {"exponential": base_params.claims, "uniform_0_2": uniform_claims(),
+            "erlang2_rate2": GenericClaims(
+                lambda y: 0.0 if y <= 0.0
+                else -math.expm1(-2.0 * y) - 2.0 * y * math.exp(-2.0 * y))}
 
 
 class TestTruncatedMoments:
@@ -206,9 +215,19 @@ class TestReactionCurves:
             reaction_xi2(0.0, base_params, 0.0)
 
     def test_bracket_contains_fixed_point(self, base_params):
-        lo, hi = xi1_search_bracket(base_params, 0.0)
+        lo, hi = h1_domain(base_params, 0.0)
         xi1_bar, _ = unconstrained_fixed_point(base_params, 0.0)
         assert lo < xi1_bar < hi
+
+    @pytest.mark.parametrize("xi2", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("law", ["exponential", "uniform_0_2", "erlang2_rate2"])
+    def test_r1_bracket_end_signs(self, base_params, claim_laws, law, xi2):
+        # R1's FOC is int_0^d y^2 dF/(2C+1) at the lower end of h1_domain and
+        # -d^2 S(d)/(2C+1) at the upper end; these xi2 keep d inside the support
+        params = dataclasses.replace(base_params, claims=claim_laws[law])
+        lo, hi = h1_domain(params, 0.0)
+        assert foc_residual_r1(PremiumPoint(lo, xi2, 0.0), params) > 0.0
+        assert foc_residual_r1(PremiumPoint(hi, xi2, 0.0), params) < 0.0
 
 
 class TestGeneralEquilibrium:
@@ -234,6 +253,13 @@ class TestGeneralEquilibrium:
         params = dataclasses.replace(base_params, claims=GenericClaims(cdf))
         point = general_equilibrium(params, 0.0)
         assert (point.xi1, point.xi2) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("law", ["uniform_0_2", "erlang2_rate2"])
+    def test_reaction_maps_return_the_candidate(self, base_params, claim_laws, law):
+        params = dataclasses.replace(base_params, claims=claim_laws[law])
+        point = general_equilibrium(params, 0.0)
+        assert reaction_xi1(point.xi2, params, 0.0) == pytest.approx(point.xi1, abs=1e-9)
+        assert reaction_xi2(point.xi1, params, 0.0) == pytest.approx(point.xi2, abs=1e-9)
 
     def test_lambda_invariance(self, base_params):
         p5 = dataclasses.replace(base_params, lam=5.0)

@@ -116,14 +116,22 @@ class TestStrategyPaths:
         assert np.all(profile.p2 == 0.0)
         assert np.allclose(profile.retained, base_params.claims.mean)
 
-    def test_profile_matches_premium_rates(self, base_params, eq_path):
-        from reinsgame.market import PremiumPoint, premium_rates
+    @pytest.mark.parametrize("law", ["exponential", "uniform_0_2"])
+    def test_profile_matches_premium_rates(self, base_params, eq_path, law):
+        # the uniform law checks GenericClaims.truncated on an array of
+        # deductibles against its scalar evaluation in premium_rates
+        from reinsgame.market import GenericClaims, PremiumPoint, premium_rates
         from reinsgame.response import response
         from reinsgame.valuation import path_profile
+        params, path = base_params, eq_path
+        if law == "uniform_0_2":
+            params = dataclasses.replace(base_params, claims=GenericClaims(
+                lambda y: min(max(y / 2.0, 0.0), 1.0)))
+            path = constant_path(params, 0.3, 0.15)  # d from 0.92 to 1.61, inside [0, 2]
         s = np.array([0.0, 2.5, 7.0])
-        profile = path_profile(eq_path, base_params, s)
+        profile = path_profile(path, params, s)
         for i, t in enumerate(s):
-            point = PremiumPoint(float(eq_path.xi1(t)), float(eq_path.xi2(t)), float(t))
-            p1, p2 = premium_rates(point, response(point, base_params), base_params)
+            point = PremiumPoint(float(path.xi1(t)), float(path.xi2(t)), float(t))
+            p1, p2 = premium_rates(point, response(point, params), params)
             assert profile.p1[i] == pytest.approx(p1, rel=1e-12)
             assert profile.p2[i] == pytest.approx(p2, rel=1e-12)
