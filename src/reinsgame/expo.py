@@ -8,6 +8,11 @@ where R2's FOC gives xi1 in closed form.  The curves' unique crossing is the
 unconstrained premium equilibrium; clamping it to the admissibility box
 follows the published three-case construction, with the regime tagged.
 
+``constrained_equilibrium`` takes a scalar time or an array of times.  An
+array is solved in one pass: both bisections run elementwise on numpy arrays
+with the scalar rule, so a time grid costs one call.  A scalar keeps the
+pure-Python path, which is the faster one for a single cold point.
+
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket
 endpoints), which the property tests assert.
@@ -18,11 +23,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, RangeError
 from .market import (SECTION4, Exponential, MarketParams, PremiumPoint,
-                     admissible_box, gamma_accumulations)
-from .response import ResponseStrategy, response
-from .roots import bisect
+                     accum_profile, admissible_box, gamma_accumulations)
+from .response import ResponseStrategy, layered_response, response
+from .roots import bisect, bisect_array
 
 _SERIES_CUTOFF = 1e-3
 _EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
@@ -30,7 +37,26 @@ _ENDPOINT_SHRINK = 1e-12
 
 
 class Regime(str, Enum):
-    """Which admissibility-box constraints bind at the clamped equilibrium."""
+    """Which admissibility-box constraints bind at the clamped equilibrium.
+
+    The tag pairs the branch of the published three-case split (the
+    unconstrained xi1 below, inside or above the xi1 box: floor, middle,
+    cap) with where xi2* landed (its floor, inside, its cap).  Five pairs
+    have published names.  OTHER_BOUNDARY covers the four further pairs
+    that occur; on 2000 box points drawn as the benchmark's sweep_box draws
+    them (seed 1, batches 0-7), 269 were tagged so:
+
+    - cap branch, xi2 inside (156): R2's reply to the capped xi1 is
+      interior, and xi1* sat on its cap at every one of them;
+    - middle branch, xi2 at its floor (105): the mirror of XI2_CAP_ONLY,
+      xi1* inside its box (at its cap once);
+    - floor branch, xi2 at its cap (6): the upper-left corner, xi1* on its
+      floor;
+    - cap branch, xi2 at its floor (2): the lower-right corner, xi1* on its
+      cap.
+
+    In every regime xi1* is reinsurer 1's boxed best response to xi2*.
+    """
 
     INTERIOR = "Interior"
     UPPER_RIGHT = "UpperRight"
@@ -42,7 +68,11 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Clamped premium equilibrium with its regime and unconstrained anchor."""
+    """Clamped premium equilibrium with its regime and unconstrained anchor.
+
+    Solved on an array of times, every numeric field is an array over the
+    times and ``regime`` is a tuple of one Regime per time.
+    """
 
     xi1_star: float
     xi2_star: float
@@ -59,7 +89,9 @@ def e_fun(x: float) -> float:
     """(2/x^2)e^x - (1 + 2/x + 2/x^2), the scaled truncated second moment.
 
     Equals sum_{n>=1} 2 x^n/(n+2)!; the series form is used below 1e-3 where
-    the closed form loses ~10 digits to cancellation.
+    the closed form loses ~10 digits to cancellation.  Beyond x ~ 709.78,
+    where e^x overflows, e(x) = 2 exp(x - 2 ln x) to rounding; it is inf
+    from x ~ 722, where e(x) itself exceeds the largest float.
     """
     if x <= 0:
         raise DomainError("e_fun requires x > 0")
@@ -69,7 +101,13 @@ def e_fun(x: float) -> float:
             total += term
             term *= x / (n + 3)
         return total
-    return (2.0 / (x * x)) * math.exp(x) - (1.0 + 2.0 / x + 2.0 / (x * x))
+    try:
+        return (2.0 / (x * x)) * math.exp(x) - (1.0 + 2.0 / x + 2.0 / (x * x))
+    except OverflowError:
+        try:
+            return 2.0 * math.exp(x - 2.0 * math.log(x))
+        except OverflowError:
+            return math.inf
 
 
 def g_fun(x: float, c_r1: float) -> float:
@@ -93,8 +131,14 @@ def g_range(c_r1: float) -> tuple[float, float]:
 
 
 def G_fun(x: float, c_r1: float) -> float:
-    """g_fun composed with e_fun; continuously decreasing on (0, inf)."""
-    return g_fun(e_fun(x), c_r1)
+    """g_fun composed with e_fun; continuously decreasing on (0, inf).
+
+    Computed as G(inf) + delta(x), which stays accurate where e(x) is huge
+    (the composed form overflows there) and is G(inf) once e(x) overflows.
+    """
+    if not c_r1 > 0:
+        raise DomainError("G_fun requires c_r1 > 0")
+    return g_range(c_r1)[0] + _delta(x, c_r1)
 
 
 def G_inv(y: float, c_r1: float) -> float:
@@ -145,6 +189,11 @@ def h2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 2's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
     a_i, _, _, _, c2 = _coeffs(params, t)
+    return _h2(xi1, a_i, c2, beta)
+
+
+def _h2(xi1, a_i, c2, beta):
+    # h2 from its coefficients; elementwise for arrays
     return (a_i / beta) * (1.0 + c2 - a_i / (a_i + 2.0 * xi1))
 
 
@@ -157,6 +206,39 @@ def _delta(x: float, c: float) -> float:
     s = 4.0 * c / (2.0 * c + 1.0) + 2.0 * c - 1.0 + e_fun(x) * (2.0 * c + 1.0)
     root = math.hypot(s, 2.0 * math.sqrt(k))
     return 2.0 * k / (s + root) if s > 0 else 0.5 * (root - s)
+
+
+def _e_array(x: np.ndarray) -> np.ndarray:
+    # e_fun elementwise for 0 < x <= 709; points below the series cutoff,
+    # rare on the solver's paths, go through the scalar series
+    small = x < _SERIES_CUTOFF
+    xc = np.where(small, 1.0, x)
+    two_over_sq = 2.0 / (xc * xc)
+    e = two_over_sq * np.exp(xc) - (1.0 + 2.0 / xc + two_over_sq)
+    if small.any():
+        e[small] = [e_fun(v) for v in x[small]]
+    return e
+
+
+def _delta_array(c: np.ndarray):
+    """``_delta(., c)`` elementwise, as a function of an array x of c's shape.
+
+    The terms that depend on c alone are computed once, in the scalar
+    formula's order; numpy's exp and hypot may differ from math's in the
+    last bit.
+    """
+    w = 2.0 * c + 1.0
+    k = 4.0 * c * (c + 1.0) / w ** 2
+    two_k, hyp_c = 2.0 * k, 2.0 * np.sqrt(k)
+    s_c = 4.0 * c / w + 2.0 * c - 1.0
+
+    def delta(x: np.ndarray) -> np.ndarray:
+        overflow = x >= _EXP_OVERFLOW
+        s = s_c + _e_array(np.where(overflow, 1.0, x)) * w
+        # |s| + root is s + root for s > 0 and root - s otherwise, never 0
+        wide = np.abs(s) + np.hypot(s, hyp_c)
+        return np.where(overflow, 0.0, np.where(s > 0, two_k / wide, 0.5 * wide))
+    return delta
 
 
 def h1_inv(xi2: float, params: MarketParams, t: float = 0.0) -> float:
@@ -189,17 +271,40 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return max(lo, min(x, hi))
 
 
-def constrained_equilibrium(params: MarketParams, t: float = 0.0) -> EquilibriumResult:
+def _regime(branch: str, floor2: bool, cap2: bool) -> Regime:
+    # regime per the published case analysis: the branch that fired plus
+    # where xi2* landed (this reproduces the published regime thresholds;
+    # inside the "cap" branch xi1* itself may come off the corner, see notes)
+    if branch == "middle" and not (floor2 or cap2):
+        return Regime.INTERIOR
+    if branch == "cap" and cap2:
+        return Regime.UPPER_RIGHT
+    if branch == "middle" and cap2:
+        return Regime.XI2_CAP_ONLY
+    if branch == "floor" and not (floor2 or cap2):
+        return Regime.XI1_FLOOR_ONLY
+    if branch == "floor" and floor2:
+        return Regime.LOWER_LEFT
+    return Regime.OTHER_BOUNDARY
+
+
+def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     """Premium equilibrium clamped to the admissibility box.
 
     Follows the published construction verbatim: xi2* is set by a three-way
     split on where the unconstrained xi1 falls against [theta*beta,
     eta*beta] (clamping to [theta, eta]); reinsurer 1 then best-responds
     once, clamped to its own box.  The regime tag records which clamps bound.
+
+    ``t`` may be a one-dimensional array of times in [0, T]: the result's
+    numeric fields (and the response's) are then arrays over t, and
+    ``regime`` is a tuple with one Regime per time.
     """
     if params.bound_convention != SECTION4:
         raise ConfigError("the closed-form box construction assumes the "
                           f"'{SECTION4}' admissibility convention")
+    if not isinstance(t, float) and np.ndim(t) > 0:  # np.ndim costs ~1 us on a float
+        return _equilibrium_on_grid(params, np.asarray(t, dtype=float))
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
     xi1_bar, xi2_bar = unconstrained_fixed_point(params, t)
 
@@ -215,24 +320,45 @@ def constrained_equilibrium(params: MarketParams, t: float = 0.0) -> Equilibrium
         xi2_star = _clamp(h2(xi1_hi, params, t), xi2_lo, xi2_hi)
 
     xi1_star = _clamp(h1_inv(xi2_star, params, t), xi1_lo, xi1_hi)
-
-    # regime per the published case analysis: the branch that fired plus
-    # where xi2* landed (this reproduces the published regime thresholds;
-    # inside the "cap" branch xi1* itself may come off the corner, see notes)
-    floor2, cap2 = xi2_star == xi2_lo, xi2_star == xi2_hi
-    if branch == "middle" and not (floor2 or cap2):
-        regime = Regime.INTERIOR
-    elif branch == "cap" and cap2:
-        regime = Regime.UPPER_RIGHT
-    elif branch == "middle" and cap2:
-        regime = Regime.XI2_CAP_ONLY
-    elif branch == "floor" and not (floor2 or cap2):
-        regime = Regime.XI1_FLOOR_ONLY
-    elif branch == "floor" and floor2:
-        regime = Regime.LOWER_LEFT
-    else:
-        regime = Regime.OTHER_BOUNDARY
-
+    regime = _regime(branch, xi2_star == xi2_lo, xi2_star == xi2_hi)
     point = PremiumPoint(xi1_star, xi2_star, t)
     return EquilibriumResult(xi1_star, xi2_star, response(point, params), regime,
                              (xi1_bar, xi2_bar), t)
+
+
+def _equilibrium_on_grid(params: MarketParams, t: np.ndarray) -> EquilibriumResult:
+    # constrained_equilibrium elementwise over times t: the same brackets,
+    # residuals, three-case split and clamps as the scalar path
+    if t.ndim != 1 or not np.all((t >= 0.0) & (t <= params.T)):
+        raise DomainError("equilibrium times must be a scalar or a one-dimensional "
+                          f"array in [0, T = {params.T:g}]")
+    beta = _beta(params)
+    (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
+    a_i, a_r1, a_r2 = (params.gamma(p) * accum_profile(params, p, t)
+                       for p in ("I", "R1", "R2"))
+    c1, c2 = a_r1 / a_i, a_r2 / a_i
+
+    # unconstrained_fixed_point
+    delta = _delta_array(c1)
+    u_lo, u_hi = c2 / (2.0 * c1 + 1.0), c2 / (2.0 * c1)
+    u = bisect_array(lambda u: delta(1.0 + c2 + u) - 2.0 * c1 * (u - u_lo) / c2,
+                     u_lo, u_hi)
+    xi1_bar = a_r2 / (2.0 * u)
+    xi2_bar = _h2(xi1_bar, a_i, c2, beta)
+
+    split = [xi1_bar < xi1_lo, xi1_bar <= xi1_hi]
+    branch = np.select(split, ["floor", "middle"], "cap")
+    xi2_star = np.clip(np.select(split, [_h2(xi1_lo, a_i, c2, beta), xi2_bar],
+                                 _h2(xi1_hi, a_i, c2, beta)), xi2_lo, xi2_hi)
+
+    # h1_inv on h1_domain
+    hi = a_r1 + 0.5 * a_i
+    g_inf = 2.0 * c1 / (2.0 * c1 + 1.0)
+    xi1_br = bisect_array(lambda x: delta(beta * xi2_star * (1.0 / a_i + 0.5 / x))
+                          - g_inf * (hi / x - 1.0), a_r1, hi)
+    xi1_star = np.clip(xi1_br, xi1_lo, xi1_hi)
+
+    regime = tuple(_regime(b, x2 == xi2_lo, x2 == xi2_hi)
+                   for b, x2 in zip(branch.tolist(), xi2_star.tolist()))
+    resp = layered_response(xi1_star, xi2_star, a_i, t)
+    return EquilibriumResult(xi1_star, xi2_star, resp, regime, (xi1_bar, xi2_bar), t)

@@ -300,6 +300,12 @@ class MarketParams:
         return accumulation(self.rho(party), t, self.T)
 
 
+def accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray:
+    """A_k(s) = exp(int_s^T rho_k), exact for piecewise-constant rates; vectorized in s."""
+    curve = params.rho(party)
+    return np.exp(curve.cumulative(params.T) - curve.cumulative(s))
+
+
 def gamma_accumulations(params: MarketParams, t: float) -> tuple[float, float, float]:
     """(gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at time t."""
     return (params.gamma_I * params.accum("I", t),

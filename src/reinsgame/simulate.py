@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .market import MarketParams, insurer_premium_rate
+from .market import MarketParams, accum_profile, insurer_premium_rate
 from .response import indemnity
-from .valuation import PARTIES, StrategyPath, accum_profile, path_profile
+from .valuation import PARTIES, StrategyPath, path_profile
 
 _DEFAULT_GRID_CELLS = 8000
 _BLOCK = 1024  # paths per random stream; changing it changes every sample

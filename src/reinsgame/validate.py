@@ -129,10 +129,9 @@ def check_single_crossing(params: MarketParams, t: float, tol: float) -> CheckRe
 
 def check_time_monotone(params: MarketParams, t: float, tol: float) -> CheckResult:
     ts = np.linspace(0.0, params.T, 33)
-    eqs = [expo.constrained_equilibrium(params, float(s)) for s in ts]
-    xi1 = [e.xi1_star for e in eqs]
-    xi2 = [e.xi2_star for e in eqs]
-    ok = bool(np.all(np.diff(xi1) <= 1e-12) and np.all(np.diff(xi2) <= 1e-12))
+    eq = expo.constrained_equilibrium(params, ts)
+    ok = bool(np.all(np.diff(eq.xi1_star) <= 1e-12)
+              and np.all(np.diff(eq.xi2_star) <= 1e-12))
     return CheckResult("premiums_nonincreasing_in_time", ok,
                        "equilibrium loadings decay toward the horizon")
 

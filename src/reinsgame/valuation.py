@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
-from .market import Exponential, MarketParams, insurer_premium_rate, layer_moments
+from .market import (Exponential, MarketParams, accum_profile, insurer_premium_rate,
+                     layer_moments)
 from .reaction import general_equilibrium
 from .response import ResponseStrategy, layered_response, no_reinsurance
 
@@ -74,18 +75,16 @@ class StrategyPath:
 def equilibrium_path(params: MarketParams, n_grid: int = _DEFAULT_PATH_GRID) -> StrategyPath:
     """Equilibrium loadings precomputed on a uniform time grid.
 
-    Exponential claims use the closed-form boxed equilibrium; other laws use
-    the general-law candidate fixed point.
+    Exponential claims use the closed-form boxed equilibrium, solved for the
+    whole grid in one call; other laws use the general-law candidate fixed
+    point, one time at a time.
     """
     grid = np.linspace(0.0, params.T, n_grid)
-    xi1 = np.empty(n_grid)
-    xi2 = np.empty(n_grid)
-    exponential = isinstance(params.claims, Exponential)
-    for i, t in enumerate(grid):
-        point = (constrained_equilibrium(params, float(t)).point() if exponential
-                 else general_equilibrium(params, float(t)))
-        xi1[i], xi2[i] = point.xi1, point.xi2
-    return StrategyPath(params, grid, xi1, xi2)
+    if isinstance(params.claims, Exponential):
+        eq = constrained_equilibrium(params, grid)
+        return StrategyPath(params, grid, eq.xi1_star, eq.xi2_star)
+    points = [general_equilibrium(params, float(t)) for t in grid]
+    return StrategyPath(params, grid, [p.xi1 for p in points], [p.xi2 for p in points])
 
 
 def constant_path(params: MarketParams, xi1: float, xi2: float) -> StrategyPath:
@@ -127,12 +126,6 @@ def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> Pat
     p2 = (1.0 + xi2) * params.lam * lm.l2
     return PathProfile(s, xi1, xi2, lm.l1, lm.l1_sq, lm.l2, lm.l2_sq, lm.retained,
                        lm.retained_sq, p1, p2)
-
-
-def accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray:
-    """A_k(s) = exp(int_s^T rho_k), exact for piecewise-constant rates; vectorized in s."""
-    curve = params.rho(party)
-    return np.exp(curve.cumulative(params.T) - curve.cumulative(s))
 
 
 def _drift_and_covered_sq(profile: PathProfile, params: MarketParams, party: str):

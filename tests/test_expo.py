@@ -93,6 +93,23 @@ class TestGComposition:
         vals = [G_fun(x, 1.0) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_large_argument_is_the_limit(self):
+        # e(709) ~ 3e302: the composed quadratic overflowed here (0.0 and nan)
+        for c in (1e5, 1e6):
+            assert G_fun(709.0, c) == pytest.approx(g_range(c)[0], rel=1e-12)
+        assert G_fun(710.0, 1.0) == pytest.approx(g_range(1.0)[0], rel=1e-12)
+
+    def test_e_beyond_exp_range(self):
+        # e(x) ~ 2 e^x / x^2 stays finite past math.exp's overflow at 709.78
+        ratio = e_fun(710.0) / e_fun(709.0)
+        assert ratio == pytest.approx(math.e * (709.0 / 710.0) ** 2, rel=1e-12)
+        assert e_fun(800.0) == math.inf
+
+    def test_inverse_round_trip_across_c(self):
+        for c in (0.05, 1.0, 1e3, 1e5):
+            for x in (0.5, 5.0):
+                assert G_inv(G_fun(x, c), c) == pytest.approx(x, rel=1e-9)
+
     def test_range_errors(self):
         lim_inf, g0 = g_range(1.0)
         with pytest.raises(RangeError):
@@ -312,6 +329,106 @@ def assert_boxed_mutual_best_response(params, t, rel):
         pytest.approx(eq.xi2_star, rel=rel)
 
 
+def seeded_box_draw():
+    # 200 points drawn as the benchmark's sweep_box workload draws them
+    # (seed 7, batch 0): log-uniform risk aversions on [0.02, 1] and beta
+    # on [0.25, 4], flat rates on [0, 0.2], T on [1, 10], t on [0, T)
+    rng = np.random.default_rng([7, 0])
+    for _ in range(200):
+        g_i, g_r1, g_r2 = np.exp(rng.uniform(math.log(0.02), 0.0, 3))
+        beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        rhos = [float(r) for r in rng.uniform(0.0, 0.2, 3)]
+        T = float(rng.uniform(1.0, 10.0))
+        t = float(rng.uniform(0.0, T))
+        yield flat_rate_params(T, (float(g_i), float(g_r1), float(g_r2)), beta, rhos), t
+
+
+# One point of each (three-case branch, xi2 clamp) pair tagged OtherBoundary,
+# from the benchmark's sweep_box draw (seed 1): T, (gamma_I, gamma_R1,
+# gamma_R2), beta, (rho_I, rho_R1, rho_R2), t
+OTHER_BOUNDARY_POINTS = {
+    ("cap", "inside"): (
+        2.3547234737905973, (0.334298512447719, 0.5255778222294093, 0.06024652045532232),
+        0.4540341343279492, (0.12786627601331757, 0.16101096662900194, 0.1927341745689942),
+        1.1354768298456017),
+    ("middle", "floor"): (
+        4.682792227322452, (0.14811518440256008, 0.8238332306230863, 0.03515222776195466),
+        3.4691874329972676, (0.062366290402097097, 0.08466528979451514, 0.16554051876408837),
+        2.573633048820886),
+    ("floor", "cap"): (
+        6.517029709477364, (0.05908263361569019, 0.03749496389222662, 0.8890049500466783),
+        1.0455589042780922, (0.023173122494154066, 0.1246979511075001, 0.15533662286845962),
+        5.978056394557709),
+    ("cap", "floor"): (
+        9.870766353391211, (0.024003682776834914, 0.825131397741155, 0.04513774379329195),
+        0.9413678792089781, (0.18417705064644238, 0.05069593652771112, 0.045476854516526014),
+        8.927418863593832),
+}
+
+
+def other_boundary_point(pair):
+    T, gammas, beta, rhos, t = OTHER_BOUNDARY_POINTS[pair]
+    return flat_rate_params(T, gammas, beta, rhos), t
+
+
+class TestOtherBoundary:
+    @pytest.mark.parametrize("pair", list(OTHER_BOUNDARY_POINTS), ids="-".join)
+    def test_pair_is_tagged_and_boxed(self, pair):
+        params, t = other_boundary_point(pair)
+        (lo1, hi1), (lo2, hi2) = admissible_box(params)
+        eq = constrained_equilibrium(params, t)
+        xi1_bar = eq.unconstrained[0]
+        branch = "floor" if xi1_bar < lo1 else "middle" if xi1_bar <= hi1 else "cap"
+        clamp2 = {lo2: "floor", hi2: "cap"}.get(eq.xi2_star, "inside")
+        assert eq.regime is Regime.OTHER_BOUNDARY
+        assert (branch, clamp2) == pair
+        assert_boxed_mutual_best_response(params, t, rel=1e-8)
+
+
+def assert_array_path_matches_scalar(params, ts):
+    # the array path against the scalar reference, time by time
+    eq = constrained_equilibrium(params, ts)
+    regimes = []
+    for i, t in enumerate(ts):
+        ref = constrained_equilibrium(params, float(t))
+        got = (eq.xi1_star[i], eq.xi2_star[i], eq.response.q[i], eq.response.d[i])
+        want = (ref.xi1_star, ref.xi2_star, ref.response.q, ref.response.d)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert eq.regime[i] is ref.regime
+        regimes.append(ref.regime)
+    return regimes
+
+
+class TestArrayPath:
+    def test_reference_path(self, base_params):
+        ts = np.linspace(0.0, base_params.T, 801)
+        assert set(assert_array_path_matches_scalar(base_params, ts)) == {Regime.INTERIOR}
+
+    def test_seeded_box_grids_and_pinned_points(self):
+        seen = set()
+        for params, t in seeded_box_draw():
+            seen.update(assert_array_path_matches_scalar(
+                params, np.append(np.linspace(0.0, params.T, 9), t)))
+        for pair in OTHER_BOUNDARY_POINTS:
+            params, t = other_boundary_point(pair)
+            seen.update(assert_array_path_matches_scalar(params, np.array([t])))
+        assert seen == set(Regime)
+
+    def test_result_fields_are_arrays_over_t(self, base_params):
+        ts = np.array([0.0, 4.0, 8.0])
+        eq = constrained_equilibrium(base_params, ts)
+        for field in (eq.xi1_star, eq.xi2_star, eq.response.q, eq.response.d,
+                      eq.response.cap, eq.response.retention_limit, *eq.unconstrained):
+            assert np.shape(field) == (3,)
+        assert eq.regime == (Regime.INTERIOR,) * 3
+        assert np.array_equal(eq.t, ts)
+
+    def test_times_outside_horizon_or_not_1d_rejected(self, base_params):
+        for bad in ([-0.1, 1.0], [0.0, base_params.T * 1.01], [0.0, math.nan], [[0.0]]):
+            with pytest.raises(DomainError):
+                constrained_equilibrium(base_params, np.array(bad))
+
+
 class TestAdmissibleBoxRobustness:
     def test_xi1_best_response_on_the_right_box_edge(self):
         # R1's best response to xi2* lies below its box, so xi1* is the
@@ -327,18 +444,7 @@ class TestAdmissibleBoxRobustness:
         assert_boxed_mutual_best_response(params, t, rel=1e-8)
 
     def test_seeded_box_points(self):
-        # 200 points drawn as the benchmark's sweep_box workload draws them
-        # (seed 7, batch 0): log-uniform risk aversions on [0.02, 1] and beta
-        # on [0.25, 4], flat rates on [0, 0.2], T on [1, 10], t on [0, T)
-        rng = np.random.default_rng([7, 0])
-        for _ in range(200):
-            g_i, g_r1, g_r2 = np.exp(rng.uniform(math.log(0.02), 0.0, 3))
-            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-            rhos = [float(r) for r in rng.uniform(0.0, 0.2, 3)]
-            T = float(rng.uniform(1.0, 10.0))
-            t = float(rng.uniform(0.0, T))
-            params = flat_rate_params(T, (float(g_i), float(g_r1), float(g_r2)),
-                                      beta, rhos)
+        for params, t in seeded_box_draw():
             assert_boxed_mutual_best_response(params, t, rel=1e-8)
 
     def test_r1_reaction_matches_h1_inv(self):
@@ -353,15 +459,7 @@ class TestAdmissibleBoxRobustness:
         assert reaction_xi1(xi2, params, t) == pytest.approx(h1_inv(xi2, params, t),
                                                              rel=1e-10)
         # the draw of test_seeded_box_points, probed at the xi2 box ends and middle
-        rng = np.random.default_rng([7, 0])
-        for _ in range(200):
-            g_i, g_r1, g_r2 = np.exp(rng.uniform(math.log(0.02), 0.0, 3))
-            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-            rhos = [float(r) for r in rng.uniform(0.0, 0.2, 3)]
-            T = float(rng.uniform(1.0, 10.0))
-            t = float(rng.uniform(0.0, T))
-            params = flat_rate_params(T, (float(g_i), float(g_r1), float(g_r2)),
-                                      beta, rhos)
+        for params, t in seeded_box_draw():
             for xi2 in (0.1, 0.5, 0.9):
                 assert reaction_xi1(xi2, params, t) == pytest.approx(
                     h1_inv(xi2, params, t), rel=1e-10)
