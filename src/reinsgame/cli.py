@@ -78,13 +78,12 @@ def cmd_trajectory(params: MarketParams, t: float, args) -> int:
     if np.any((grid < 0.0) | (grid > params.T)):
         raise ConfigError(f"--grid {args.grid} leaves [0, T = {params.T:g}]")
     path = equilibrium_path(params)
-    intercepts = [value_intercept(p, params, path) for p in ("I", "R1", "R2")]
+    intercepts = [value_intercept(p, params, path)(grid) for p in ("I", "R1", "R2")]
     eq = constrained_equilibrium(params, grid)
     p1, p2 = premium_rates(eq.point(), eq.response, params)
     solved = np.column_stack([grid, eq.xi1_star, eq.xi2_star, eq.response.q,
-                              eq.response.d, eq.response.cap, p1, p2])
-    rows = [[float(v) for v in row] + [b(float(row[0])) for b in intercepts]
-            for row in solved]
+                              eq.response.d, eq.response.cap, p1, p2, *intercepts])
+    rows = [[float(v) for v in row] for row in solved]
     columns = ["t", "xi1", "xi2", "q", "d", "cap", "p1", "p2", "B_I", "B_R1", "B_R2"]
     _emit(columns, rows, args.format, args.out)
     return 0

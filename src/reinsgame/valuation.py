@@ -7,6 +7,11 @@ the compound-Poisson isometry, Var = int A(s)^2 lam E[(covered amount)^2] ds.
 Equilibrium value functions are V_k(t, x) = A_k(t) x + B_k(t) with B_k the
 accumulated optimized running reward; at equilibrium V and the objective J
 agree, which the tests use as a cross-module check.
+
+Every one of these integrals runs from t to the horizon, so one reverse
+cumulative Simpson from T gives it at every time at once: ``_tail_integrals``
+evaluates the path on one node grid aligned with its linear pieces and serves
+both the objectives and B_k, for a scalar or an array of times.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .response import ResponseStrategy, layered_response, no_reinsurance
 PARTIES = ("I", "R1", "R2")
 _DEFAULT_PANELS = 2000
 _DEFAULT_PATH_GRID = 801
+_PROFILE_BLOCK = 1024  # nodes per path_profile call in _tail_integrals
 
 
 @dataclass(frozen=True)
@@ -140,25 +146,70 @@ def _drift_and_covered_sq(profile: PathProfile, params: MarketParams, party: str
     raise DomainError(f"unknown party {party!r}")
 
 
+def _tail_integrals(path: StrategyPath, params: MarketParams, party: str, t,
+                    panels: int, integrands) -> np.ndarray:
+    """int_t^T of each row of ``integrands(profile, a_s)`` at every time in ``t``.
+
+    One reverse cumulative Simpson from T over one node grid on [0, T] gives
+    the integrals at every node.  Each cell of the path's uniform grid is split
+    into an even number of panels, at least ``panels`` in all, so every Simpson
+    pair lies inside one linear piece of the path.  A time between two nodes adds
+    one Simpson panel of its own, from it to the node above; it stays out of
+    the cumulative chain, so the integral at one time does not depend on which
+    other times are asked for.  The result has shape ``integrand rows +
+    t.shape`` and is exactly 0 at t = T.
+    """
+    from scipy import integrate  # imported on use, as in market.GenericClaims
+    t = np.asarray(t, dtype=float)
+    inside = (t >= 0.0) & (t <= params.T)  # False for NaN
+    if not np.all(inside):
+        raise DomainError(f"t = {t[~inside].flat[0]:g} outside [0, T = {params.T:g}]")
+
+    def integrand_at(s):
+        return integrands(path_profile(path, params, s), accum_profile(params, party, s))
+
+    cells = max(path.grid.size - 1, 1)
+    n_panels = cells * 2 * -(-panels // (2 * cells))
+    nodes = np.linspace(0.0, params.T, n_panels + 1)
+    # In blocks: one path_profile of all 3201 nodes of the default path raised
+    # the trajectory command's peak RSS by about 0.5 MB.
+    y_nodes = np.concatenate([integrand_at(nodes[first:first + _PROFILE_BLOCK])
+                              for first in range(0, nodes.size, _PROFILE_BLOCK)], axis=-1)
+    tail = integrate.cumulative_simpson(y_nodes[..., ::-1], dx=params.T / n_panels,
+                                        initial=0.0)[..., ::-1]
+
+    flat = t.ravel()
+    above = np.searchsorted(nodes, flat)  # index of the first node >= t
+    between = nodes[above] > flat
+    result = tail[..., above]
+    if np.any(between):
+        # Simpson on [t, node above] for each time between nodes
+        lo, hi = flat[between], nodes[above[between]]
+        y = integrand_at(np.concatenate([lo, 0.5 * (lo + hi)]))
+        result[..., between] += (hi - lo) / 6.0 * (y[..., :lo.size] + 4.0 * y[..., lo.size:]
+                                                   + y_nodes[..., above[between]])
+    return result.reshape(result.shape[:-1] + t.shape)
+
+
 def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
                           t: float, x: float,
                           panels: int = _DEFAULT_PANELS) -> ObjectiveValue:
     """Objective J = E[X(T)] - (gamma/2) Var(X(T)) under a deterministic path.
 
-    Composite Simpson with ``panels`` panels over [t, T]; at t = T the
-    objective is the surplus itself.
+    The mean and variance integrals over [t, T] come from ``_tail_integrals``
+    with ``panels`` panels at least; at t = T the objective is the surplus itself.
     """
-    from scipy import integrate  # imported on use, as in market.GenericClaims
     gamma = params.gamma(party)
     a_t = params.accum(party, t)
     if t >= params.T:
         return ObjectiveValue(party, x, 0.0, x)
-    s = np.linspace(t, params.T, panels + 1)
-    profile = path_profile(path, params, s)
-    a_s = accum_profile(params, party, s)
-    drift, covered_sq = _drift_and_covered_sq(profile, params, party)
-    mean = a_t * x + integrate.simpson(a_s * drift, x=s)
-    variance = integrate.simpson(a_s * a_s * params.lam * covered_sq, x=s)
+
+    def integrands(profile, a_s):
+        drift, covered_sq = _drift_and_covered_sq(profile, params, party)
+        return np.stack([a_s * drift, a_s * a_s * params.lam * covered_sq])
+
+    drift, variance = _tail_integrals(path, params, party, t, panels, integrands)
+    mean = a_t * x + drift
     return ObjectiveValue(party, float(mean), float(variance),
                           float(mean - 0.5 * gamma * variance))
 
@@ -194,15 +245,15 @@ class ValueIntercept:
         self.path = path
         self.panels = panels
 
-    def __call__(self, t: float) -> float:
-        from scipy import integrate
-        if t >= self.params.T:
-            return 0.0
-        s = np.linspace(t, self.params.T, self.panels + 1)
-        profile = path_profile(self.path, self.params, s)
-        a_s = accum_profile(self.params, self.party, s)
-        reward = _running_reward(profile, self.params, self.party, a_s)
-        return float(integrate.simpson(a_s * reward, x=s))
+    def __call__(self, t):
+        """B_k at time(s) ``t`` in [0, T]: a float for a scalar, an array for an array."""
+        params, party = self.params, self.party
+
+        def integrand(profile, a_s):
+            return a_s * _running_reward(profile, params, party, a_s)
+
+        b = _tail_integrals(self.path, params, party, t, self.panels, integrand)
+        return float(b) if b.ndim == 0 else b
 
     def value(self, t: float, x: float) -> float:
         return self.params.accum(self.party, t) * x + self(t)

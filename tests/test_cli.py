@@ -160,6 +160,18 @@ class TestTrajectoryCommand:
         assert all(a > b for a, b in zip(p1, p1[1:]))
         assert all(0.2 <= v <= 0.35 for v in p1)
 
+    def test_intercepts_equal_scalar_calls(self, capsys, base_params, eq_path):
+        # --grid 0:8:7 puts rows between the path's nodes; the one array call
+        # per party must print what one scalar call per row gives
+        from reinsgame.valuation import value_intercept
+        code, out, _ = run_cli(capsys, "--command", "trajectory", "--grid", "0:8:7",
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        for party in ("I", "R1", "R2"):
+            intercept = value_intercept(party, base_params, eq_path)
+            assert [r[f"B_{party}"] for r in rows] == [intercept(r["t"]) for r in rows]
+
 
 class TestSweepCommand:
     def test_mu_sweep_regime_transitions(self, capsys):

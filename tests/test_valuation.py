@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reinsgame.market import RateCurve
-from reinsgame.valuation import (closed_form_objective, constant_path,
-                                 no_reinsurance_path, value_intercept)
+from reinsgame.errors import DomainError
+from reinsgame.market import RateCurve, accum_profile
+from reinsgame.valuation import (_running_reward, closed_form_objective, constant_path,
+                                 no_reinsurance_path, path_profile, value_intercept)
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +62,39 @@ class TestClosedFormObjective:
 
 
 class TestValueIntercept:
+    # t = 0, T/2 and the rows of --grid 0:8:7, four of which fall between the
+    # equilibrium path's nodes
+    TIMES = np.array([0.0, 4.0, 4 / 3, 8 / 3, 16 / 3, 20 / 3, 8.0])
+
+    @staticmethod
+    def per_time_simpson(party, params, path, t, panels=2000):
+        # the reference: a fresh profile and composite Simpson over [t, T] per time
+        from scipy import integrate
+        if t >= params.T:
+            return 0.0
+        s = np.linspace(t, params.T, panels + 1)
+        a_s = accum_profile(params, party, s)
+        reward = _running_reward(path_profile(path, params, s), params, party, a_s)
+        return float(integrate.simpson(a_s * reward, x=s))
+
+    @pytest.fixture(params=["equilibrium", "constant", "no_reinsurance"])
+    def path(self, request, base_params, eq_path):
+        return {"equilibrium": eq_path,
+                "constant": constant_path(base_params, 0.4, 0.5),
+                "no_reinsurance": no_reinsurance_path(base_params)}[request.param]
+
     def test_terminal_condition(self, base_params, eq_path):
         for party in ("I", "R1", "R2"):
-            assert value_intercept(party, base_params, eq_path)(base_params.T) == 0.0
+            intercept = value_intercept(party, base_params, eq_path)
+            assert intercept(base_params.T) == 0.0
+            assert intercept(self.TIMES)[-1] == 0.0
 
     def test_zero_intensity_vanishes(self, base_params, eq_path):
         p0 = dataclasses.replace(base_params, lam=0.0)
         for party in ("I", "R1", "R2"):
-            assert value_intercept(party, p0, eq_path)(0.0) == pytest.approx(0.0,
-                                                                             abs=1e-15)
+            intercept = value_intercept(party, p0, eq_path)
+            assert intercept(0.0) == pytest.approx(0.0, abs=1e-15)
+            assert np.all(intercept(self.TIMES) == 0.0)
 
     def test_value_equals_objective_at_equilibrium(self, base_params, eq_path):
         # V(t, x) = A x + B(t) must reproduce J at the equilibrium strategies
@@ -98,6 +123,40 @@ class TestValueIntercept:
             intercept = value_intercept(party, base_params, path)
             j = closed_form_objective(party, path, base_params, 2.0, 7.0).j
             assert intercept.value(2.0, 7.0) == pytest.approx(j, abs=1e-6)
+
+    def test_array_matches_scalar_bit_for_bit(self, base_params, path):
+        # a time between nodes integrates its own panel, so its value does not
+        # depend on the other times in the array
+        times = np.concatenate([self.TIMES, [1e-300, 3.14159, base_params.T - 1e-15]])
+        for party in ("I", "R1", "R2"):
+            intercept = value_intercept(party, base_params, path)
+            b = intercept(times)
+            assert isinstance(b, np.ndarray) and b.shape == times.shape
+            assert all(isinstance(intercept(float(t)), float) for t in times[:2])
+            assert b.tolist() == [intercept(float(t)) for t in times]
+
+    def test_matches_per_time_simpson(self, base_params, path):
+        for party in ("I", "R1", "R2"):
+            b = value_intercept(party, base_params, path)(self.TIMES)
+            ref = [self.per_time_simpson(party, base_params, path, t) for t in self.TIMES]
+            assert b == pytest.approx(ref, rel=0, abs=5e-9)
+
+    def test_path_aligned_nodes_converged(self, base_params, eq_path):
+        # the per-time Simpson cuts across the path's kinks and converges only
+        # at 100x the panels; the path-aligned nodes are converged at the default
+        t = 4 / 3
+        for party in ("I", "R1", "R2"):
+            fine = self.per_time_simpson(party, base_params, eq_path, t, panels=200_000)
+            assert value_intercept(party, base_params, eq_path)(t) == \
+                pytest.approx(fine, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), 9.0])
+    def test_time_outside_horizon_raises(self, base_params, eq_path, t):
+        intercept = value_intercept("I", base_params, eq_path)
+        with pytest.raises(DomainError, match="outside"):
+            intercept(t)
+        with pytest.raises(DomainError, match="outside"):
+            intercept(np.array([0.0, t, 4.0]))
 
 
 class TestStrategyPaths:
