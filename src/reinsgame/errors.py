@@ -18,7 +18,8 @@ class RangeError(DomainError):
 
 
 class IntegrationError(ReinsGameError):
-    """A numeric quadrature failed to converge to the requested tolerance."""
+    """A numeric integral missed its error tolerance: a quadrature, or a claim
+    law's layer-moment table checked against double spacing."""
 
 
 class NoRootError(ReinsGameError):

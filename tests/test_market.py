@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from reinsgame.errors import ConfigError, DomainError
-from reinsgame.market import (DEFINITION21, Exponential, GenericClaims, PremiumPoint,
-                              RateCurve, accumulation, admissible_box,
+from reinsgame.errors import ConfigError, DomainError, IntegrationError
+from reinsgame.market import (_TABLE_NODES, DEFINITION21, Exponential, GenericClaims,
+                              PremiumPoint, RateCurve, accumulation, admissible_box,
                               insurer_premium_rate, premium_rates)
 from reinsgame.response import full_cession_to_r2, no_reinsurance, response
 
 
 def uniform_claims(upper=2.0):
     return GenericClaims(lambda y: min(max(y / upper, 0.0), 1.0))
+
+
+def erlang2_cdf(y):
+    # Erlang(2, rate 2), written for scalars only
+    return 0.0 if y <= 0.0 else -math.expm1(-2.0 * y) - 2.0 * y * math.exp(-2.0 * y)
 
 
 class TestAccumulation:
@@ -68,6 +73,12 @@ class TestAccumulation:
         for t, c in zip(ts, cum):
             assert c == pytest.approx(curve.integral(0.0, t), abs=1e-14)
 
+    def test_cached_cumulative_leaves_equality_and_hash(self):
+        curve = RateCurve(((0.0, 0.12), (1.5, 0.03)), 8.0)
+        twin = RateCurve(((0, 0.12), (1.5, 0.03)), 8.0)
+        assert curve == twin and hash(curve) == hash(twin)
+        assert curve != RateCurve(((0.0, 0.12), (1.5, 0.04)), 8.0)
+
 
 class TestClaimMoments:
     def test_exponential_unit(self):
@@ -91,6 +102,82 @@ class TestClaimMoments:
     def test_exponential_requires_positive_rate(self):
         with pytest.raises(DomainError):
             Exponential(0.0)
+
+
+class TestGenericClaimsTable:
+    """Layer moments of a CDF-given law from its one table."""
+
+    @pytest.mark.parametrize("probe,cdf", [
+        (0.7, lambda y: min(max(y / 2.0, 0.0), 1.0)),
+        (0.7, erlang2_cdf),
+        # the kink at 1/3 falls between two nodes
+        (1.0 / 3.0, lambda y: min(max(3.0 * y, 0.0), 1.0)),
+    ])
+    def test_table_within_stated_bound_of_quadrature(self, probe, cdf):
+        # deductibles across [0, tail cut) and through the cell holding ``probe``
+        law = GenericClaims(cdf)
+        end = law.tail_cut()
+        h = end / (_TABLE_NODES - 1)
+        ds = np.concatenate((np.linspace(0.0, end, 37, endpoint=False),
+                             math.floor(probe / h) * h + h * np.linspace(0.0, 1.0, 9)))
+        tm = law.truncated(ds)
+        surv = lambda y: 1.0 - cdf(y)
+        for d, em, esq, s in zip(ds, tm.excess_mean, tm.excess_sq, tm.survival):
+            em_ref = integrate.quad(surv, d, end, points=[probe], epsabs=1e-14,
+                                    epsrel=1e-13, limit=200)[0]
+            esq_ref = 2.0 * integrate.quad(lambda y: (y - d) * surv(y), d, end, points=[probe],
+                                           epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            assert abs(em - em_ref) <= max(1e-8, 1e-8 * em_ref), d
+            assert abs(esq - esq_ref) <= max(1e-8, 1e-8 * esq_ref), d
+            assert s == surv(d)
+
+    def test_array_call_equals_scalar_calls(self):
+        law = GenericClaims(erlang2_cdf)
+        ds = np.array([[0.0, 0.37, 1.0], [2.5, 15.999, 40.0]])
+        tm = law.truncated(ds)
+        for i, d in np.ndenumerate(ds):
+            one = law.truncated(float(d))
+            for name in ("m2_below", "excess_mean", "survival", "m1_below", "excess_sq"):
+                assert getattr(tm, name)[i] == getattr(one, name), (name, d)
+
+    def test_atom_raises_and_names_it(self):
+        law = GenericClaims(lambda y: 0.7 * min(max(y / 2.0, 0.0), 1.0)
+                            + (0.3 if y >= 0.9 else 0.0))
+        with pytest.raises(IntegrationError, match=r"y = 0\.89"):
+            law.truncated(0.5)
+
+    def test_vectorized_cdf_called_once_per_build(self):
+        shapes = []
+
+        def cdf(y):
+            shapes.append(np.shape(y))
+            return -np.expm1(-np.maximum(y, 0.0))
+
+        law = GenericClaims(cdf)
+        shapes.clear()
+        law.truncated(np.array([0.5, 1.0, 2.0]))
+        law.truncated(np.array([0.25, 3.0]))
+        assert shapes == [(_TABLE_NODES,), (3,), (2,)]
+
+    def test_scalar_cdf_on_arrays(self):
+        law = uniform_claims()
+        y = np.array([[0.5, 1.0], [-1.0, 3.0]])
+        assert np.array_equal(law.cdf(y), [[0.25, 0.5], [0.0, 1.0]])
+        assert np.array_equal(law.survival(y), [[0.75, 0.5], [1.0, 0.0]])
+
+    def test_ppf_pinned(self):
+        u = np.array([1e-9, 0.01, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-12])
+        assert uniform_claims().ppf(u) == pytest.approx(
+            [2e-09, 0.02, 0.5, 1.0, 1.8, 1.998, 1.999999999998], rel=1e-14)
+        assert GenericClaims(erlang2_cdf).ppf(u) == pytest.approx(
+            [1.5015015814681325e-07, 0.07427738672388864, 0.4806393831983987,
+             0.8391734939977914, 1.9448600855896925, 4.616706739473107,
+             15.54991355331425], rel=1e-14)
+
+    def test_negative_or_nan_deductible_rejected(self):
+        for d in (-0.1, np.array([0.2, math.nan])):
+            with pytest.raises(DomainError):
+                uniform_claims().truncated(d)
 
 
 class TestAdmissibleBox:

@@ -64,7 +64,7 @@ class TestTruncatedMoments:
         assert tm.survival == 1.0
 
     @pytest.mark.parametrize("dist,d", [(Exponential(1.0), math.inf),
-                                        (uniform_claims(), 1e9)])
+                                        (uniform_claims(), 1e9), (uniform_claims(), math.inf)])
     def test_full_truncation(self, dist, d):
         tm = dist.truncated(d)
         assert tm.m2_below == pytest.approx(dist.second_moment, rel=1e-12)

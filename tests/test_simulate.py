@@ -98,13 +98,10 @@ class TestSimulate:
         uniform = GenericClaims(lambda y: min(max(y / 2.0, 0.0), 1.0))
         params = dataclasses.replace(base_params, claims=uniform)
         path = constant_path(params, 0.45, 0.3)
-        # the flows are smooth in time, so 400 cells resolve them; every cell
-        # of the grid costs two quadratures for a general law
-        samples = simulate(path, params, SimConfig(paths=20000, seed=43,
-                                                   step=params.T / 400))
+        samples = simulate(path, params, SimConfig(paths=20000, seed=43))
         assert sum(samples.total_jumps) == pytest.approx(samples.total_claims,
                                                          rel=1e-9)
-        assert_means_match_closed_form(samples, path, params, panels=400)
+        assert_means_match_closed_form(samples, path, params)
 
     def test_invalid_config(self):
         with pytest.raises(DomainError):
