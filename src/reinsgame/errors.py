@@ -18,8 +18,8 @@ class RangeError(DomainError):
 
 
 class IntegrationError(ReinsGameError):
-    """A numeric integral missed its error tolerance: a quadrature, or a claim
-    law's layer-moment table checked against double spacing."""
+    """A numeric integral misses its tolerance: a quadrature, a claim law's layer-moment
+    table against double spacing, or m(d) at a root too near the table's tail cut."""
 
 
 class NoRootError(ReinsGameError):

@@ -26,12 +26,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .market import (SECTION4, Exponential, MarketParams, PremiumPoint,
-                     accum_profile, admissible_box, gamma_accumulations)
+from .market import (_SERIES_CUTOFF, SECTION4, Exponential, MarketParams, PremiumPoint,
+                     accum_profile, admissible_box, e_series, gamma_accumulations)
 from .response import ResponseStrategy, layered_response, response
 from .roots import bisect, bisect_array
 
-_SERIES_CUTOFF = 1e-3
 _EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
 _ENDPOINT_SHRINK = 1e-12
 
@@ -88,19 +87,15 @@ class EquilibriumResult:
 def e_fun(x: float) -> float:
     """(2/x^2)e^x - (1 + 2/x + 2/x^2), the scaled truncated second moment.
 
-    Equals sum_{n>=1} 2 x^n/(n+2)!; the series form is used below 1e-3 where
-    the closed form loses ~10 digits to cancellation.  Beyond x ~ 709.78,
-    where e^x overflows, e(x) = 2 exp(x - 2 ln x) to rounding; it is inf
-    from x ~ 722, where e(x) itself exceeds the largest float.
+    Equals sum_{n>=1} 2 x^n/(n+2)!, the form used below 0.5, where the
+    closed form cancels to under 14 digits.  Beyond x ~ 709.78, where e^x
+    overflows, e(x) = 2 exp(x - 2 ln x) to rounding; it is inf from x ~ 722,
+    where e(x) itself exceeds the largest float.
     """
     if x <= 0:
         raise DomainError("e_fun requires x > 0")
     if x < _SERIES_CUTOFF:
-        term, total = x / 3.0, 0.0  # 2*x/3! = x/3
-        for n in range(1, 12):
-            total += term
-            term *= x / (n + 3)
-        return total
+        return e_series(x)
     try:
         return (2.0 / (x * x)) * math.exp(x) - (1.0 + 2.0 / x + 2.0 / (x * x))
     except OverflowError:
@@ -194,7 +189,9 @@ def h2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
 
 def _h2(xi1, a_i, c2, beta):
     # h2 from its coefficients; elementwise for arrays
-    return (a_i / beta) * (1.0 + c2 - a_i / (a_i + 2.0 * xi1))
+    # 1 - a_i/(a_i + 2 xi1) written as 2 xi1/(a_i + 2 xi1): no cancellation
+    # when a_i >> xi1
+    return (a_i / beta) * (c2 + 2.0 * xi1 / (a_i + 2.0 * xi1))
 
 
 def _delta(x: float, c: float) -> float:
@@ -209,14 +206,14 @@ def _delta(x: float, c: float) -> float:
 
 
 def _e_array(x: np.ndarray) -> np.ndarray:
-    # e_fun elementwise for 0 < x <= 709; points below the series cutoff,
-    # rare on the solver's paths, go through the scalar series
+    # e_fun elementwise for 0 < x <= 709; the series runs only where it is
+    # needed, since the bisections call this about 100 times per solve
     small = x < _SERIES_CUTOFF
     xc = np.where(small, 1.0, x)
     two_over_sq = 2.0 / (xc * xc)
     e = two_over_sq * np.exp(xc) - (1.0 + 2.0 / xc + two_over_sq)
     if small.any():
-        e[small] = [e_fun(v) for v in x[small]]
+        e[small] = e_series(x[small])
     return e
 
 

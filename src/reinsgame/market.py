@@ -21,6 +21,19 @@ _QUAD_ABS_TOL = 1e-10
 # nodes of a GenericClaims layer-moment table on [0, tail_cut]: 2^14 panels,
 # so every 4th node is the 4097-point grid of the ppf spline
 _TABLE_NODES = 16385
+# below x = 0.5 the closed forms of e(x) and of the exponential law's moments
+# below d (x = beta d) lose more than 2 digits to cancellation; their power
+# series takes over, where 14 terms reach rounding
+_SERIES_CUTOFF = 0.5
+_E_SERIES = tuple(2.0 / math.factorial(n + 2) for n in range(14, 0, -1))
+
+
+def e_series(x):
+    """sum_{n>=1} 2 x^n/(n+2)! = expo.e_fun(x) to rounding for 0 <= x <= 0.5; elementwise."""
+    total = 0.0
+    for c in _E_SERIES:
+        total = (total + c) * x
+    return total
 
 
 @dataclass(frozen=True)
@@ -91,10 +104,10 @@ def accumulation(curve: RateCurve, t: float, T: float) -> float:
 class TruncatedMoments:
     """Layer moments of a claim law split at a deductible d.
 
-    ``m2_below`` = int_0^d y^2 dF, ``excess_mean`` = int_d^inf (y-d) dF and
-    ``survival`` = 1 - F(d) are the three quantities entering the reinsurers'
-    first-order conditions; ``m1_below`` and ``excess_sq`` are the companion
-    moments needed by premiums and variance terms.
+    ``m2_below`` = int_0^d y^2 dF and ``survival`` = S(d) enter reinsurer 1's FOC,
+    ``mean_excess`` = m(d) = E[Y - d | Y > d] reinsurer 2's: 1/beta for exponential
+    claims even where S(d) underflows, 0 where a table law has S(d) = 0.  ``excess_mean``
+    = int_d^inf (y-d) dF = S m, ``m1_below`` and ``excess_sq`` serve premiums and variances.
     """
 
     d: float
@@ -103,6 +116,7 @@ class TruncatedMoments:
     survival: float
     m1_below: float
     excess_sq: float
+    mean_excess: float
 
 
 class ClaimDistribution:
@@ -110,6 +124,9 @@ class ClaimDistribution:
 
     ``second_moment`` is int y^2 dF (not the central variance).
     """
+
+    # S(y) at the y where the layer moments stop integrating: 0 when they are exact
+    cut_survival = 0.0
 
     @property
     def mean(self) -> float:
@@ -172,16 +189,25 @@ class Exponential(ClaimDistribution):
     def truncated(self, d):
         """Closed-form layer moments; accepts scalar d (inf allowed) or arrays."""
         b = self.beta
-        if np.isscalar(d) or np.ndim(d) == 0:
+        scalar = np.isscalar(d) or np.ndim(d) == 0
+        if scalar:
             d = float(d)
             if d < 0:
                 raise DomainError("deductible must be non-negative")
             if math.isinf(d):
-                return TruncatedMoments(d, 2.0 / b**2, 0.0, 0.0, 1.0 / b, 0.0)
+                return TruncatedMoments(d, 2.0 / b**2, 0.0, 0.0, 1.0 / b, 0.0, 1.0 / b)
         s = np.exp(-b * d)
         m2 = 2.0 / b**2 - s * (d * d + 2.0 * d / b + 2.0 / b**2)
         m1 = 1.0 / b - s * (d + 1.0 / b)
-        return TruncatedMoments(d, m2, s / b, s, m1, 2.0 * s / b**2)
+        # below the cutoff m2 = d^2 S e(x) and m1 = (d x/2) S (1 + e(x)), x = beta d
+        small = b * d < _SERIES_CUTOFF
+        if small if scalar else small.any():
+            x = np.minimum(b * d, _SERIES_CUTOFF)
+            e = e_series(x)
+            m2 = np.where(small, d * d * s * e, m2)[()]
+            m1 = np.where(small, 0.5 * d * x * s * (1.0 + e), m1)[()]
+        m = 1.0 / b if scalar else np.full(d.shape, 1.0 / b)
+        return TruncatedMoments(d, m2, s / b, s, m1, 2.0 * s / b**2, m)
 
 
 def _tolerance(value):
@@ -231,6 +257,7 @@ class GenericClaims(ClaimDistribution):
     def __init__(self, cdf: Callable[[float], float]):
         self._cdf = cdf
         self._ymax = self.tail_cut()
+        self.cut_survival = float(self.survival(self._ymax))
         self._mean = self._quad(lambda y: self.survival(y), 0.0, self._ymax)
         self._m2 = self._quad(lambda y: 2.0 * y * self.survival(y), 0.0, self._ymax)
         self._table = None
@@ -324,9 +351,10 @@ class GenericClaims(ClaimDistribution):
                                         -2.0 * h * em1, t), 0.0)
         m1 = self._mean - em - d_in * surv
         m2 = self._m2 - esq - 2.0 * d_in * em - d_in * d_in * surv
+        m = np.divide(em, surv, out=np.zeros_like(em), where=surv > 0.0)
         if d_arr.ndim == 0:
-            return TruncatedMoments(*(float(v) for v in (d_arr, m2, em, surv, m1, esq)))
-        return TruncatedMoments(d_arr, m2, em, surv, m1, esq)
+            return TruncatedMoments(*(float(v) for v in (d_arr, m2, em, surv, m1, esq, m)))
+        return TruncatedMoments(d_arr, m2, em, surv, m1, esq, m)
 
 
 @dataclass(frozen=True)

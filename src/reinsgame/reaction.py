@@ -1,28 +1,30 @@
 """Reinsurers' first-order conditions and best responses for arbitrary claims.
 
-Both reduced FOCs are one-dimensional in the probed loading once the
-insurer's response is substituted, and both are free of the claim intensity
-(lambda cancels).  Reinsurer 1's best response bisects on the exact bracket
-``expo.h1_domain``; only R2's and the fixed point, a root in the deductible,
-scan for a sign change first.  For exponential claims the results must (and
-do, see tests) coincide with the closed forms in :mod:`reinsgame.expo`; for
-other laws the fixed point is a candidate equilibrium only, since no
-uniqueness theory is available.
+Both reduced FOCs are free of the claim intensity.  Each solve is one
+bisection on an exact bracket: reinsurer 1's best response on
+``expo.h1_domain``; reinsurer 2's and the fixed point in the deductible d,
+via the mean excess m(d), raising IntegrationError where a table law's tail
+cut leaves m(d) unresolved.  For exponential claims they equal the closed
+forms of :mod:`reinsgame.expo`; for other laws the fixed point is a
+candidate, one of several if the residual in d changes sign more than once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DegeneratePremiumError, DomainError
+from .errors import ConvergenceError, DegeneratePremiumError, DomainError, IntegrationError
 from .expo import h1_domain
 from .market import (MarketParams, PremiumPoint, TruncatedMoments, admissible_box,
                      gamma_accumulations, layer_moments)
 from .response import response
-from .roots import bisect, scan_bisect
+from .roots import bisect
 
 _XTOL = 1e-12
 _FOC_TOL = 1e-8
+# A table law's m(d) misses the excess beyond its tail cut, a relative error
+# of about S(tail_cut)/S(d) where m varies slowly: roots in d must keep it
+# below 1e-6.
+_CUT_RESOLUTION = 1e6
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,16 @@ def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) 
     raise DomainError(f"which must be 'R1' or 'R2', got {which!r}")
 
 
-def xi2_search_bracket(params: MarketParams, t: float) -> tuple[float, float]:
-    """Default xi2 bracket [1e-8, 10 * gamma_I A_I (1 + C_R2) / beta_eff].
-
-    beta_eff = 2 a_Y / sigma_Y^2, which is beta for exponential claims, where
-    h2's horizontal asymptote gamma_I A_I (1 + C_R2) / beta bounds the root.
-    """
-    a_i, _, a_r2 = gamma_accumulations(params, t)
-    beta_eff = 2.0 * params.claims.mean / params.claims.second_moment
-    return 1e-8, 10.0 * a_i * (1.0 + a_r2 / a_i) / beta_eff
+def _deductible_root(f, k, params: MarketParams, **kw) -> tuple[float, TruncatedMoments]:
+    """Root of f in d on [0, max(k mean, tail_cut)], with a resolved m(d), and its moments."""
+    claims = params.claims
+    d = bisect(f, 0.0, max(k * claims.mean, claims.tail_cut()), **kw)
+    tm, cut = claims.truncated(d), claims.cut_survival
+    if not (tm.mean_excess > 0.0 and tm.survival >= _CUT_RESOLUTION * cut):
+        raise IntegrationError(
+            f"root d = {d:g} has S(d) = {tm.survival:g} below {_CUT_RESOLUTION:g} "
+            f"S(tail_cut = {claims.tail_cut():g}) = {cut:g}: m(d) is unresolved")
+    return d, tm
 
 
 def _clip_to_box(x: float, box: tuple[float, float]) -> float:
@@ -115,42 +118,42 @@ def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0,
 
 def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0,
                  clamp: bool = False) -> float:
-    """Reinsurer 2's best-response loading: the root of its FOC in xi2."""
+    """Reinsurer 2's best-response loading xi2 = d/(1/a_I + 1/(2 xi1)): its FOC
+    k EM(d) - d S(d), k = 1 + C_R2 + a_R2/(2 xi1), over S(d) is k m(d) - d, which is
+    k mean > 0 at d = 0 and <= 0 at max(k mean, tail_cut), where m = 1/beta or 0."""
     if not xi1 > 0:
         raise DegeneratePremiumError("reaction_xi2 requires xi1 > 0")
-    lo, hi = xi2_search_bracket(params, t)
-    root = scan_bisect(lambda x: foc_residual_r2(PremiumPoint(xi1, x, t), params),
-                       lo, hi, xtol=_XTOL)
+    a_i, _, a_r2 = gamma_accumulations(params, t)
+    k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * xi1)
+    d, _ = _deductible_root(lambda d: k * params.claims.truncated(d).mean_excess - d,
+                            k, params, xtol=0.0)
+    root = d / (1.0 / a_i + 0.5 / xi1)
     return _clip_to_box(root, admissible_box(params)[1]) if clamp else root
 
 
 def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
-    """Candidate premium equilibrium: one scan-and-bisect root in the deductible d.
+    """Candidate premium equilibrium: one bisection in the deductible d.
 
-    R2's FOC is linear in 1/xi1: 1/(2 xi1) = (d S(d)/EM(d) - 1)/a_R2 - 1/a_I,
-    and xi2 = d/(1/a_I + 1/(2 xi1)); R1's FOC at that point is the residual in d.
+    R2's FOC gives 1/(2 xi1) = (d/m(d) - 1 - C_R2)/a_R2, xi2 = d/(1/a_I + 1/(2 xi1)),
+    and R1's FOC there is the residual: < 0 at d = 0 and > 0 where d >= k_hi m(d),
+    k_hi = 1 + C_R2 + C_R2/(2 C_R1), as xi1 <= a_R1 there (h1_domain's lower end).
     Raises ConvergenceError if either FOC residual at the result exceeds 1e-8.
     """
     a_i, a_r1, a_r2 = gamma_accumulations(params, t)
-
-    def half_inv_xi1(d: float) -> tuple[float, TruncatedMoments]:
-        # 1/(2 xi1) solving R2's FOC at d: <= 0 where no positive xi1 does,
-        # +inf beyond the support
-        tm = params.claims.truncated(d)
-        if tm.excess_mean == 0.0:
-            return math.inf, tm
-        return (d * tm.survival / tm.excess_mean - 1.0 - a_r2 / a_i) / a_r2, tm
+    c2 = a_r2 / a_i
+    k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
 
     def residual(d: float) -> float:
-        v, tm = half_inv_xi1(d)
-        if v == math.inf:
+        tm = params.claims.truncated(d)
+        if d >= k_hi * tm.mean_excess:  # xi1 <= a_R1, m = 0 included
             return 1.0
-        if v <= 0.0:
+        v = (d / tm.mean_excess - 1.0 - c2) / a_r2  # 1/(2 xi1)
+        if v <= 0.0:  # no positive xi1 solves R2's FOC
             return -1.0
         return _r1_foc(a_i * v / (1.0 + a_i * v), d, 2.0 * a_r1 * v, a_r1 / a_i, tm)
 
-    d = scan_bisect(residual, 0.0, params.claims.tail_cut(), xtol=_XTOL)
-    v = float(half_inv_xi1(d)[0])
+    d, tm = _deductible_root(residual, k_hi, params, xtol=_XTOL, f_lo=-1.0, f_hi=1.0)
+    v = (d / tm.mean_excess - 1.0 - c2) / a_r2
     point = PremiumPoint(0.5 / v, d / (1.0 / a_i + v), t)
     r1, r2 = foc_residual_r1(point, params), foc_residual_r2(point, params)
     if abs(r1) > _FOC_TOL or abs(r2) > _FOC_TOL:

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import NoRootError
 
-_SCAN_POINTS = 64
-
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12,
            f_lo: float | None = None, f_hi: float | None = None) -> float:
@@ -72,24 +70,3 @@ def bisect_array(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
         lo = np.where(active & (to_lo | hit), mid, lo)
         hi = np.where(active & (~to_lo | hit), mid, hi)
 
-
-def scan_bisect(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-12) -> float:
-    """Bisect after locating the first sign change on a 64-point scan grid.
-
-    Robust against brackets whose far end has decayed to (numerical) zero,
-    e.g. bounded-support claim laws where both FOC terms vanish beyond the
-    support.
-    """
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    prev_x, prev_f = xs[0], f(xs[0])
-    if prev_f == 0.0:
-        return float(prev_x)
-    for x in xs[1:]:
-        val = f(x)
-        if val == 0.0:
-            return float(x)
-        if (val > 0) != (prev_f > 0):
-            return bisect(f, float(prev_x), float(x), xtol, prev_f, val)
-        prev_x, prev_f = x, val
-    raise NoRootError("scan_bisect", lo, hi, f(lo), f(hi))

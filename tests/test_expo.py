@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from reinsgame.config import default_market_params
 from reinsgame.errors import ConfigError, DomainError, RangeError
 from reinsgame.expo import (G_fun, G_inv, Regime, constrained_equilibrium, e_fun,
                             g_fun, g_range, h1, h1_domain, h1_inv, h2,
@@ -22,15 +24,22 @@ class TestEFun:
         assert e_fun(2.3936) == pytest.approx(1.6387955495575652, rel=1e-12)
 
     def test_series_matches_closed_form_at_crossover(self):
-        # truncated series vs direct formula around the switch point; just
-        # above the cutoff the closed form keeps ~6 digits (cancellation),
-        # well away from it the two routes agree to 1e-12
-        for x in (9e-4, 1.1e-3, 5e-3):
-            series = sum(2.0 * x**n / math.factorial(n + 2) for n in range(1, 20))
-            assert e_fun(x) == pytest.approx(series, rel=1e-5)
-        for x in (0.5, 2.3936, 5.0):
-            series = sum(2.0 * x**n / math.factorial(n + 2) for n in range(1, 60))
-            assert e_fun(x) == pytest.approx(series, rel=1e-12)
+        # both sides of the series cutoff x = 0.5 against the exact sum: the
+        # series is exact to rounding below it, and the closed form, whose
+        # cancellation grows like 1/x^3, keeps about 14 digits from it on
+        def exact(x):
+            q = Fraction(x)
+            return float(sum(2 * q**n / math.factorial(n + 2) for n in range(1, 80)))
+        below = (1e-9, 9e-4, 1.1e-3, 0.01, 0.1, 0.3, math.nextafter(0.5, 0.0))
+        for x in below:
+            assert e_fun(x) == pytest.approx(exact(x), rel=1e-15, abs=0.0)
+        for x in (0.5, math.nextafter(0.5, 1.0), 0.55, 1.0, 2.3936, 5.0):
+            assert e_fun(x) == pytest.approx(exact(x), rel=2e-14, abs=0.0)
+
+    def test_array_kernel_takes_the_same_series(self):
+        from reinsgame.expo import _e_array
+        xs = np.array([1e-9, 1e-3, 0.25, math.nextafter(0.5, 0.0)])
+        assert _e_array(xs).tolist() == [e_fun(x) for x in xs.tolist()]
 
     def test_small_argument_limit(self):
         assert e_fun(1e-9) == pytest.approx(1e-9 / 3.0, rel=1e-6)
@@ -144,6 +153,18 @@ class TestReactionCurvesClosedForm:
         xs = np.linspace(lo * (1 + 1e-6), hi * (1 - 1e-6), 100)
         vals = [h1(x, base_params, 0.0) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_h2_without_cancellation_when_a_i_dwarfs_xi1(self):
+        # a point of the broad-box draw where a_I/xi1 ~ 1e9: written as
+        # 1 + C_R2 - a_I/(a_I + 2 xi1), h2 lost 8 digits (0.12296088446067992)
+        a_i, a_r2 = 196992567.3816864, 0.01511458498448647
+        xi1, beta = 0.1789927596843803, 3.034299161739158
+        params = default_market_params(gamma_I=a_i, gamma_R2=a_r2, beta=beta,
+                                       rho_I=[(0.0, 0.0)], rho_R2=[(0.0, 0.0)])
+        q = [Fraction(v) for v in (a_i, a_r2, xi1, beta)]
+        exact = q[0] / q[3] * (q[1] / q[0] + 2 * q[2] / (q[0] + 2 * q[2]))
+        assert float(exact) == 0.12296088283162168
+        assert h2(xi1, params, 0.0) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_h2_strictly_increasing(self, base_params):
         xs = np.linspace(0.05, 2.0, 100)

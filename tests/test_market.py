@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +103,50 @@ class TestClaimMoments:
     def test_exponential_requires_positive_rate(self):
         with pytest.raises(DomainError):
             Exponential(0.0)
+
+
+def exact_exponential_below(beta, d):
+    """(m1_below, m2_below) of Exponential(beta) at d, exact for beta d <= 0.5:
+    1 - e^-x (1 + x) and 1 - e^-x (1 + x + x^2/2), x = beta d, as their
+    power series summed in rationals."""
+    b = Fraction(beta)
+    x = b * Fraction(d)
+    p2 = sum((-1) ** j * (j - 1) * x**j / math.factorial(j) for j in range(2, 40))
+    p3 = sum((-1) ** (j + 1) * (1 - j + Fraction(j * (j - 1), 2)) * x**j / math.factorial(j)
+             for j in range(3, 40))
+    return float(p2 / b), float(2 * p3 / b**2)
+
+
+class TestExponentialMomentsBelow:
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 3.0])
+    @pytest.mark.parametrize("x", [1e-9, 7e-5, 1e-3, 0.1, 0.3, math.nextafter(0.5, 0.0)])
+    def test_series_below_the_cutoff(self, beta, x):
+        # the closed forms cancel here: at beta d = 1e-9 they kept no digit
+        d = x / beta
+        tm = Exponential(beta).truncated(d)
+        m1, m2 = exact_exponential_below(beta, d)
+        assert tm.m1_below == pytest.approx(m1, rel=1e-14, abs=0.0)
+        assert tm.m2_below == pytest.approx(m2, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x", [0.5, 0.7, 2.3936, 30.0])
+    def test_closed_form_from_the_cutoff_on(self, x):
+        beta = 1.7
+        d = x / beta
+        s = np.exp(-beta * d)
+        tm = Exponential(beta).truncated(d)
+        assert tm.m2_below == 2.0 / beta**2 - s * (d * d + 2.0 * d / beta + 2.0 / beta**2)
+        assert tm.m1_below == 1.0 / beta - s * (d + 1.0 / beta)
+        if x == 0.5:
+            m1, m2 = exact_exponential_below(beta, d)
+            assert (tm.m1_below, tm.m2_below) == pytest.approx((m1, m2), rel=2e-14, abs=0.0)
+
+    def test_array_equals_scalar(self):
+        law = Exponential(0.8)
+        ds = np.array([0.0, 1e-9, 0.3, 0.62, 0.625, 4.0])
+        tm = law.truncated(ds)
+        for i, d in enumerate(ds.tolist()):
+            one = law.truncated(d)
+            assert (tm.m1_below[i], tm.m2_below[i]) == (one.m1_below, one.m2_below)
 
 
 class TestGenericClaimsTable:

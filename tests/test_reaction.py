@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from reinsgame.errors import DegeneratePremiumError, DomainError
+from reinsgame.config import default_market_params
+from reinsgame.errors import DegeneratePremiumError, DomainError, IntegrationError
 from reinsgame.expo import h1, h1_domain, h1_inv, h2, unconstrained_fixed_point
-from reinsgame.market import Exponential, GenericClaims, PremiumPoint, admissible_box
+from reinsgame.market import (Exponential, GenericClaims, PremiumPoint, admissible_box,
+                              gamma_accumulations)
 from reinsgame.reaction import (foc_ratios, foc_residual_r1, foc_residual_r2,
                                 general_equilibrium, instantaneous_reward,
                                 reaction_xi1, reaction_xi2)
@@ -82,6 +84,24 @@ class TestTruncatedMoments:
     def test_negative_deductible_rejected(self):
         with pytest.raises(DomainError):
             Exponential(1.0).truncated(-0.1)
+
+    def test_mean_excess(self):
+        # exponential: 1/beta even where S(d) has underflowed to 0
+        for d in (0.0, 2.0, 1e3, math.inf):
+            assert Exponential(2.5).truncated(d).mean_excess == 0.4
+        assert Exponential(2.5).truncated(np.array([0.1, 1e3])).mean_excess.tolist() == [0.4, 0.4]
+        # uniform[0, 2]: m(d) = (2 - d)/2 inside, 0 at and beyond the tail cut
+        law = uniform_claims()
+        assert law.truncated(0.7).mean_excess == pytest.approx(0.65, rel=1e-12, abs=0.0)
+        assert law.truncated(np.array([0.7, 2.0, 5.0])).mean_excess == \
+            pytest.approx([0.65, 0.0, 0.0], rel=1e-12, abs=0.0)
+        assert law.truncated(math.inf).mean_excess == 0.0
+
+    def test_cut_survival(self, claim_laws):
+        assert Exponential(1.0).cut_survival == 0.0
+        assert claim_laws["uniform_0_2"].cut_survival == 0.0
+        law = claim_laws["erlang2_rate2"]
+        assert law.cut_survival == pytest.approx(33.0 * math.exp(-32.0), rel=1e-3, abs=0.0)
 
 
 class TestFocResiduals:
@@ -197,6 +217,37 @@ class TestReactionCurves:
                 for xi2 in np.linspace(0.15, 0.8, 12)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("xi1", [0.3, 0.05, 0.02])
+    def test_r2_reaction_erlang2_closed_form(self, base_params, claim_laws, xi1):
+        # Erlang-2 with rate 2 has m(d) = (1 + d)/(1 + 2d), so R2's FOC
+        # k m(d) = d is a quadratic in d; the table cuts the tail at y = 16,
+        # which puts a relative error of about S(16)/S(d) into m(d)
+        params = dataclasses.replace(base_params, claims=claim_laws["erlang2_rate2"])
+        a_i, _, a_r2 = gamma_accumulations(params, 0.0)
+        k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * xi1)
+        d = ((k - 1.0) + math.sqrt((k - 1.0) ** 2 + 8.0 * k)) / 4.0
+        assert reaction_xi2(xi1, params, 0.0) == pytest.approx(
+            d / (1.0 / a_i + 0.5 / xi1), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("xi1,d_star", [(3e-3, 20.0), (1e-3, 57.1)])
+    def test_r2_root_past_the_tail_cut_raises(self, base_params, claim_laws, xi1, d_star):
+        # the true roots lie beyond the table's tail cut y = 16; the table's
+        # m(d) falls to 0 there and would give a wrong root just below it
+        params = dataclasses.replace(base_params, claims=claim_laws["erlang2_rate2"])
+        assert params.claims.tail_cut() == 16.0 < d_star
+        with pytest.raises(IntegrationError, match="tail_cut"):
+            reaction_xi2(xi1, params, 0.0)
+
+    def test_r2_reaction_uniform_closed_form(self, base_params, claim_laws):
+        # uniform[0, 2]: m(d) = (2 - d)/2, so the root is d = 2k/(2 + k), even
+        # for a k that puts it next to the end of the support
+        params = dataclasses.replace(base_params, claims=claim_laws["uniform_0_2"])
+        a_i, _, a_r2 = gamma_accumulations(params, 0.0)
+        for xi1 in (0.3, 1e-3, 1e-6):
+            k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * xi1)
+            assert reaction_xi2(xi1, params, 0.0) == pytest.approx(
+                2.0 * k / (2.0 + k) / (1.0 / a_i + 0.5 / xi1), rel=1e-9, abs=0.0)
+
     def test_r2_reaction_large_xi1_limit(self, base_params):
         a_i = base_params.gamma_I * base_params.accum("I", 0.0)
         a_r2 = base_params.gamma_R2 * base_params.accum("R2", 0.0)
@@ -236,6 +287,15 @@ class TestGeneralEquilibrium:
         xi1_bar, xi2_bar = unconstrained_fixed_point(base_params, 0.0)
         assert point.xi1 == pytest.approx(xi1_bar, abs=1e-8)
         assert point.xi2 == pytest.approx(xi2_bar, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma_r2", [0.1, 3.0, 10.0, 100.0, 1000.0])
+    def test_matches_closed_form_at_large_c_r2(self, gamma_r2):
+        # the root in d lies beyond the exponential tail cut 32 from
+        # gamma_R2 = 3 on (beta d = 41..46 there); the bracket reaches k_hi * mean
+        params = default_market_params(gamma_R2=gamma_r2)
+        point = general_equilibrium(params, 0.0)
+        assert (point.xi1, point.xi2) == pytest.approx(
+            unconstrained_fixed_point(params, 0.0), rel=1e-10, abs=0.0)
 
     def test_uniform_claims_candidate(self, base_params):
         params = dataclasses.replace(base_params, claims=uniform_claims())
