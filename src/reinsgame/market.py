@@ -17,7 +17,6 @@ SECTION4 = "section4"          # xi1 box [theta*beta, eta*beta]
 DEFINITION21 = "definition21"  # xi1 box [theta*a_Y/sigma2, eta*a_Y/sigma2]
 
 _TAIL_MASS = 1e-12
-_QUAD_ABS_TOL = 1e-10
 # nodes of a GenericClaims layer-moment table on [0, tail_cut]: 2^14 panels,
 # so every 4th node is the 4097-point grid of the ppf spline
 _TABLE_NODES = 16385
@@ -212,13 +211,16 @@ class Exponential(ClaimDistribution):
 
 def _tolerance(value):
     """Largest accepted integration error for ``value``: max(1e-8, 1e-8 |value|)."""
-    return np.maximum(_QUAD_ABS_TOL * 100, 1e-8 * np.abs(value))
+    return np.maximum(1e-8, 1e-8 * np.abs(value))
 
 
 def _tail_integral(f, h: float) -> np.ndarray:
-    """int_y^y_max f on uniform nodes with spacing h: cumulative Simpson from the last node."""
+    """int_y^y_end of each row of f on uniform nodes with spacing h along the last
+    axis: one cumulative Simpson from the last node, 0 there."""
+    # scipy is imported where it is used: it adds about 50 MB to the resident
+    # size of a process that never integrates numerically
     from scipy import integrate
-    return integrate.cumulative_simpson(f[::-1], dx=h, initial=0.0)[::-1]
+    return integrate.cumulative_simpson(f[..., ::-1], dx=h, initial=0.0)[..., ::-1]
 
 
 def _hermite(f0, f1, m0, m1, t):
@@ -232,21 +234,22 @@ class GenericClaims(ClaimDistribution):
     """Claim law given by its CDF F; layer moments from one table per law.
 
     All integrals use survival forms, S = 1 - F, so only F is required, and
-    they stop at the tail cut y_max (tail mass below 1e-12).  The mean and
-    second moment come from adaptive quadrature at construction.  The layer
+    they stop at the tail cut y_max (tail mass below 1e-12).  The layer
     moments EM(d) = int_d^y_max S and ESQ(d) = 2 int_d^y_max (y - d) S come from
-    a table built on the first ``truncated`` or ``ppf`` call: F on 16 385
-    uniform nodes of [0, y_max], EM by one reverse cumulative Simpson of S
-    from y_max and ESQ by one of 2 EM.  A deductible between nodes reads them
-    by cubic Hermite interpolation with the exact slopes EM' = -S and
-    ESQ' = -2 EM; S(d) itself is F's own value.
+    a table built on the first ``truncated``, ``ppf``, ``mean`` or
+    ``second_moment`` call: F on 16 385 uniform nodes of [0, y_max], EM by one
+    reverse cumulative Simpson of S from y_max and ESQ by one of 2 EM; the
+    mean and second moment are EM(0) and ESQ(0).  A deductible between nodes
+    reads them by cubic Hermite interpolation with the exact slopes EM' = -S
+    and ESQ' = -2 EM; S(d) itself is F's own value.
 
-    Error bound: EM and ESQ are within max(1e-8, 1e-8 |value|) of the
-    integrals.  The build checks this against the same Simpson rule at double
-    spacing and raises IntegrationError, naming the y of the largest local
-    error, where the estimate exceeds it: an atom or a sharp kink of F between
-    nodes raises, and so does a law whose F varies on a scale much finer than
-    y_max / 16384 (a density singular at 0, or a slowly decaying tail).
+    Error bound: EM and ESQ, the mean and second moment included, are within
+    max(1e-8, 1e-8 |value|) of the integrals.  The build checks this against
+    the same Simpson rule at double spacing and raises IntegrationError, naming
+    the y of the largest local error, where the estimate exceeds it: an atom or
+    a sharp kink of F between nodes raises, and so does a law whose F varies
+    on a scale much finer than y_max / 16384 (a density singular at 0, or a
+    slowly decaying tail).
 
     ``cdf`` may be a scalar function: it is called once on the whole node
     array, and once per node if that raises TypeError or ValueError or
@@ -258,31 +261,16 @@ class GenericClaims(ClaimDistribution):
         self._cdf = cdf
         self._ymax = self.tail_cut()
         self.cut_survival = float(self.survival(self._ymax))
-        self._mean = self._quad(lambda y: self.survival(y), 0.0, self._ymax)
-        self._m2 = self._quad(lambda y: 2.0 * y * self.survival(y), 0.0, self._ymax)
         self._table = None
         self._ppf_spline = None
 
-    @staticmethod
-    def _quad(f, a, b) -> float:
-        # scipy is imported where it is used: it adds about 50 MB to the
-        # resident size of a process that never integrates numerically
-        from scipy import integrate
-        val, err, *info = integrate.quad(f, a, b, epsabs=_QUAD_ABS_TOL, limit=200,
-                                         full_output=1)
-        if len(info) > 1:  # quadpack appended an error message
-            raise IntegrationError(f"quadrature did not converge: {info[1]}")
-        if err > _tolerance(val):
-            raise IntegrationError(f"quadrature error estimate too large: {err:g}")
-        return float(val)
-
     @property
     def mean(self) -> float:
-        return self._mean
+        return float(self._layer_table()[1][0])  # EM(0)
 
     @property
     def second_moment(self) -> float:
-        return self._m2
+        return float(self._layer_table()[2][0])  # ESQ(0)
 
     def cdf(self, y):
         if np.ndim(y) == 0:
@@ -349,8 +337,10 @@ class GenericClaims(ClaimDistribution):
         em = np.where(inside, _hermite(em0, em1, h * (f[j] - 1.0), h * (f[j + 1] - 1.0), t), 0.0)
         esq = np.where(inside, _hermite(esq_nodes[j], esq_nodes[j + 1], -2.0 * h * em0,
                                         -2.0 * h * em1, t), 0.0)
-        m1 = self._mean - em - d_in * surv
-        m2 = self._m2 - esq - 2.0 * d_in * em - d_in * d_in * surv
+        # the moments below d from the same nodes as the mean and second moment,
+        # so both are exactly 0 at d = 0
+        m1 = em_nodes[0] - em - d_in * surv
+        m2 = esq_nodes[0] - esq - 2.0 * d_in * em - d_in * d_in * surv
         m = np.divide(em, surv, out=np.zeros_like(em), where=surv > 0.0)
         if d_arr.ndim == 0:
             return TruncatedMoments(*(float(v) for v in (d_arr, m2, em, surv, m1, esq, m)))

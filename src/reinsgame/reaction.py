@@ -137,7 +137,7 @@ def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
     R2's FOC gives 1/(2 xi1) = (d/m(d) - 1 - C_R2)/a_R2, xi2 = d/(1/a_I + 1/(2 xi1)),
     and R1's FOC there is the residual: < 0 at d = 0 and > 0 where d >= k_hi m(d),
     k_hi = 1 + C_R2 + C_R2/(2 C_R1), as xi1 <= a_R1 there (h1_domain's lower end).
-    Raises ConvergenceError if either FOC residual at the result exceeds 1e-8.
+    Raises ConvergenceError unless both FOCs hold at the result (``_check_fixed_point``).
     """
     a_i, a_r1, a_r2 = gamma_accumulations(params, t)
     c2 = a_r2 / a_i
@@ -155,7 +155,19 @@ def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
     d, tm = _deductible_root(residual, k_hi, params, xtol=_XTOL, f_lo=-1.0, f_hi=1.0)
     v = (d / tm.mean_excess - 1.0 - c2) / a_r2
     point = PremiumPoint(0.5 / v, d / (1.0 / a_i + v), t)
-    r1, r2 = foc_residual_r1(point, params), foc_residual_r2(point, params)
-    if abs(r1) > _FOC_TOL or abs(r2) > _FOC_TOL:
-        raise ConvergenceError(f"fixed point residuals too large: ({r1:g}, {r2:g})")
+    _check_fixed_point(point, params)
     return point
+
+
+def _check_fixed_point(point: PremiumPoint, params: MarketParams) -> None:
+    """Raise ConvergenceError naming each FOC that fails at ``point`` beyond 1e-8:
+    R1's residual, and R2's in deductible space, (k m(d) - d)/max(d, mean) at the
+    response's d, which does not read 0 where S(d) underflows as k EM - d S does."""
+    _, _, a_r2 = gamma_accumulations(params, point.t)
+    d = response(point, params).d
+    k = 1.0 + foc_ratios(point, params).c_r2 + a_r2 / (2.0 * point.xi1)
+    r2 = (k * params.claims.truncated(d).mean_excess - d) / max(d, params.claims.mean)
+    failed = [f"{name} {r:g}" for name, r in (("R1", foc_residual_r1(point, params)),
+                                               ("R2 in d", r2)) if not abs(r) <= _FOC_TOL]
+    if failed:
+        raise ConvergenceError(f"fixed point FOC residuals too large: {', '.join(failed)}")

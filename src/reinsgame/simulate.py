@@ -5,8 +5,9 @@ factor A_k(t) = exp(int_t^T rho_k) the terminal surplus of party k is
 
     X_k(T) = A_k(0) x0_k + int_0^T A_k(s) flow_k(s) ds - sum_j A_k(t_j) payout_k(t_j, y_j).
 
-The first two terms are the same on every path and are computed once (the
-premium flows by trapezoid quadrature on a fixed time grid).  Given the
+The first two terms are the same on every path and are computed once, the
+premium flows by the objectives' own Simpson rule (``valuation._tail_integrals``
+with their default panels), so only the claim sum is sampled.  Given the
 Poisson(lam*T) claim count, event times are iid uniform on [0, T] and their
 order does not matter, so each path's claim term is one array sum.
 
@@ -27,9 +28,8 @@ import numpy as np
 from .errors import DomainError
 from .market import MarketParams, accum_profile, insurer_premium_rate
 from .response import indemnity
-from .valuation import PARTIES, StrategyPath, path_profile
+from .valuation import _DEFAULT_PANELS, PARTIES, StrategyPath, _tail_integrals
 
-_DEFAULT_GRID_CELLS = 8000
 _BLOCK = 1024  # paths per random stream; changing it changes every sample
 
 
@@ -37,15 +37,12 @@ _BLOCK = 1024  # paths per random stream; changing it changes every sample
 class SimConfig:
     paths: int
     seed: int = 0
-    step: float | None = None  # premium-flow quadrature step; default T/8000
 
     def __post_init__(self):
         if self.paths < 1:
             raise DomainError("need at least one path")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit an unsigned 64-bit integer")
-        if self.step is not None and not self.step > 0:
-            raise DomainError("quadrature step must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,16 +66,16 @@ class TerminalSamples:
 def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> TerminalSamples:
     """Terminal surplus samples under the given strategy path."""
     T = params.T
-    step = config.step if config.step is not None else T / _DEFAULT_GRID_CELLS
-    s = np.linspace(0.0, T, max(1, int(round(T / step))) + 1)
-    profile = path_profile(path, params, s)
-    flows = (insurer_premium_rate(params) - profile.p1 - profile.p2, profile.p1, profile.p2)
-    deterministic = []
-    for party, flow in zip(PARTIES, flows):
-        a_s = accum_profile(params, party, s)
-        integrand = a_s * flow
-        deterministic.append(a_s[0] * params.x0(party) + 0.5 * float(
-            np.sum((integrand[1:] + integrand[:-1]) * np.diff(s))))
+
+    def premium_flows(profile):
+        flows = (insurer_premium_rate(params) - profile.p1 - profile.p2, profile.p1,
+                 profile.p2)
+        return np.stack([accum_profile(params, party, profile.s) * flow
+                         for party, flow in zip(PARTIES, flows)])
+
+    premiums = _tail_integrals(path, params, 0.0, _DEFAULT_PANELS, premium_flows)
+    deterministic = [accum_profile(params, party, 0.0) * params.x0(party) + premiums[k]
+                     for k, party in enumerate(PARTIES)]
 
     out = np.empty((3, config.paths))
     total_claims = 0.0

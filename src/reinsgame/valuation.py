@@ -9,9 +9,11 @@ accumulated optimized running reward; at equilibrium V and the objective J
 agree, which the tests use as a cross-module check.
 
 Every one of these integrals runs from t to the horizon, so one reverse
-cumulative Simpson from T gives it at every time at once: ``_tail_integrals``
+cumulative Simpson from T (``market._tail_integral``, the rule of the claim
+laws' moment tables) gives it at every time at once: ``_tail_integrals``
 evaluates the path on one node grid aligned with its linear pieces and serves
-both the objectives and B_k, for a scalar or an array of times.
+the objectives, B_k and the premium drift of ``simulate``, for a scalar or an
+array of times.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
-from .market import (Exponential, MarketParams, accum_profile, insurer_premium_rate,
-                     layer_moments)
+from .market import (Exponential, MarketParams, _tail_integral, accum_profile,
+                     insurer_premium_rate, layer_moments)
 from .reaction import general_equilibrium
 from .response import ResponseStrategy, layered_response, no_reinsurance
 
@@ -146,9 +148,9 @@ def _drift_and_covered_sq(profile: PathProfile, params: MarketParams, party: str
     raise DomainError(f"unknown party {party!r}")
 
 
-def _tail_integrals(path: StrategyPath, params: MarketParams, party: str, t,
-                    panels: int, integrands) -> np.ndarray:
-    """int_t^T of each row of ``integrands(profile, a_s)`` at every time in ``t``.
+def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
+                    integrands) -> np.ndarray:
+    """int_t^T of each row of ``integrands(profile)`` at every time in ``t``.
 
     One reverse cumulative Simpson from T over one node grid on [0, T] gives
     the integrals at every node.  Each cell of the path's uniform grid is split
@@ -159,14 +161,13 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, party: str, t,
     other times are asked for.  The result has shape ``integrand rows +
     t.shape`` and is exactly 0 at t = T.
     """
-    from scipy import integrate  # imported on use, as in market.GenericClaims
     t = np.asarray(t, dtype=float)
     inside = (t >= 0.0) & (t <= params.T)  # False for NaN
     if not np.all(inside):
         raise DomainError(f"t = {t[~inside].flat[0]:g} outside [0, T = {params.T:g}]")
 
     def integrand_at(s):
-        return integrands(path_profile(path, params, s), accum_profile(params, party, s))
+        return integrands(path_profile(path, params, s))
 
     cells = max(path.grid.size - 1, 1)
     n_panels = cells * 2 * -(-panels // (2 * cells))
@@ -175,8 +176,7 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, party: str, t,
     # the trajectory command's peak RSS by about 0.5 MB.
     y_nodes = np.concatenate([integrand_at(nodes[first:first + _PROFILE_BLOCK])
                               for first in range(0, nodes.size, _PROFILE_BLOCK)], axis=-1)
-    tail = integrate.cumulative_simpson(y_nodes[..., ::-1], dx=params.T / n_panels,
-                                        initial=0.0)[..., ::-1]
+    tail = _tail_integral(y_nodes, params.T / n_panels)
 
     flat = t.ravel()
     above = np.searchsorted(nodes, flat)  # index of the first node >= t
@@ -204,11 +204,12 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
     if t >= params.T:
         return ObjectiveValue(party, x, 0.0, x)
 
-    def integrands(profile, a_s):
+    def integrands(profile):
+        a_s = accum_profile(params, party, profile.s)
         drift, covered_sq = _drift_and_covered_sq(profile, params, party)
         return np.stack([a_s * drift, a_s * a_s * params.lam * covered_sq])
 
-    drift, variance = _tail_integrals(path, params, party, t, panels, integrands)
+    drift, variance = _tail_integrals(path, params, t, panels, integrands)
     mean = a_t * x + drift
     return ObjectiveValue(party, float(mean), float(variance),
                           float(mean - 0.5 * gamma * variance))
@@ -249,10 +250,11 @@ class ValueIntercept:
         """B_k at time(s) ``t`` in [0, T]: a float for a scalar, an array for an array."""
         params, party = self.params, self.party
 
-        def integrand(profile, a_s):
+        def integrand(profile):
+            a_s = accum_profile(params, party, profile.s)
             return a_s * _running_reward(profile, params, party, a_s)
 
-        b = _tail_integrals(self.path, params, party, t, self.panels, integrand)
+        b = _tail_integrals(self.path, params, t, self.panels, integrand)
         return float(b) if b.ndim == 0 else b
 
     def value(self, t: float, x: float) -> float:

@@ -42,7 +42,7 @@ class TestEFun:
         assert _e_array(xs).tolist() == [e_fun(x) for x in xs.tolist()]
 
     def test_small_argument_limit(self):
-        assert e_fun(1e-9) == pytest.approx(1e-9 / 3.0, rel=1e-6)
+        assert e_fun(1e-9) == pytest.approx(1e-9 / 3.0, rel=1e-6, abs=0.0)
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(31)

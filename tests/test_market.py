@@ -176,6 +176,22 @@ class TestGenericClaimsTable:
             assert abs(esq - esq_ref) <= max(1e-8, 1e-8 * esq_ref), d
             assert s == surv(d)
 
+    @pytest.mark.parametrize("cdf", [lambda y: min(max(y / 2.0, 0.0), 1.0), erlang2_cdf],
+                             ids=["uniform_0_2", "erlang2_rate2"])
+    def test_moments_are_the_table_at_zero(self, cdf):
+        law = GenericClaims(cdf)
+        tm = law.truncated(0.0)
+        assert tm.m1_below == 0.0 and tm.m2_below == 0.0
+        assert (tm.excess_mean, tm.excess_sq) == (law.mean, law.second_moment)
+        # quadrature as the oracle of the stated bound
+        end = law.tail_cut()
+        surv = lambda y: 1.0 - cdf(y)
+        mean_ref = integrate.quad(surv, 0.0, end, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        m2_ref = integrate.quad(lambda y: 2.0 * y * surv(y), 0.0, end, epsabs=1e-14,
+                                epsrel=1e-13, limit=200)[0]
+        assert abs(law.mean - mean_ref) <= max(1e-8, 1e-8 * mean_ref)
+        assert abs(law.second_moment - m2_ref) <= max(1e-8, 1e-8 * m2_ref)
+
     def test_array_call_equals_scalar_calls(self):
         law = GenericClaims(erlang2_cdf)
         ds = np.array([[0.0, 0.37, 1.0], [2.5, 15.999, 40.0]])
@@ -213,11 +229,11 @@ class TestGenericClaimsTable:
     def test_ppf_pinned(self):
         u = np.array([1e-9, 0.01, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-12])
         assert uniform_claims().ppf(u) == pytest.approx(
-            [2e-09, 0.02, 0.5, 1.0, 1.8, 1.998, 1.999999999998], rel=1e-14)
+            [2e-09, 0.02, 0.5, 1.0, 1.8, 1.998, 1.999999999998], rel=1e-14, abs=0.0)
         assert GenericClaims(erlang2_cdf).ppf(u) == pytest.approx(
             [1.5015015814681325e-07, 0.07427738672388864, 0.4806393831983987,
              0.8391734939977914, 1.9448600855896925, 4.616706739473107,
-             15.54991355331425], rel=1e-14)
+             15.54991355331425], rel=1e-14, abs=0.0)
 
     def test_negative_or_nan_deductible_rejected(self):
         for d in (-0.1, np.array([0.2, math.nan])):

@@ -6,12 +6,13 @@ import pytest
 from scipy import integrate
 
 from reinsgame.config import default_market_params
-from reinsgame.errors import DegeneratePremiumError, DomainError, IntegrationError
+from reinsgame.errors import (ConvergenceError, DegeneratePremiumError, DomainError,
+                              IntegrationError)
 from reinsgame.expo import h1, h1_domain, h1_inv, h2, unconstrained_fixed_point
 from reinsgame.market import (Exponential, GenericClaims, PremiumPoint, admissible_box,
                               gamma_accumulations)
-from reinsgame.reaction import (foc_ratios, foc_residual_r1, foc_residual_r2,
-                                general_equilibrium, instantaneous_reward,
+from reinsgame.reaction import (_check_fixed_point, foc_ratios, foc_residual_r1,
+                                foc_residual_r2, general_equilibrium, instantaneous_reward,
                                 reaction_xi1, reaction_xi2)
 
 
@@ -313,6 +314,19 @@ class TestGeneralEquilibrium:
         params = dataclasses.replace(base_params, claims=GenericClaims(cdf))
         point = general_equilibrium(params, 0.0)
         assert (point.xi1, point.xi2) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("law", ["uniform_0_2", "gamma_R2_1000"])
+    def test_fixed_point_check_rejects_doubled_xi2(self, base_params, law):
+        # at twice xi2, k EM(d) - d S(d) reads exactly 0: S(d) underflows at
+        # gamma_R2 = 1000, and d passes the uniform support; in d it is off by 0.5..1
+        params = (dataclasses.replace(base_params, claims=uniform_claims())
+                  if law == "uniform_0_2" else default_market_params(gamma_R2=1000.0))
+        point = general_equilibrium(params, 0.0)
+        _check_fixed_point(point, params)
+        doubled = dataclasses.replace(point, xi2=2.0 * point.xi2)
+        assert foc_residual_r2(doubled, params) == 0.0
+        with pytest.raises(ConvergenceError, match="R2 in d"):
+            _check_fixed_point(doubled, params)
 
     @pytest.mark.parametrize("law", ["uniform_0_2", "erlang2_rate2"])
     def test_reaction_maps_return_the_candidate(self, base_params, claim_laws, law):

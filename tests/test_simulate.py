@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from reinsgame.errors import DomainError
-from reinsgame.market import GenericClaims, RateCurve
+from reinsgame.market import GenericClaims, RateCurve, accum_profile, insurer_premium_rate
 from reinsgame.simulate import SimConfig, estimate_objectives, simulate
-from reinsgame.valuation import (closed_form_objective, constant_path,
-                                 equilibrium_path, no_reinsurance_path)
+from reinsgame.valuation import (PARTIES, _tail_integrals, closed_form_objective,
+                                 constant_path, equilibrium_path, no_reinsurance_path)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,24 @@ class TestSimulate:
         assert abs(var - 2.0) <= 3 * se_var
         assert np.array_equal(samples.x_r1, np.full(n, 10.0))
 
+    def test_claim_free_paths_are_the_exact_drift(self, base_params, eq_path):
+        # every claim lowers each party's surplus or leaves it, so the largest sample
+        # is A_k(0) x0_k + int_0^T A_k flow_k, here against 32 times the panels
+        params = base_params
+        samples = simulate(eq_path, params, SimConfig(paths=16000, seed=12345))
+        assert np.count_nonzero(samples.x_i == samples.x_i.max()) == 9  # no claim
+
+        def premium_flows(profile):
+            c = insurer_premium_rate(params)
+            return np.stack([accum_profile(params, party, profile.s) * flow for party, flow
+                             in zip(PARTIES, (c - profile.p1 - profile.p2, profile.p1,
+                                              profile.p2))])
+
+        premiums = _tail_integrals(eq_path, params, 0.0, 64000, premium_flows)
+        for k, party in enumerate(PARTIES):
+            drift = params.accum(party, 0.0) * params.x0(party) + premiums[k]
+            assert samples.by_party(party).max() == pytest.approx(drift, rel=1e-12, abs=0.0)
+
     def test_aggregate_claim_accounting(self, base_params, eq_path):
         samples = simulate(eq_path, base_params, SimConfig(paths=2000, seed=3))
         assert sum(samples.total_jumps) == pytest.approx(
@@ -106,8 +124,6 @@ class TestSimulate:
     def test_invalid_config(self):
         with pytest.raises(DomainError):
             SimConfig(paths=0)
-        with pytest.raises(DomainError):
-            SimConfig(paths=10, step=0.0)
 
 
 class TestEstimateObjectives:
