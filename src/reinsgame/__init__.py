@@ -28,6 +28,6 @@ from .simulate import (ObjectiveEstimate, SimConfig, TerminalSamples,
                        estimate_objectives, simulate)
 from .valuation import (ObjectiveValue, StrategyPath, ValueIntercept,
                         closed_form_objective, constant_path, equilibrium_path,
-                        no_reinsurance_path, value_intercept)
+                        no_reinsurance_path, value_intercept, value_intercepts)
 
 __version__ = "0.1.0"

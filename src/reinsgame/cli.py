@@ -23,7 +23,7 @@ from .market import Exponential, MarketParams, RateCurve, premium_rates
 from .reaction import foc_residual_r1, foc_residual_r2
 from .simulate import SimConfig, estimate_objectives, simulate
 from .validate import run_checks
-from .valuation import equilibrium_path, value_intercept
+from .valuation import equilibrium_path, value_intercepts
 
 SWEEP_PARAMS = ("beta", "mu", "gamma_I", "gamma_R1", "gamma_R2",
                 "rho_I", "rho_R1", "rho_R2")
@@ -78,7 +78,7 @@ def cmd_trajectory(params: MarketParams, t: float, args) -> int:
     if np.any((grid < 0.0) | (grid > params.T)):
         raise ConfigError(f"--grid {args.grid} leaves [0, T = {params.T:g}]")
     path = equilibrium_path(params)
-    intercepts = [value_intercept(p, params, path)(grid) for p in ("I", "R1", "R2")]
+    intercepts = value_intercepts(path, params, grid)
     eq = constrained_equilibrium(params, grid)
     p1, p2 = premium_rates(eq.point(), eq.response, params)
     solved = np.column_stack([grid, eq.xi1_star, eq.xi2_star, eq.response.q,

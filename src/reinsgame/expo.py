@@ -9,9 +9,10 @@ unconstrained premium equilibrium; clamping it to the admissibility box
 follows the published three-case construction, with the regime tagged.
 
 ``constrained_equilibrium`` takes a scalar time or an array of times.  An
-array is solved in one pass: both bisections run elementwise on numpy arrays
-with the scalar rule, so a time grid costs one call.  A scalar keeps the
-pure-Python path, which is the faster one for a single cold point.
+array, for any claim law, runs the same three-case split on the reinsurers'
+array solves of :mod:`reinsgame.reaction`, in the deductible, so a time grid
+costs one call.  A scalar needs exponential claims and keeps the closed-form
+pure-Python path, the faster one for a single cold point.
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket
@@ -28,8 +29,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, RangeError
 from .market import (_SERIES_CUTOFF, SECTION4, Exponential, MarketParams, PremiumPoint,
                      accum_profile, admissible_box, e_series, gamma_accumulations)
+from .reaction import _clamp, _fixed_point, _r1_reply, _r2_reply, h1_domain
 from .response import ResponseStrategy, layered_response, response
-from .roots import bisect, bisect_array
+from .roots import bisect
 
 _EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
 _ENDPOINT_SHRINK = 1e-12
@@ -162,16 +164,6 @@ def _beta(params: MarketParams) -> float:
     return params.claims.beta
 
 
-def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
-    """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve.
-
-    R1's exact bracket for every claim law: its FOC is int_0^d y^2 dF/(2C+1)
-    >= 0 at the lower end and -d^2 S(d)/(2C+1) <= 0 at the upper end.
-    """
-    a_i, a_r1, _ = gamma_accumulations(params, t)
-    return a_r1, a_r1 + 0.5 * a_i
-
-
 def h1(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 1's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
@@ -184,11 +176,6 @@ def h2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 2's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
     a_i, _, _, _, c2 = _coeffs(params, t)
-    return _h2(xi1, a_i, c2, beta)
-
-
-def _h2(xi1, a_i, c2, beta):
-    # h2 from its coefficients; elementwise for arrays
     # 1 - a_i/(a_i + 2 xi1) written as 2 xi1/(a_i + 2 xi1): no cancellation
     # when a_i >> xi1
     return (a_i / beta) * (c2 + 2.0 * xi1 / (a_i + 2.0 * xi1))
@@ -203,39 +190,6 @@ def _delta(x: float, c: float) -> float:
     s = 4.0 * c / (2.0 * c + 1.0) + 2.0 * c - 1.0 + e_fun(x) * (2.0 * c + 1.0)
     root = math.hypot(s, 2.0 * math.sqrt(k))
     return 2.0 * k / (s + root) if s > 0 else 0.5 * (root - s)
-
-
-def _e_array(x: np.ndarray) -> np.ndarray:
-    # e_fun elementwise for 0 < x <= 709; the series runs only where it is
-    # needed, since the bisections call this about 100 times per solve
-    small = x < _SERIES_CUTOFF
-    xc = np.where(small, 1.0, x)
-    two_over_sq = 2.0 / (xc * xc)
-    e = two_over_sq * np.exp(xc) - (1.0 + 2.0 / xc + two_over_sq)
-    if small.any():
-        e[small] = e_series(x[small])
-    return e
-
-
-def _delta_array(c: np.ndarray):
-    """``_delta(., c)`` elementwise, as a function of an array x of c's shape.
-
-    The terms that depend on c alone are computed once, in the scalar
-    formula's order; numpy's exp and hypot may differ from math's in the
-    last bit.
-    """
-    w = 2.0 * c + 1.0
-    k = 4.0 * c * (c + 1.0) / w ** 2
-    two_k, hyp_c = 2.0 * k, 2.0 * np.sqrt(k)
-    s_c = 4.0 * c / w + 2.0 * c - 1.0
-
-    def delta(x: np.ndarray) -> np.ndarray:
-        overflow = x >= _EXP_OVERFLOW
-        s = s_c + _e_array(np.where(overflow, 1.0, x)) * w
-        # |s| + root is s + root for s > 0 and root - s otherwise, never 0
-        wide = np.abs(s) + np.hypot(s, hyp_c)
-        return np.where(overflow, 0.0, np.where(s > 0, two_k / wide, 0.5 * wide))
-    return delta
 
 
 def h1_inv(xi2: float, params: MarketParams, t: float = 0.0) -> float:
@@ -264,25 +218,14 @@ def unconstrained_fixed_point(params: MarketParams, t: float = 0.0) -> tuple[flo
     return xi1_bar, h2(xi1_bar, params, t)
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return max(lo, min(x, hi))
-
-
-def _regime(branch: str, floor2: bool, cap2: bool) -> Regime:
-    # regime per the published case analysis: the branch that fired plus
-    # where xi2* landed (this reproduces the published regime thresholds;
-    # inside the "cap" branch xi1* itself may come off the corner, see notes)
-    if branch == "middle" and not (floor2 or cap2):
-        return Regime.INTERIOR
-    if branch == "cap" and cap2:
-        return Regime.UPPER_RIGHT
-    if branch == "middle" and cap2:
-        return Regime.XI2_CAP_ONLY
-    if branch == "floor" and not (floor2 or cap2):
-        return Regime.XI1_FLOOR_ONLY
-    if branch == "floor" and floor2:
-        return Regime.LOWER_LEFT
-    return Regime.OTHER_BOUNDARY
+# Regime per the published case analysis, at index 3 * branch + landed: the
+# branch of the three-case split that fired (0 floor, 1 middle, 2 cap) and
+# where xi2* landed (0 inside its box, 1 its floor, 2 its cap).  This
+# reproduces the published regime thresholds; inside the cap branch xi1*
+# itself may come off the corner (see Regime).
+_REGIMES = (Regime.XI1_FLOOR_ONLY, Regime.LOWER_LEFT, Regime.OTHER_BOUNDARY,
+            Regime.INTERIOR, Regime.OTHER_BOUNDARY, Regime.XI2_CAP_ONLY,
+            Regime.OTHER_BOUNDARY, Regime.OTHER_BOUNDARY, Regime.UPPER_RIGHT)
 
 
 def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
@@ -293,9 +236,9 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     eta*beta] (clamping to [theta, eta]); reinsurer 1 then best-responds
     once, clamped to its own box.  The regime tag records which clamps bound.
 
-    ``t`` may be a one-dimensional array of times in [0, T]: the result's
-    numeric fields (and the response's) are then arrays over t, and
-    ``regime`` is a tuple with one Regime per time.
+    ``t`` may be a one-dimensional array of times in [0, T], for any claim law
+    (the xi1 box is then theta and eta times 2 a_Y/sigma2): the numeric fields
+    are arrays over t, and ``regime`` is a tuple with one Regime per time.
     """
     if params.bound_convention != SECTION4:
         raise ConfigError("the closed-form box construction assumes the "
@@ -307,55 +250,39 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
 
     # branch of the published three-case split on the unconstrained xi1
     if xi1_bar < xi1_lo:
-        branch = "floor"
-        xi2_star = _clamp(h2(xi1_lo, params, t), xi2_lo, xi2_hi)
+        branch, xi2_star = 0, _clamp(h2(xi1_lo, params, t), xi2_lo, xi2_hi)
     elif xi1_bar <= xi1_hi:
-        branch = "middle"
-        xi2_star = _clamp(xi2_bar, xi2_lo, xi2_hi)
+        branch, xi2_star = 1, _clamp(xi2_bar, xi2_lo, xi2_hi)
     else:
-        branch = "cap"
-        xi2_star = _clamp(h2(xi1_hi, params, t), xi2_lo, xi2_hi)
+        branch, xi2_star = 2, _clamp(h2(xi1_hi, params, t), xi2_lo, xi2_hi)
 
     xi1_star = _clamp(h1_inv(xi2_star, params, t), xi1_lo, xi1_hi)
-    regime = _regime(branch, xi2_star == xi2_lo, xi2_star == xi2_hi)
+    landed = 1 if xi2_star == xi2_lo else 2 if xi2_star == xi2_hi else 0
+    regime = _REGIMES[3 * branch + landed]
     point = PremiumPoint(xi1_star, xi2_star, t)
     return EquilibriumResult(xi1_star, xi2_star, response(point, params), regime,
                              (xi1_bar, xi2_bar), t)
 
 
 def _equilibrium_on_grid(params: MarketParams, t: np.ndarray) -> EquilibriumResult:
-    # constrained_equilibrium elementwise over times t: the same brackets,
-    # residuals, three-case split and clamps as the scalar path
+    # constrained_equilibrium elementwise over times t, for every claim law: the
+    # scalar path's three-case split and clamps on the reinsurers' array solves
     if t.ndim != 1 or not np.all((t >= 0.0) & (t <= params.T)):
         raise DomainError("equilibrium times must be a scalar or a one-dimensional "
                           f"array in [0, T = {params.T:g}]")
-    beta = _beta(params)
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
-    a_i, a_r1, a_r2 = (params.gamma(p) * accum_profile(params, p, t)
-                       for p in ("I", "R1", "R2"))
-    c1, c2 = a_r1 / a_i, a_r2 / a_i
-
-    # unconstrained_fixed_point
-    delta = _delta_array(c1)
-    u_lo, u_hi = c2 / (2.0 * c1 + 1.0), c2 / (2.0 * c1)
-    u = bisect_array(lambda u: delta(1.0 + c2 + u) - 2.0 * c1 * (u - u_lo) / c2,
-                     u_lo, u_hi)
-    xi1_bar = a_r2 / (2.0 * u)
-    xi2_bar = _h2(xi1_bar, a_i, c2, beta)
+    xi1_bar, xi2_bar = _fixed_point(params, t)
 
     split = [xi1_bar < xi1_lo, xi1_bar <= xi1_hi]
-    branch = np.select(split, ["floor", "middle"], "cap")
-    xi2_star = np.clip(np.select(split, [_h2(xi1_lo, a_i, c2, beta), xi2_bar],
-                                 _h2(xi1_hi, a_i, c2, beta)), xi2_lo, xi2_hi)
+    branch = np.select(split, [0, 1], 2)
+    xi2_star = xi2_bar.copy()
+    edge = branch != 1  # R2 replies to the xi1 box edge the branch names
+    if edge.any():
+        xi2_star[edge] = _r2_reply(np.where(split[0], xi1_lo, xi1_hi)[edge], params, t[edge])
+    xi2_star = np.clip(xi2_star, xi2_lo, xi2_hi)
+    xi1_star = np.clip(_r1_reply(xi2_star, params, t), xi1_lo, xi1_hi)
 
-    # h1_inv on h1_domain
-    hi = a_r1 + 0.5 * a_i
-    g_inf = 2.0 * c1 / (2.0 * c1 + 1.0)
-    xi1_br = bisect_array(lambda x: delta(beta * xi2_star * (1.0 / a_i + 0.5 / x))
-                          - g_inf * (hi / x - 1.0), a_r1, hi)
-    xi1_star = np.clip(xi1_br, xi1_lo, xi1_hi)
-
-    regime = tuple(_regime(b, x2 == xi2_lo, x2 == xi2_hi)
-                   for b, x2 in zip(branch.tolist(), xi2_star.tolist()))
-    resp = layered_response(xi1_star, xi2_star, a_i, t)
+    landed = np.select([xi2_star == xi2_lo, xi2_star == xi2_hi], [1, 2], 0)
+    regime = tuple(map(_REGIMES.__getitem__, (3 * branch + landed).tolist()))
+    resp = layered_response(xi1_star, xi2_star, params.gamma_I * accum_profile(params, "I", t), t)
     return EquilibriumResult(xi1_star, xi2_star, resp, regime, (xi1_bar, xi2_bar), t)

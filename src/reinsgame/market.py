@@ -259,7 +259,7 @@ class GenericClaims(ClaimDistribution):
 
     def __init__(self, cdf: Callable[[float], float]):
         self._cdf = cdf
-        self._ymax = self.tail_cut()
+        self._ymax = super().tail_cut()
         self.cut_survival = float(self.survival(self._ymax))
         self._table = None
         self._ppf_spline = None
@@ -284,6 +284,10 @@ class GenericClaims(ClaimDistribution):
             f = np.array([self._cdf(v) for v in y.ravel().tolist()],
                          dtype=float).reshape(y.shape)
         return np.clip(f, 0.0, 1.0)
+
+    def tail_cut(self) -> float:
+        """The table's end y_max, found once at construction."""
+        return self._ymax
 
     def _nodes(self) -> np.ndarray:
         return np.linspace(0.0, self._ymax, _TABLE_NODES)

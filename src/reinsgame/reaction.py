@@ -1,23 +1,28 @@
 """Reinsurers' first-order conditions and best responses for arbitrary claims.
 
 Both reduced FOCs are free of the claim intensity.  Each solve is one
-bisection on an exact bracket: reinsurer 1's best response on
-``expo.h1_domain``; reinsurer 2's and the fixed point in the deductible d,
-via the mean excess m(d), raising IntegrationError where a table law's tail
-cut leaves m(d) unresolved.  For exponential claims they equal the closed
-forms of :mod:`reinsgame.expo`; for other laws the fixed point is a
-candidate, one of several if the residual in d changes sign more than once.
+bisection on an exact bracket: reinsurer 1's best response on ``h1_domain``;
+reinsurer 2's and the fixed point in the deductible d, via the mean excess
+m(d), raising IntegrationError where a table law's tail cut leaves m(d)
+unresolved.  Each is written once, as an array bisection over times (``_r1_reply``,
+``_r2_reply``, ``_fixed_point``) that solves a time grid for every claim law;
+the scalar reaction maps are one-element calls of them, and only
+``general_equilibrium`` keeps a scalar bisection, faster for one cold point.
+For exponential claims they equal the closed forms of :mod:`reinsgame.expo`;
+for other laws the fixed point is a candidate, one of several if the
+residual in d changes sign more than once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError, IntegrationError
-from .expo import h1_domain
-from .market import (MarketParams, PremiumPoint, TruncatedMoments, admissible_box,
-                     gamma_accumulations, layer_moments)
+from .market import (ClaimDistribution, MarketParams, PremiumPoint, TruncatedMoments,
+                     accum_profile, admissible_box, gamma_accumulations, layer_moments)
 from .response import response
-from .roots import bisect
+from .roots import bisect, bisect_array
 
 _XTOL = 1e-12
 _FOC_TOL = 1e-8
@@ -88,47 +93,101 @@ def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) 
     raise DomainError(f"which must be 'R1' or 'R2', got {which!r}")
 
 
-def _deductible_root(f, k, params: MarketParams, **kw) -> tuple[float, TruncatedMoments]:
-    """Root of f in d on [0, max(k mean, tail_cut)], with a resolved m(d), and its moments."""
-    claims = params.claims
-    d = bisect(f, 0.0, max(k * claims.mean, claims.tail_cut()), **kw)
+def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
+    """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve: its
+    exact bracket for every claim law, where its FOC is int_0^d y^2 dF/(2C+1) >= 0 at
+    the lower end and -d^2 S(d)/(2C+1) <= 0 at the upper end."""
+    a_i, a_r1, _ = gamma_accumulations(params, t)
+    return a_r1, a_r1 + 0.5 * a_i
+
+
+def _gamma_profiles(params: MarketParams, t):
+    # (gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at a scalar or an array of times
+    return tuple(params.gamma(p) * accum_profile(params, p, t) for p in ("I", "R1", "R2"))
+
+
+def _resolved_moments(d, claims: ClaimDistribution) -> TruncatedMoments:
+    """Moments at roots d; IntegrationError at the first with S(d) < 1e6 S(tail_cut)."""
     tm, cut = claims.truncated(d), claims.cut_survival
-    if not (tm.mean_excess > 0.0 and tm.survival >= _CUT_RESOLUTION * cut):
+    ok = (tm.mean_excess > 0.0) & (tm.survival >= _CUT_RESOLUTION * cut)
+    if not np.all(ok):
+        d_bad, s_bad = (np.ravel(v)[np.argmin(ok)] for v in (d, tm.survival))
         raise IntegrationError(
-            f"root d = {d:g} has S(d) = {tm.survival:g} below {_CUT_RESOLUTION:g} "
+            f"root d = {d_bad:g} has S(d) = {s_bad:g} below {_CUT_RESOLUTION:g} "
             f"S(tail_cut = {claims.tail_cut():g}) = {cut:g}: m(d) is unresolved")
-    return d, tm
+    return tm
 
 
-def _clip_to_box(x: float, box: tuple[float, float]) -> float:
-    return max(box[0], min(x, box[1]))
+def _deductible_roots(f, k, claims: ClaimDistribution, **kw):
+    """Roots of f in d on [0, max(k mean, tail_cut)], elementwise, and their moments."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # m(d) = 0 past a table's cut
+        d = bisect_array(f, 0.0 * k, np.maximum(k * claims.mean, claims.tail_cut()), **kw)
+    return d, _resolved_moments(d, claims)
+
+
+def _r1_reply(xi2, params: MarketParams, t):
+    """R1's best-response xi1 to xi2 at time(s) t: its FOC bisected on ``h1_domain``
+    with the known end signs (computed ones can be rounding noise)."""
+    a_i, a_r1, _ = _gamma_profiles(params, t)
+    retention, c1 = xi2 / a_i, a_r1 / a_i
+
+    def foc(x):  # at the insurer's response to (x, xi2), as in ``response``
+        two_x = 2.0 * x
+        d = retention + xi2 / two_x
+        return _r1_foc(a_i / (two_x + a_i), d, a_r1 / x, c1, params.claims.truncated(d))
+    return bisect_array(foc, a_r1, a_r1 + 0.5 * a_i, f_lo=1.0, f_hi=-1.0)
+
+
+def _r2_reply(xi1, params: MarketParams, t):
+    """R2's best-response xi2 = d/(1/a_I + 1/(2 xi1)) to xi1 at time(s) t: its FOC
+    over S(d) is k m(d) - d, k = 1 + C_R2 + a_R2/(2 xi1), which is k mean > 0 at
+    d = 0 and <= 0 at max(k mean, tail_cut), where m = 1/beta or 0."""
+    a_i, _, a_r2 = _gamma_profiles(params, t)
+    k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * xi1)
+    d, _ = _deductible_roots(lambda d: k * params.claims.truncated(d).mean_excess - d,
+                             k, params.claims)
+    return d / (1.0 / a_i + 0.5 / xi1)
+
+
+def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Unconstrained (xi1, xi2) at each time of an array: ``general_equilibrium``'s
+    residual bisected in d, without its closing check."""
+    a_i, a_r1, a_r2 = _gamma_profiles(params, t)
+    c1, c2 = a_r1 / a_i, a_r2 / a_i
+    k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
+
+    def residual(d):
+        tm = params.claims.truncated(d)
+        v = (d / tm.mean_excess - 1.0 - c2) / a_r2  # 1/(2 xi1)
+        a_i_v = a_i * v
+        r1 = _r1_foc(a_i_v / (1.0 + a_i_v), d, 2.0 * a_r1 * v, c1, tm)
+        return np.where(d >= k_hi * tm.mean_excess, 1.0, np.where(v <= 0.0, -1.0, r1))
+
+    d, tm = _deductible_roots(residual, k_hi, params.claims, f_lo=-1.0, f_hi=1.0)
+    v = (d / tm.mean_excess - 1.0 - c2) / a_r2
+    return 0.5 / v, d / (1.0 / a_i + v)
+
+
+def _clamp(x: float, lo: float, hi: float) -> float:
+    return max(lo, min(x, hi))
 
 
 def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0,
                  clamp: bool = False) -> float:
-    """Reinsurer 1's best-response loading: the root of its FOC in xi1, bisected on
-    ``h1_domain`` with its known end signs (computed ones can be rounding noise)."""
+    """Reinsurer 1's best-response loading (``_r1_reply``)."""
     if not xi2 > 0:
         raise DomainError("reaction_xi1 requires xi2 > 0")
-    lo, hi = h1_domain(params, t)
-    root = bisect(lambda x: foc_residual_r1(PremiumPoint(x, xi2, t), params),
-                  lo, hi, xtol=_XTOL, f_lo=1.0, f_hi=-1.0)
-    return _clip_to_box(root, admissible_box(params)[0]) if clamp else root
+    root = float(_r1_reply(xi2, params, t))
+    return _clamp(root, *admissible_box(params)[0]) if clamp else root
 
 
 def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0,
                  clamp: bool = False) -> float:
-    """Reinsurer 2's best-response loading xi2 = d/(1/a_I + 1/(2 xi1)): its FOC
-    k EM(d) - d S(d), k = 1 + C_R2 + a_R2/(2 xi1), over S(d) is k m(d) - d, which is
-    k mean > 0 at d = 0 and <= 0 at max(k mean, tail_cut), where m = 1/beta or 0."""
+    """Reinsurer 2's best-response loading (``_r2_reply``)."""
     if not xi1 > 0:
         raise DegeneratePremiumError("reaction_xi2 requires xi1 > 0")
-    a_i, _, a_r2 = gamma_accumulations(params, t)
-    k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * xi1)
-    d, _ = _deductible_root(lambda d: k * params.claims.truncated(d).mean_excess - d,
-                            k, params, xtol=0.0)
-    root = d / (1.0 / a_i + 0.5 / xi1)
-    return _clip_to_box(root, admissible_box(params)[1]) if clamp else root
+    root = float(_r2_reply(xi1, params, t))
+    return _clamp(root, *admissible_box(params)[1]) if clamp else root
 
 
 def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
@@ -137,14 +196,16 @@ def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
     R2's FOC gives 1/(2 xi1) = (d/m(d) - 1 - C_R2)/a_R2, xi2 = d/(1/a_I + 1/(2 xi1)),
     and R1's FOC there is the residual: < 0 at d = 0 and > 0 where d >= k_hi m(d),
     k_hi = 1 + C_R2 + C_R2/(2 C_R1), as xi1 <= a_R1 there (h1_domain's lower end).
+    The bracket is [0, max(k_hi mean, tail_cut)], as in ``_deductible_roots``.
     Raises ConvergenceError unless both FOCs hold at the result (``_check_fixed_point``).
     """
+    claims = params.claims
     a_i, a_r1, a_r2 = gamma_accumulations(params, t)
     c2 = a_r2 / a_i
     k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
 
     def residual(d: float) -> float:
-        tm = params.claims.truncated(d)
+        tm = claims.truncated(d)
         if d >= k_hi * tm.mean_excess:  # xi1 <= a_R1, m = 0 included
             return 1.0
         v = (d / tm.mean_excess - 1.0 - c2) / a_r2  # 1/(2 xi1)
@@ -152,8 +213,9 @@ def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
             return -1.0
         return _r1_foc(a_i * v / (1.0 + a_i * v), d, 2.0 * a_r1 * v, a_r1 / a_i, tm)
 
-    d, tm = _deductible_root(residual, k_hi, params, xtol=_XTOL, f_lo=-1.0, f_hi=1.0)
-    v = (d / tm.mean_excess - 1.0 - c2) / a_r2
+    d = bisect(residual, 0.0, max(k_hi * claims.mean, claims.tail_cut()), xtol=_XTOL,
+               f_lo=-1.0, f_hi=1.0)
+    v = (d / _resolved_moments(d, claims).mean_excess - 1.0 - c2) / a_r2
     point = PremiumPoint(0.5 / v, d / (1.0 / a_i + v), t)
     _check_fixed_point(point, params)
     return point

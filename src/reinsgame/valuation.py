@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
-from .market import (Exponential, MarketParams, _tail_integral, accum_profile,
-                     insurer_premium_rate, layer_moments)
-from .reaction import general_equilibrium
+from .market import (MarketParams, _tail_integral, accum_profile, insurer_premium_rate,
+                     layer_moments)
 from .response import ResponseStrategy, layered_response, no_reinsurance
 
 PARTIES = ("I", "R1", "R2")
@@ -83,16 +82,12 @@ class StrategyPath:
 def equilibrium_path(params: MarketParams, n_grid: int = _DEFAULT_PATH_GRID) -> StrategyPath:
     """Equilibrium loadings precomputed on a uniform time grid.
 
-    Exponential claims use the closed-form boxed equilibrium, solved for the
-    whole grid in one call; other laws use the general-law candidate fixed
-    point, one time at a time.
+    The boxed equilibrium of every grid time, for every claim law, from one
+    array call of ``constrained_equilibrium``.
     """
     grid = np.linspace(0.0, params.T, n_grid)
-    if isinstance(params.claims, Exponential):
-        eq = constrained_equilibrium(params, grid)
-        return StrategyPath(params, grid, eq.xi1_star, eq.xi2_star)
-    points = [general_equilibrium(params, float(t)) for t in grid]
-    return StrategyPath(params, grid, [p.xi1 for p in points], [p.xi2 for p in points])
+    eq = constrained_equilibrium(params, grid)
+    return StrategyPath(params, grid, eq.xi1_star, eq.xi2_star)
 
 
 def constant_path(params: MarketParams, xi1: float, xi2: float) -> StrategyPath:
@@ -230,11 +225,23 @@ def _running_reward(profile: PathProfile, params: MarketParams, party: str,
     raise DomainError(f"unknown party {party!r}")
 
 
+def value_intercepts(path: StrategyPath, params: MarketParams, t,
+                     panels: int = _DEFAULT_PANELS) -> np.ndarray:
+    """(B_I, B_R1, B_R2) at time(s) ``t``: one row per party of ``PARTIES`` and
+    ``t``'s shape, from one ``_tail_integrals`` call over the three integrands."""
+    def integrands(profile):
+        a_s = [accum_profile(params, party, profile.s) for party in PARTIES]
+        return np.stack([a * _running_reward(profile, params, party, a)
+                         for party, a in zip(PARTIES, a_s)])
+
+    return _tail_integrals(path, params, t, panels, integrands)
+
+
 class ValueIntercept:
     """Intercept B_k(t) of the affine value function V_k(t, x) = A_k(t) x + B_k(t).
 
     B_k(t) accumulates the party's optimized running reward from t to the
-    horizon and vanishes at t = T.
+    horizon and vanishes at t = T; it is party k's row of ``value_intercepts``.
     """
 
     def __init__(self, party: str, params: MarketParams, path: StrategyPath,
@@ -248,13 +255,7 @@ class ValueIntercept:
 
     def __call__(self, t):
         """B_k at time(s) ``t`` in [0, T]: a float for a scalar, an array for an array."""
-        params, party = self.params, self.party
-
-        def integrand(profile):
-            a_s = accum_profile(params, party, profile.s)
-            return a_s * _running_reward(profile, params, party, a_s)
-
-        b = _tail_integrals(self.path, params, t, self.panels, integrand)
+        b = value_intercepts(self.path, self.params, t, self.panels)[PARTIES.index(self.party)]
         return float(b) if b.ndim == 0 else b
 
     def value(self, t: float, x: float) -> float:

@@ -36,11 +36,6 @@ class TestEFun:
         for x in (0.5, math.nextafter(0.5, 1.0), 0.55, 1.0, 2.3936, 5.0):
             assert e_fun(x) == pytest.approx(exact(x), rel=2e-14, abs=0.0)
 
-    def test_array_kernel_takes_the_same_series(self):
-        from reinsgame.expo import _e_array
-        xs = np.array([1e-9, 1e-3, 0.25, math.nextafter(0.5, 0.0)])
-        assert _e_array(xs).tolist() == [e_fun(x) for x in xs.tolist()]
-
     def test_small_argument_limit(self):
         assert e_fun(1e-9) == pytest.approx(1e-9 / 3.0, rel=1e-6, abs=0.0)
 

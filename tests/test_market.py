@@ -220,6 +220,18 @@ class TestGenericClaimsTable:
         law.truncated(np.array([0.25, 3.0]))
         assert shapes == [(_TABLE_NODES,), (3,), (2,)]
 
+    def test_tail_cut_is_found_once(self):
+        calls = []
+
+        def cdf(y):
+            calls.append(y)
+            return erlang2_cdf(y)
+
+        law = GenericClaims(cdf)
+        calls.clear()
+        assert law.tail_cut() == 16.0
+        assert calls == []
+
     def test_scalar_cdf_on_arrays(self):
         law = uniform_claims()
         y = np.array([[0.5, 1.0], [-1.0, 3.0]])

@@ -8,12 +8,14 @@ from scipy import integrate
 from reinsgame.config import default_market_params
 from reinsgame.errors import (ConvergenceError, DegeneratePremiumError, DomainError,
                               IntegrationError)
-from reinsgame.expo import h1, h1_domain, h1_inv, h2, unconstrained_fixed_point
+from reinsgame.expo import (Regime, constrained_equilibrium, h1, h1_domain, h1_inv, h2,
+                            unconstrained_fixed_point)
 from reinsgame.market import (Exponential, GenericClaims, PremiumPoint, admissible_box,
                               gamma_accumulations)
 from reinsgame.reaction import (_check_fixed_point, foc_ratios, foc_residual_r1,
                                 foc_residual_r2, general_equilibrium, instantaneous_reward,
                                 reaction_xi1, reaction_xi2)
+from reinsgame.valuation import equilibrium_path
 
 
 def uniform_claims(upper=2.0):
@@ -352,3 +354,49 @@ class TestGeneralEquilibrium:
         root2 = reaction_xi2(xi1, base_params, 0.0)
         rewards2 = instantaneous_reward(PremiumPoint(xi1, grid, 0.0), base_params, "R2")
         assert abs(grid[int(np.argmax(rewards2))] - root2) <= 1e-4
+
+
+class TestGeneralLawGrid:
+    """Boxed equilibrium paths of general claim laws, solved as one array."""
+
+    @pytest.mark.parametrize("law,boxed", [("erlang2_rate2", 82), ("uniform_0_2", 302)])
+    def test_path_is_boxed_and_solves_the_scalar_problems(self, base_params, claim_laws,
+                                                          law, boxed):
+        params = dataclasses.replace(base_params, claims=claim_laws[law])
+        (lo1, hi1), (lo2, hi2) = admissible_box(params)
+        path = equilibrium_path(params)
+        eq = constrained_equilibrium(params, path.grid)
+        assert np.array_equal(path.xi1(path.grid), eq.xi1_star)
+        assert np.array_equal(path.xi2(path.grid), eq.xi2_star)
+        assert np.all((lo1 <= eq.xi1_star) & (eq.xi1_star <= hi1))
+        assert np.all((lo2 <= eq.xi2_star) & (eq.xi2_star <= hi2))
+        interior = np.array([r is Regime.INTERIOR for r in eq.regime])
+        assert np.count_nonzero(~interior) == boxed
+        for t, xi1, xi2, inside in zip(path.grid.tolist(), eq.xi1_star.tolist(),
+                                       eq.xi2_star.tolist(), interior):
+            if inside:
+                point = general_equilibrium(params, t)
+                assert (xi1, xi2) == pytest.approx((point.xi1, point.xi2), rel=1e-11, abs=0.0)
+            else:
+                assert reaction_xi1(xi2, params, t, clamp=True) == pytest.approx(
+                    xi1, rel=1e-8, abs=0.0)
+                assert reaction_xi2(xi1, params, t, clamp=True) == pytest.approx(
+                    xi2, rel=1e-8, abs=0.0)
+
+    def test_lomax8_path_is_lower_left(self, base_params):
+        # Lomax with shape 8: the unconstrained point (0.296, 0.083) lies below
+        # both floors of its box, xi1 in [0.6, 5.4] and xi2 in [0.1, 0.9]
+        params = dataclasses.replace(base_params, claims=GenericClaims(
+            lambda y: 0.0 if y <= 0.0 else 1.0 - (1.0 + y) ** -8))
+        eq = constrained_equilibrium(params, np.linspace(0.0, params.T, 801))
+        assert eq.regime == (Regime.LOWER_LEFT,) * 801
+        assert eq.unconstrained[0][0] == pytest.approx(0.296, abs=5e-4)
+        assert eq.unconstrained[1][0] == pytest.approx(0.083, abs=5e-4)
+
+    def test_root_past_the_tail_cut_raises(self, claim_laws):
+        # gamma_R2 = 3 puts the Erlang-2 fixed point at d = 15.3, where S(d) is
+        # within 4 of S(16), the tail cut
+        params = dataclasses.replace(default_market_params(gamma_R2=3.0),
+                                     claims=claim_laws["erlang2_rate2"])
+        with pytest.raises(IntegrationError, match="tail_cut"):
+            constrained_equilibrium(params, np.linspace(0.0, params.T, 9))

@@ -7,15 +7,31 @@ from reinsgame.roots import bisect, bisect_array
 
 class TestBisectArray:
     def test_matches_scalar_bisect_bit_for_bit(self):
-        # one bracket per element; the last three put a midpoint exactly on the root
+        # one bracket per element; the last three put a midpoint exactly on the root.
+        # With the end signs given, f is never called at an end, so an end value
+        # computed as rounding noise of the wrong sign (here -1e-17 at every upper
+        # end, where tanh is positive) does not raise.
         roots = np.array([0.3, 1.0 / 3.0, 1e-7, 2.0, 1.0, -1.5])
         lo = np.array([0.0, -1.0, -1.0, 0.0, 0.0, -2.0])
         hi = np.array([1.0, 7.0, 1.0, 4.0, 2.0, -1.0])
-        got = bisect_array(lambda x: np.tanh(x - roots), lo, hi)
-        want = [bisect(lambda x, r=r: np.tanh(x - r), a, b, xtol=0.0)
-                for r, a, b in zip(roots, lo, hi)]
-        assert got.tolist() == want
-        assert got[3:].tolist() == [2.0, 1.0, -1.5]
+        for known_ends in (False, True):
+            ends = {"f_lo": -1.0, "f_hi": 1.0} if known_ends else {}
+            calls = []
+
+            def f(x):
+                calls.append(x)
+                return np.where(known_ends & (x == hi), -1e-17, np.tanh(x - roots))
+
+            def f_i(x, r, b):
+                return -1e-17 if known_ends and x == b else np.tanh(x - r)
+
+            got = bisect_array(f, lo, hi, **ends)
+            want = [bisect(lambda x, r=r, b=b: f_i(x, r, b), a, b, xtol=0.0, **ends)
+                    for r, a, b in zip(roots, lo, hi)]
+            assert got.tolist() == want
+            assert got[3:].tolist() == [2.0, 1.0, -1.5]
+            called_at_an_end = any(np.any((x == lo) | (x == hi)) for x in calls)
+            assert called_at_an_end != known_ends
 
     def test_zero_at_an_end_is_returned(self):
         # x (x - 1) on [0, 2] and x (x + 1) on [-2, 0] vanish at an end and at
