@@ -23,7 +23,7 @@ from .market import Exponential, MarketParams, RateCurve, premium_rates
 from .reaction import foc_residual_r1, foc_residual_r2
 from .simulate import SimConfig, estimate_objectives, simulate
 from .validate import run_checks
-from .valuation import equilibrium_path, value_intercepts
+from .valuation import _DEFAULT_PATH_GRID, StrategyPath, equilibrium_path, value_intercepts
 
 SWEEP_PARAMS = ("beta", "mu", "gamma_I", "gamma_R1", "gamma_R2",
                 "rho_I", "rho_R1", "rho_R2")
@@ -77,12 +77,15 @@ def cmd_trajectory(params: MarketParams, t: float, args) -> int:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, params.T, 81)
     if np.any((grid < 0.0) | (grid > params.T)):
         raise ConfigError(f"--grid {args.grid} leaves [0, T = {params.T:g}]")
-    path = equilibrium_path(params)
+    # one array solve of equilibrium_path's times followed by the rows' times
+    n = _DEFAULT_PATH_GRID
+    times = np.concatenate([np.linspace(0.0, params.T, n), grid])
+    eq = constrained_equilibrium(params, times)
+    path = StrategyPath(params, times[:n], eq.xi1_star[:n], eq.xi2_star[:n])
     intercepts = value_intercepts(path, params, grid)
-    eq = constrained_equilibrium(params, grid)
-    p1, p2 = premium_rates(eq.point(), eq.response, params)
-    solved = np.column_stack([grid, eq.xi1_star, eq.xi2_star, eq.response.q,
-                              eq.response.d, eq.response.cap, p1, p2, *intercepts])
+    solved = [eq.xi1_star, eq.xi2_star, eq.response.q, eq.response.d, eq.response.cap,
+              *premium_rates(eq.point(), eq.response, params)]
+    solved = np.column_stack([grid, *(v[n:] for v in solved), *intercepts])
     rows = [[float(v) for v in row] for row in solved]
     columns = ["t", "xi1", "xi2", "q", "d", "cap", "p1", "p2", "B_I", "B_R1", "B_R2"]
     _emit(columns, rows, args.format, args.out)

@@ -1,13 +1,13 @@
 """Reinsurers' first-order conditions and best responses for arbitrary claims.
 
-Both reduced FOCs are free of the claim intensity.  Each solve is one
-bisection on an exact bracket: reinsurer 1's best response on ``h1_domain``;
-reinsurer 2's and the fixed point in the deductible d, via the mean excess
-m(d), raising IntegrationError where a table law's tail cut leaves m(d)
-unresolved.  Each is written once, as an array bisection over times (``_r1_reply``,
-``_r2_reply``, ``_fixed_point``) that solves a time grid for every claim law;
-the scalar reaction maps are one-element calls of them, and only
-``general_equilibrium`` keeps a scalar bisection, faster for one cold point.
+Both reduced FOCs are free of the claim intensity.  Each solve is one root on
+an exact bracket: reinsurer 1's best response on ``h1_domain``; reinsurer 2's
+and the fixed point in the deductible d, via the mean excess m(d), raising
+IntegrationError where a table law's tail cut leaves m(d) unresolved.  Each is
+written once, as an array solve over times by Chandrupatla's method
+(``_r1_reply``, ``_r2_reply``, ``_fixed_point``) for every claim law; the scalar
+reaction maps are one-element calls of them, and only ``general_equilibrium``
+keeps a scalar bisection, faster for one cold point.
 For exponential claims they equal the closed forms of :mod:`reinsgame.expo`;
 for other laws the fixed point is a candidate, one of several if the
 residual in d changes sign more than once.
@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DegeneratePremiumError, DomainError, Integ
 from .market import (ClaimDistribution, MarketParams, PremiumPoint, TruncatedMoments,
                      accum_profile, admissible_box, gamma_accumulations, layer_moments)
 from .response import response
-from .roots import bisect, bisect_array
+from .roots import bisect, chandrupatla
 
 _XTOL = 1e-12
 _FOC_TOL = 1e-8
@@ -121,12 +121,12 @@ def _resolved_moments(d, claims: ClaimDistribution) -> TruncatedMoments:
 def _deductible_roots(f, k, claims: ClaimDistribution, **kw):
     """Roots of f in d on [0, max(k mean, tail_cut)], elementwise, and their moments."""
     with np.errstate(divide="ignore", invalid="ignore"):  # m(d) = 0 past a table's cut
-        d = bisect_array(f, 0.0 * k, np.maximum(k * claims.mean, claims.tail_cut()), **kw)
+        d = chandrupatla(f, 0.0 * k, np.maximum(k * claims.mean, claims.tail_cut()), **kw)
     return d, _resolved_moments(d, claims)
 
 
 def _r1_reply(xi2, params: MarketParams, t):
-    """R1's best-response xi1 to xi2 at time(s) t: its FOC bisected on ``h1_domain``
+    """R1's best-response xi1 to xi2 at time(s) t: its FOC's root on ``h1_domain``
     with the known end signs (computed ones can be rounding noise)."""
     a_i, a_r1, _ = _gamma_profiles(params, t)
     retention, c1 = xi2 / a_i, a_r1 / a_i
@@ -135,7 +135,7 @@ def _r1_reply(xi2, params: MarketParams, t):
         two_x = 2.0 * x
         d = retention + xi2 / two_x
         return _r1_foc(a_i / (two_x + a_i), d, a_r1 / x, c1, params.claims.truncated(d))
-    return bisect_array(foc, a_r1, a_r1 + 0.5 * a_i, f_lo=1.0, f_hi=-1.0)
+    return chandrupatla(foc, a_r1, a_r1 + 0.5 * a_i, f_lo=1.0, f_hi=-1.0)
 
 
 def _r2_reply(xi1, params: MarketParams, t):
@@ -151,7 +151,7 @@ def _r2_reply(xi1, params: MarketParams, t):
 
 def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Unconstrained (xi1, xi2) at each time of an array: ``general_equilibrium``'s
-    residual bisected in d, without its closing check."""
+    residual solved in d, without its closing check."""
     a_i, a_r1, a_r2 = _gamma_profiles(params, t)
     c1, c2 = a_r1 / a_i, a_r2 / a_i
     k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)

@@ -1,12 +1,13 @@
-"""Bisection root finding.
+"""Bracketed root finding.
 
-Bisection is used throughout instead of a faster bracketing method because
-the solved conditions are monotone along the searched axis and the sign-only
-iteration makes solver output independent of the residual's scale (the
-equilibrium xi1 is bit-identical across claim-size rescalings).
-``bisect_array`` runs the same rule elementwise over arrays of brackets, so
-one call solves a whole time grid; like ``bisect`` it takes the end values
-where their signs are known.
+``bisect`` serves the scalar solves; ``chandrupatla`` the array solves of
+:mod:`reinsgame.reaction`, one bracket per time of a grid, by Chandrupatla's
+hybrid of inverse quadratic interpolation and bisection (Adv. Eng. Software
+28, 1997): on the reference grid 8 to 14 residual evaluations where bisection
+takes about 54.  Both take end values of known sign, where computed ones can
+be rounding noise.  The equilibrium xi1's invariance under claim-size
+rescaling (acceptance criterion 5) rests on the scalar closed form solving in
+u = beta*d - 1 - C_R2, whose residual and root are free of beta.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoRootError
+
+_XRTOL, _XATOL = 4.0 * np.finfo(float).eps, 4.0 * np.finfo(float).tiny
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12,
@@ -42,38 +45,58 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-def bisect_array(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
+def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
                  f_hi=None) -> np.ndarray:
-    """Elementwise ``bisect(f_i, lo_i, hi_i, 0.0, f_lo_i, f_hi_i)`` for arrays of brackets.
+    """Elementwise roots of f on the brackets [lo_i, hi_i] by Chandrupatla's method.
 
-    ``f`` maps an array of abscissae to the array of residuals, element i
-    belonging to bracket i.  Each element follows the scalar rule exactly:
-    the same end checks, the same sign-only steps, and a stop once the
-    midpoint reaches float resolution or hits a zero.  ``f_lo`` and ``f_hi``
-    (scalars or arrays) stand for end values of known sign, where ``f`` is not
-    called: a computed one can be rounding noise of the wrong sign.  Raises
-    NoRootError for the first bracket without a sign change.
+    ``f`` maps an array of abscissae to the residuals, element i on bracket i.
+    An element stops at an exact zero or once its bracket is narrower than
+    4 eps |x| + 4 tiny (x its larger end), and returns the end with the
+    smaller residual; a zero at an end returns that end.  A stopped element
+    stays frozen (``f`` sees its last abscissa again), so each element gets
+    what a call on its bracket alone gives.  ``f_lo`` and ``f_hi`` are end
+    signs known without calling ``f`` (a computed value can be rounding noise
+    of the wrong sign); as infinities they steer the bracket but are never
+    returned or interpolated through: such a step bisects, as does one after
+    two steps in a row that failed to halve the bracket.  Raises NoRootError
+    for the first bracket without a sign change.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo = f(lo) if f_lo is None else np.full(lo.shape, f_lo, dtype=float)
-    f_hi = f(hi) if f_hi is None else np.full(hi.shape, f_hi, dtype=float)
+    f_lo = f(lo) if f_lo is None else np.copysign(np.full(lo.shape, np.inf), f_lo)
+    f_hi = f(hi) if f_hi is None else np.copysign(np.full(hi.shape, np.inf), f_hi)
     no_change = ((f_lo > 0) == (f_hi > 0)) & (f_lo != 0.0) & (f_hi != 0.0)
     if np.any(no_change):
         i = np.flatnonzero(no_change)[0]
-        raise NoRootError("bisect", lo.flat[i], hi.flat[i], f_lo.flat[i], f_hi.flat[i])
-    # a zero at an end is the root: collapse that bracket onto it
-    hi = np.where(f_lo == 0.0, lo, hi)
-    lo = np.where(f_hi == 0.0, hi, lo)
-    lo_positive = f_lo > 0
+        raise NoRootError("chandrupatla", lo.flat[i], hi.flat[i], f_lo.flat[i],
+                          f_hi.flat[i])
+    at_end = (f_lo == 0.0) | (f_hi == 0.0)
+    # x1 is the newest point, [x1, x2] the bracket, x3 the point dropped last
+    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
+    dx = np.abs(x2 - x1)
+    done, fails, t = at_end, 0, 0.5
+    x = x1 + t * (x2 - x1)
     while True:
-        mid = 0.5 * (lo + hi)
-        if not ((mid != lo) & (mid != hi)).any():  # every bracket at float resolution
-            return mid
-        # A bracket already at float resolution has mid == lo or hi: its update
-        # is a no-op or collapses it onto mid, its result either way.
-        f_mid = f(mid)
-        hit = f_mid == 0.0
-        to_lo = (f_mid > 0) == lo_positive
-        lo = np.where(to_lo | hit, mid, lo)
-        hi = np.where(to_lo & ~hit, hi, mid)
-
+        fx, width = f(x), dx
+        kept = (fx > 0) == (f1 > 0)  # x replaces x1, else x1 becomes x2
+        x3, f3 = np.where(kept, x1, x2), np.where(kept, f1, f2)
+        x2, f2 = np.where(kept, x2, x1), np.where(kept, f2, f1)
+        x1, f1 = x, fx
+        step = x2 - x1
+        dx = np.abs(step)
+        tol = _XRTOL * np.maximum(np.abs(x1), np.abs(x2)) + _XATOL
+        done = done | (fx == 0.0) | (dx < tol)
+        if done.all():
+            root = np.where(np.abs(f2) < np.abs(f1), x2, x1)
+            return np.where(at_end, np.where(f_lo == 0.0, lo, hi), root)
+        fails = np.where((t == 0.5) | (dx <= 0.5 * width), 0, fails + 1)
+        # Inverse quadratic interpolation where Chandrupatla's test on (xi, phi)
+        # passes, else bisection; the weights divide by differences that can be
+        # 0 or infinite.
+        with np.errstate(all="ignore"):
+            f12, f32 = f1 - f2, f3 - f2
+            xi, phi = step / (x2 - x3), f12 / f32
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (fails < 2)
+            t = np.where(iqi, f1 / f32 * (f3 / f12 + (x3 - x1) / step * f2 / (f3 - f1)), 0.5)
+            t_min = 0.5 * tol / dx  # keeps x at least tol/2 inside the bracket
+        t = np.minimum(np.maximum(t, t_min), 1.0 - t_min)
+        x = np.where(done, x1, x1 + t * step)
