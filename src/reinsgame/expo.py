@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, RangeError
 from .market import (_SERIES_CUTOFF, SECTION4, Exponential, MarketParams, PremiumPoint,
                      accum_profile, admissible_box, e_series, gamma_accumulations)
-from .reaction import _clamp, _fixed_point, _r1_reply, _r2_reply, h1_domain
+from .reaction import _fixed_point, _r1_reply, _r2_reply, h1_domain
 from .response import ResponseStrategy, layered_response, response
 from .roots import bisect
 
@@ -228,6 +228,10 @@ _REGIMES = (Regime.XI1_FLOOR_ONLY, Regime.LOWER_LEFT, Regime.OTHER_BOUNDARY,
             Regime.OTHER_BOUNDARY, Regime.OTHER_BOUNDARY, Regime.UPPER_RIGHT)
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    return max(lo, min(x, hi))
+
+
 def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     """Premium equilibrium clamped to the admissibility box.
 
@@ -267,9 +271,8 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
 def _equilibrium_on_grid(params: MarketParams, t: np.ndarray) -> EquilibriumResult:
     # constrained_equilibrium elementwise over times t, for every claim law: the
     # scalar path's three-case split and clamps on the reinsurers' array solves
-    if t.ndim != 1 or not np.all((t >= 0.0) & (t <= params.T)):
-        raise DomainError("equilibrium times must be a scalar or a one-dimensional "
-                          f"array in [0, T = {params.T:g}]")
+    if t.ndim != 1:  # the reinsurers' solves check the range
+        raise DomainError("equilibrium times must be a scalar or a one-dimensional array")
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
     xi1_bar, xi2_bar = _fixed_point(params, t)
 

@@ -5,9 +5,9 @@ an exact bracket: reinsurer 1's best response on ``h1_domain``; reinsurer 2's
 and the fixed point in the deductible d, via the mean excess m(d), raising
 IntegrationError where a table law's tail cut leaves m(d) unresolved.  Each is
 written once, as an array solve over times by Chandrupatla's method
-(``_r1_reply``, ``_r2_reply``, ``_fixed_point``) for every claim law; the scalar
-reaction maps are one-element calls of them, and only ``general_equilibrium``
-keeps a scalar bisection, faster for one cold point.
+(``_r1_reply``, ``_r2_reply``, ``_fixed_point``) for every claim law; the
+reaction maps and ``general_equilibrium`` are one-element calls of them.
+Times outside [0, T] raise DomainError in every solve.
 For exponential claims they equal the closed forms of :mod:`reinsgame.expo`;
 for other laws the fixed point is a candidate, one of several if the
 residual in d changes sign more than once.
@@ -20,11 +20,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError, IntegrationError
 from .market import (ClaimDistribution, MarketParams, PremiumPoint, TruncatedMoments,
-                     accum_profile, admissible_box, gamma_accumulations, layer_moments)
+                     accum_profile, gamma_accumulations, layer_moments)
 from .response import response
-from .roots import bisect, chandrupatla
+from .roots import chandrupatla
 
-_XTOL = 1e-12
 _FOC_TOL = 1e-8
 # A table law's m(d) misses the excess beyond its tail cut, a relative error
 # of about S(tail_cut)/S(d) where m varies slowly: roots in d must keep it
@@ -103,6 +102,11 @@ def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
 
 def _gamma_profiles(params: MarketParams, t):
     # (gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at a scalar or an array of times
+    # in [0, T], the check every solve passes through (np.interp clamps a time)
+    inside = (t >= 0.0) & (t <= params.T)  # False for NaN
+    if not np.all(inside):
+        bad = np.ravel(t)[np.argmin(np.ravel(inside))]
+        raise DomainError(f"t = {bad:g} outside [0, T = {params.T:g}]")
     return tuple(params.gamma(p) * accum_profile(params, p, t) for p in ("I", "R1", "R2"))
 
 
@@ -150,8 +154,8 @@ def _r2_reply(xi1, params: MarketParams, t):
 
 
 def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Unconstrained (xi1, xi2) at each time of an array: ``general_equilibrium``'s
-    residual solved in d, without its closing check."""
+    """Unconstrained (xi1, xi2) at each time of an array: the residual in d that
+    ``general_equilibrium`` describes, solved elementwise, without its closing check."""
     a_i, a_r1, a_r2 = _gamma_profiles(params, t)
     c1, c2 = a_r1 / a_i, a_r2 / a_i
     k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
@@ -168,30 +172,22 @@ def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 / v, d / (1.0 / a_i + v)
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return max(lo, min(x, hi))
-
-
-def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0,
-                 clamp: bool = False) -> float:
+def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 1's best-response loading (``_r1_reply``)."""
     if not xi2 > 0:
         raise DomainError("reaction_xi1 requires xi2 > 0")
-    root = float(_r1_reply(xi2, params, t))
-    return _clamp(root, *admissible_box(params)[0]) if clamp else root
+    return float(_r1_reply(xi2, params, t))
 
 
-def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0,
-                 clamp: bool = False) -> float:
+def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 2's best-response loading (``_r2_reply``)."""
     if not xi1 > 0:
         raise DegeneratePremiumError("reaction_xi2 requires xi1 > 0")
-    root = float(_r2_reply(xi1, params, t))
-    return _clamp(root, *admissible_box(params)[1]) if clamp else root
+    return float(_r2_reply(xi1, params, t))
 
 
 def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
-    """Candidate premium equilibrium: one bisection in the deductible d.
+    """Candidate premium equilibrium: one root in the deductible d (``_fixed_point``).
 
     R2's FOC gives 1/(2 xi1) = (d/m(d) - 1 - C_R2)/a_R2, xi2 = d/(1/a_I + 1/(2 xi1)),
     and R1's FOC there is the residual: < 0 at d = 0 and > 0 where d >= k_hi m(d),
@@ -199,24 +195,8 @@ def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
     The bracket is [0, max(k_hi mean, tail_cut)], as in ``_deductible_roots``.
     Raises ConvergenceError unless both FOCs hold at the result (``_check_fixed_point``).
     """
-    claims = params.claims
-    a_i, a_r1, a_r2 = gamma_accumulations(params, t)
-    c2 = a_r2 / a_i
-    k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
-
-    def residual(d: float) -> float:
-        tm = claims.truncated(d)
-        if d >= k_hi * tm.mean_excess:  # xi1 <= a_R1, m = 0 included
-            return 1.0
-        v = (d / tm.mean_excess - 1.0 - c2) / a_r2  # 1/(2 xi1)
-        if v <= 0.0:  # no positive xi1 solves R2's FOC
-            return -1.0
-        return _r1_foc(a_i * v / (1.0 + a_i * v), d, 2.0 * a_r1 * v, a_r1 / a_i, tm)
-
-    d = bisect(residual, 0.0, max(k_hi * claims.mean, claims.tail_cut()), xtol=_XTOL,
-               f_lo=-1.0, f_hi=1.0)
-    v = (d / _resolved_moments(d, claims).mean_excess - 1.0 - c2) / a_r2
-    point = PremiumPoint(0.5 / v, d / (1.0 / a_i + v), t)
+    xi1, xi2 = _fixed_point(params, np.array([t], dtype=float))
+    point = PremiumPoint(float(xi1[0]), float(xi2[0]), t)
     _check_fixed_point(point, params)
     return point
 

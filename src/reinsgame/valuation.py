@@ -138,9 +138,7 @@ def _drift_and_covered_sq(profile: PathProfile, params: MarketParams, party: str
         return flow - lam * profile.retained, profile.retained_sq
     if party == "R1":
         return profile.p1 - lam * profile.l1, profile.l1_sq
-    if party == "R2":
-        return profile.p2 - lam * profile.l2, profile.l2_sq
-    raise DomainError(f"unknown party {party!r}")
+    return profile.p2 - lam * profile.l2, profile.l2_sq
 
 
 def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
@@ -194,6 +192,8 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
     The mean and variance integrals over [t, T] come from ``_tail_integrals``
     with ``panels`` panels at least; at t = T the objective is the surplus itself.
     """
+    if party not in PARTIES:
+        raise DomainError(f"unknown party {party!r}")
     gamma = params.gamma(party)
     a_t = params.accum(party, t)
     if t >= params.T:
@@ -219,10 +219,7 @@ def _running_reward(profile: PathProfile, params: MarketParams, party: str,
                       - 0.5 * params.gamma_I * a_s * profile.retained_sq)
     if party == "R1":
         return lam * (profile.xi1 - 0.5 * params.gamma_R1 * a_s) * profile.l1_sq
-    if party == "R2":
-        return lam * (profile.xi2 * profile.l2
-                      - 0.5 * params.gamma_R2 * a_s * profile.l2_sq)
-    raise DomainError(f"unknown party {party!r}")
+    return lam * (profile.xi2 * profile.l2 - 0.5 * params.gamma_R2 * a_s * profile.l2_sq)
 
 
 def value_intercepts(path: StrategyPath, params: MarketParams, t,

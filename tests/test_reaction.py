@@ -16,6 +16,7 @@ from reinsgame.reaction import (_check_fixed_point, foc_ratios, foc_residual_r1,
                                 foc_residual_r2, general_equilibrium, instantaneous_reward,
                                 reaction_xi1, reaction_xi2)
 from reinsgame.valuation import equilibrium_path
+from test_broad_box import broad_box_point
 
 
 def uniform_claims(upper=2.0):
@@ -257,16 +258,20 @@ class TestReactionCurves:
         limit = a_i * (1.0 + a_r2 / a_i) / base_params.claims.beta
         assert reaction_xi2(1e6, base_params, 0.0) == pytest.approx(limit, abs=1e-6)
 
-    def test_clamped_reaction_stays_in_box(self, base_params):
-        (lo1, hi1), _ = admissible_box(base_params)
-        tight = reaction_xi1(5.0, base_params, 0.0, clamp=True)
-        assert lo1 <= tight <= hi1
-
     def test_reaction_rejects_nonpositive_inputs(self, base_params):
         with pytest.raises(DomainError):
             reaction_xi1(0.0, base_params, 0.0)
         with pytest.raises(DegeneratePremiumError):
             reaction_xi2(0.0, base_params, 0.0)
+
+    @pytest.mark.parametrize("t", [-1.0, 9.0, float("nan")])
+    def test_time_outside_horizon_raises(self, base_params, t):
+        # T = 8: every solve checks the time, which np.interp would clamp
+        for solve in (lambda: reaction_xi1(0.4, base_params, t),
+                      lambda: reaction_xi2(0.4, base_params, t),
+                      lambda: general_equilibrium(base_params, t)):
+            with pytest.raises(DomainError, match="outside"):
+                solve()
 
     def test_bracket_contains_fixed_point(self, base_params):
         lo, hi = h1_domain(base_params, 0.0)
@@ -299,6 +304,16 @@ class TestGeneralEquilibrium:
         point = general_equilibrium(params, 0.0)
         assert (point.xi1, point.xi2) == pytest.approx(
             unconstrained_fixed_point(params, 0.0), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("index", [28, 3788])
+    def test_matches_closed_form_on_seed5_broad_box(self, index):
+        # points of the seed-5 broad-box draw of 4000 where a scalar bisection
+        # to xtol = 1e-12 in d raised ConvergenceError (28) or left xi1 5.4e-8 off (3788)
+        u = np.random.default_rng(5).uniform(size=(4000, 11))[index]
+        params, t = broad_box_point(u.tolist())
+        point = general_equilibrium(params, t)
+        assert (point.xi1, point.xi2) == pytest.approx(
+            unconstrained_fixed_point(params, t), rel=1e-10, abs=0.0)
 
     def test_uniform_claims_candidate(self, base_params):
         params = dataclasses.replace(base_params, claims=uniform_claims())
@@ -378,10 +393,20 @@ class TestGeneralLawGrid:
                 point = general_equilibrium(params, t)
                 assert (xi1, xi2) == pytest.approx((point.xi1, point.xi2), rel=1e-11, abs=0.0)
             else:
-                assert reaction_xi1(xi2, params, t, clamp=True) == pytest.approx(
+                assert min(max(reaction_xi1(xi2, params, t), lo1), hi1) == pytest.approx(
                     xi1, rel=1e-8, abs=0.0)
-                assert reaction_xi2(xi1, params, t, clamp=True) == pytest.approx(
+                assert min(max(reaction_xi2(xi1, params, t), lo2), hi2) == pytest.approx(
                     xi2, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("law", ["uniform_0_2", "erlang2_rate2"])
+    def test_unconstrained_field_is_general_equilibrium(self, base_params, claim_laws, law):
+        # one fixed-point solve: a one-element call equals its element of a grid
+        params = dataclasses.replace(base_params, claims=claim_laws[law])
+        grid = np.linspace(0.0, params.T, 5)
+        xi1_bar, xi2_bar = constrained_equilibrium(params, grid).unconstrained
+        points = [general_equilibrium(params, t) for t in grid.tolist()]
+        assert [(p.xi1, p.xi2) for p in points] == list(zip(xi1_bar.tolist(),
+                                                            xi2_bar.tolist()))
 
     def test_lomax8_path_is_lower_left(self, base_params):
         # Lomax with shape 8: the unconstrained point (0.296, 0.083) lies below

@@ -60,6 +60,11 @@ class TestClosedFormObjective:
             assert val.j <= val.mean
             assert val.variance >= 0.0
 
+    @pytest.mark.parametrize("t", [0.0, 8.0])
+    def test_unknown_party_raises(self, base_params, eq_path, t):
+        with pytest.raises(DomainError, match="unknown party 'X'"):
+            closed_form_objective("X", eq_path, base_params, t, 1.0)
+
 
 class TestValueIntercept:
     # t = 0, T/2 and the rows of --grid 0:8:7, four of which fall between the
