@@ -26,8 +26,8 @@ from .response import (ResponseStrategy, full_cession_to_r2, indemnity,
                        no_reinsurance, response)
 from .simulate import (ObjectiveEstimate, SimConfig, TerminalSamples,
                        estimate_objectives, simulate)
-from .valuation import (ObjectiveValue, StrategyPath, ValueIntercept,
-                        closed_form_objective, constant_path, equilibrium_path,
-                        no_reinsurance_path, value_intercept, value_intercepts)
+from .valuation import (ObjectiveValue, StrategyPath, closed_form_objective,
+                        constant_path, equilibrium_path, no_reinsurance_path,
+                        value_intercepts)
 
 __version__ = "0.1.0"

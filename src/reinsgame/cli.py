@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -126,7 +125,10 @@ def cmd_sweep(params: MarketParams, t: float, args) -> int:
 
 
 def cmd_simulate(params: MarketParams, t: float, args) -> int:
-    config = SimConfig(paths=args.paths, seed=args.seed)
+    try:
+        config = SimConfig(paths=args.paths, seed=args.seed)
+    except DomainError as exc:
+        raise ConfigError(f"--paths {args.paths} --seed {args.seed}: {exc}") from exc
     path = equilibrium_path(params)
     samples = simulate(path, params, config)
     estimates = estimate_objectives(samples, params)
@@ -144,11 +146,9 @@ def cmd_simulate(params: MarketParams, t: float, args) -> int:
 
 
 def cmd_validate(params: MarketParams, t: float, args) -> int:
-    tol_scale = float(os.environ.get("REINS_TOL", "1.0"))
-    results = run_checks(params, t, tol_scale)
+    results = run_checks(params, t)
     summary = {
         "passed": bool(all(r.passed for r in results)),
-        "tolerance_scale": tol_scale,
         "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail,
                     "seconds": r.seconds} for r in results],
     }

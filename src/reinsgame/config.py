@@ -26,13 +26,10 @@ DEFAULTS: dict = {
     "x0_I": 1.0,
     "x0_R1": 10.0,
     "x0_R2": 10.0,
-    "bound_convention": "section4",
 }
 
 _SCALAR_KEYS = {"t", "T", "lambda", "theta", "eta", "beta", "gamma_I", "gamma_R1",
                 "gamma_R2", "x0_I", "x0_R1", "x0_R2"}
-_CURVE_KEYS = {"rho_I", "rho_R1", "rho_R2"}
-_STR_KEYS = {"bound_convention"}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -49,9 +46,6 @@ def parse_config_file(path: str | Path) -> dict:
         name, value = name.strip(), value.strip()
         if name not in cfg:
             raise ConfigError(f"{path}:{lineno}: unknown parameter {name!r}")
-        if name in _STR_KEYS:
-            cfg[name] = value.strip("'\"")
-            continue
         try:
             cfg[name] = ast.literal_eval(value)
         except (ValueError, SyntaxError) as exc:
@@ -89,7 +83,6 @@ def build_market_params(cfg: dict) -> MarketParams:
         x0_I=float(cfg["x0_I"]),
         x0_R1=float(cfg["x0_R1"]),
         x0_R2=float(cfg["x0_R2"]),
-        bound_convention=str(cfg["bound_convention"]),
     )
 
 

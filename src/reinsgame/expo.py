@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError
-from .market import (_SERIES_CUTOFF, SECTION4, Exponential, MarketParams, PremiumPoint,
+from .errors import DomainError, RangeError
+from .market import (_SERIES_CUTOFF, Exponential, MarketParams, PremiumPoint,
                      accum_profile, admissible_box, e_series, gamma_accumulations)
 from .reaction import _fixed_point, _r1_reply, _r2_reply, h1_domain
 from .response import ResponseStrategy, layered_response, response
@@ -244,9 +244,6 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     (the xi1 box is then theta and eta times 2 a_Y/sigma2): the numeric fields
     are arrays over t, and ``regime`` is a tuple with one Regime per time.
     """
-    if params.bound_convention != SECTION4:
-        raise ConfigError("the closed-form box construction assumes the "
-                          f"'{SECTION4}' admissibility convention")
     if not isinstance(t, float) and np.ndim(t) > 0:  # np.ndim costs ~1 us on a float
         return _equilibrium_on_grid(params, np.asarray(t, dtype=float))
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)

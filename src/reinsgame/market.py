@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrationError
 
-SECTION4 = "section4"          # xi1 box [theta*beta, eta*beta]
-DEFINITION21 = "definition21"  # xi1 box [theta*a_Y/sigma2, eta*a_Y/sigma2]
-
 _TAIL_MASS = 1e-12
 # nodes of a GenericClaims layer-moment table on [0, tail_cut]: 2^14 panels,
 # so every 4th node is the 4097-point grid of the ppf spline
@@ -249,7 +246,8 @@ class GenericClaims(ClaimDistribution):
     the y of the largest local error, where the estimate exceeds it: an atom or
     a sharp kink of F between nodes raises, and so does a law whose F varies
     on a scale much finer than y_max / 16384 (a density singular at 0, or a
-    slowly decaying tail).
+    slowly decaying tail).  An F that is NaN or infinite at a node raises
+    DomainError naming the first such y.
 
     ``cdf`` may be a scalar function: it is called once on the whole node
     array, and once per node if that raises TypeError or ValueError or
@@ -297,6 +295,9 @@ class GenericClaims(ClaimDistribution):
         if self._table is None:
             y = self._nodes()
             f = self.cdf(y)
+            finite = np.isfinite(f)
+            if not finite.all():
+                raise DomainError(f"claim CDF is not finite at y = {y[np.argmin(finite)]:g}")
             h = y[1]
             em = _tail_integral(1.0 - f, h)
             esq = 2.0 * _tail_integral(em, h)
@@ -358,8 +359,6 @@ class MarketParams:
     ``lam`` is the claim intensity; ``theta`` the insurer's own loading and
     ``eta`` the loading cap; the three gammas are mean-variance risk
     aversions; the rho curves drive the accumulation factors A_k(t).
-    ``bound_convention`` selects which xi1 admissibility box applies (the two
-    published conventions disagree for exponential claims).
     """
 
     T: float
@@ -376,7 +375,6 @@ class MarketParams:
     x0_I: float = 0.0
     x0_R1: float = 0.0
     x0_R2: float = 0.0
-    bound_convention: str = SECTION4
 
     def __post_init__(self):
         if not self.T > 0:
@@ -391,8 +389,6 @@ class MarketParams:
         for name in ("rho_I", "rho_R1", "rho_R2"):
             if getattr(self, name).horizon < self.T:
                 raise ConfigError(f"rate curve {name} does not cover [0, T]")
-        if self.bound_convention not in (SECTION4, DEFINITION21):
-            raise ConfigError(f"unknown bound convention {self.bound_convention!r}")
 
     def rho(self, party: str) -> RateCurve:
         return {"I": self.rho_I, "R1": self.rho_R1, "R2": self.rho_R2}[party]
@@ -436,11 +432,9 @@ class PremiumPoint:
 
 
 def admissible_box(params: MarketParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(xi1 range, xi2 range) under the configured admissibility convention."""
-    a_y, sig2 = params.claims.mean, params.claims.second_moment
-    # section4: [theta, eta] * beta_eff, beta_eff = 2 a_Y / sigma2 (beta for
-    # exponential claims); definition21 uses half that scale
-    scale = a_y / sig2 if params.bound_convention == DEFINITION21 else 2.0 * a_y / sig2
+    """(xi1 range, xi2 range): [theta, eta] * 2 a_Y/sigma2 (theta beta to eta beta
+    for exponential claims) and [theta, eta], the box of the paper's Section 4."""
+    scale = 2.0 * params.claims.mean / params.claims.second_moment
     return ((params.theta * scale, params.eta * scale), (params.theta, params.eta))
 
 

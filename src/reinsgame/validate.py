@@ -1,8 +1,7 @@
 """Self-check suite behind the CLI ``validate`` command.
 
 Each check returns (name, passed, detail), and ``run_checks`` adds its wall
-time in seconds; tolerances scale with a single multiplier so they can be
-loosened for exploratory runs via REINS_TOL without touching the defaults.
+time in seconds.  Every gate is a fixed tolerance: no setting loosens it.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ def _strictly_monotone(vals, increasing: bool) -> bool:
     return bool(np.all(diffs > 0) if increasing else np.all(diffs < 0))
 
 
-def check_e_g_G_monotone(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_e_g_G_monotone(params: MarketParams, t: float) -> CheckResult:
     rng = np.random.default_rng(7)
     c1 = reaction.foc_ratios(PremiumPoint(1.0, 0.0, t), params).c_r1
     xs = np.sort(rng.uniform(1e-4, 12.0, 400))
@@ -45,7 +44,7 @@ def check_e_g_G_monotone(params: MarketParams, t: float, tol: float) -> CheckRes
     return CheckResult("e_g_G_monotone", ok, "e increasing, g and G decreasing")
 
 
-def check_h1_h2_monotone(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_h1_h2_monotone(params: MarketParams, t: float) -> CheckResult:
     lo, hi = expo.h1_domain(params, t)
     xs = np.linspace(lo * (1 + 1e-6), hi * (1 - 1e-6), 100)
     h1v = [expo.h1(x, params, t) for x in xs]
@@ -54,7 +53,7 @@ def check_h1_h2_monotone(params: MarketParams, t: float, tol: float) -> CheckRes
     return CheckResult("h1_h2_monotone", ok, "both reaction curves increasing in xi1")
 
 
-def check_indemnity(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_indemnity(params: MarketParams, t: float) -> CheckResult:
     rng = np.random.default_rng(11)
     (b1, b2), (c1, c2) = admissible_box(params)
     worst = 0.0
@@ -69,11 +68,11 @@ def check_indemnity(params: MarketParams, t: float, tol: float) -> CheckResult:
         below = indemnity(resp.d, resp)
         above = indemnity(resp.d * (1 + 1e-13) + 1e-300, resp)
         worst = max(worst, max(abs(a - b) for a, b in zip(below, above)))
-    ok = worst < 1e-10 * max(1.0, 4.0 * params.claims.mean) * tol
+    ok = worst < 1e-10 * max(1.0, 4.0 * params.claims.mean)
     return CheckResult("indemnity", ok, f"mass balance/continuity defect {worst:.2e}")
 
 
-def check_foc_cross(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_foc_cross(params: MarketParams, t: float) -> CheckResult:
     lo, hi = expo.h1_domain(params, t)
     beta = params.claims.beta
     worst = 0.0
@@ -87,12 +86,12 @@ def check_foc_cross(params: MarketParams, t: float, tol: float) -> CheckResult:
     ratio = reaction.foc_ratios(eq.point(), params).b_r1_ratio
     ident = abs(ratio - expo.G_fun(beta * eq.response.d,
                                    reaction.foc_ratios(eq.point(), params).c_r1))
-    ok = worst < 1e-6 * tol and ident < 1e-9 * tol
+    ok = worst < 1e-6 and ident < 1e-9
     return CheckResult("foc_cross_checks", ok,
                        f"reaction-vs-closed-form {worst:.2e}, quadratic identity {ident:.2e}")
 
 
-def check_regimes(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_regimes(params: MarketParams, t: float) -> CheckResult:
     expected = {0.2: expo.Regime.UPPER_RIGHT, 0.4: expo.Regime.XI2_CAP_ONLY,
                 1.0: expo.Regime.INTERIOR, 3.0: expo.Regime.XI1_FLOOR_ONLY,
                 4.5: expo.Regime.LOWER_LEFT}
@@ -105,7 +104,7 @@ def check_regimes(params: MarketParams, t: float, tol: float) -> CheckResult:
     return CheckResult("prop_regimes", True, "all five boxed cases tagged as published")
 
 
-def check_boxed_best_response(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_boxed_best_response(params: MarketParams, t: float) -> CheckResult:
     worst = 0.0
     for beta in (0.2, 0.31, 0.35, 0.4, 1.0, 2.0, 3.0, 4.5):
         p = _with_beta(params, beta)
@@ -114,11 +113,11 @@ def check_boxed_best_response(params: MarketParams, t: float, tol: float) -> Che
         br1 = min(max(reaction.reaction_xi1(eq.xi2_star, p, t), b1), b2)
         br2 = min(max(reaction.reaction_xi2(eq.xi1_star, p, t), c1), c2)
         worst = max(worst, abs(br1 - eq.xi1_star), abs(br2 - eq.xi2_star))
-    ok = worst < 1e-8 * tol
+    ok = worst < 1e-8
     return CheckResult("boxed_mutual_best_response", ok, f"max clamp defect {worst:.2e}")
 
 
-def check_single_crossing(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_single_crossing(params: MarketParams, t: float) -> CheckResult:
     lo, hi = expo.h1_domain(params, t)
     xs = np.linspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 400)
     signs = np.sign([expo.h1(x, params, t) - expo.h2(x, params, t) for x in xs])
@@ -127,7 +126,7 @@ def check_single_crossing(params: MarketParams, t: float, tol: float) -> CheckRe
                        f"{changes} sign change(s) on the bracket")
 
 
-def check_time_monotone(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_time_monotone(params: MarketParams, t: float) -> CheckResult:
     ts = np.linspace(0.0, params.T, 33)
     eq = expo.constrained_equilibrium(params, ts)
     ok = bool(np.all(np.diff(eq.xi1_star) <= 1e-12)
@@ -136,16 +135,16 @@ def check_time_monotone(params: MarketParams, t: float, tol: float) -> CheckResu
                        "equilibrium loadings decay toward the horizon")
 
 
-def check_lambda_invariance(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_lambda_invariance(params: MarketParams, t: float) -> CheckResult:
     p5 = dataclasses.replace(params, lam=5.0 * max(params.lam, 1.0))
     a = expo.constrained_equilibrium(params, t)
     b = expo.constrained_equilibrium(p5, t)
     diff = max(abs(a.xi1_star - b.xi1_star), abs(a.xi2_star - b.xi2_star))
-    return CheckResult("lambda_invariance", diff < 1e-12 * tol,
+    return CheckResult("lambda_invariance", diff < 1e-12,
                        f"equilibrium shift under intensity rescale {diff:.2e}")
 
 
-def check_mc_vs_closed_form(params: MarketParams, t: float, tol: float) -> CheckResult:
+def check_mc_vs_closed_form(params: MarketParams, t: float) -> CheckResult:
     path = equilibrium_path(params, n_grid=201)
     samples = simulate(path, params, SimConfig(paths=_VALIDATE_PATHS, seed=7))
     estimates = estimate_objectives(samples, params)
@@ -159,7 +158,7 @@ def check_mc_vs_closed_form(params: MarketParams, t: float, tol: float) -> Check
     det = max(abs(s0.x_i[0] - p0.accum("I", 0.0) * p0.x0_I),
               abs(s0.x_r1[0] - p0.accum("R1", 0.0) * p0.x0_R1),
               abs(s0.x_r2[0] - p0.accum("R2", 0.0) * p0.x0_R2))
-    ok = worst_z <= 3.0 * tol and det < 1e-9 * tol
+    ok = worst_z <= 3.0 and det < 1e-9
     return CheckResult("mc_vs_closed_form", ok,
                        f"max |z| {worst_z:.2f} (gate 3.0), lam=0 defect {det:.2e}")
 
@@ -174,9 +173,8 @@ _CHECKS = (check_e_g_G_monotone, check_h1_h2_monotone, check_indemnity,
            check_mc_vs_closed_form)
 
 
-def run_checks(params: MarketParams | None = None, t: float = 0.0,
-               tol_scale: float = 1.0) -> list[CheckResult]:
-    """Run the full invariant suite; ``tol_scale`` loosens every gate."""
+def run_checks(params: MarketParams | None = None, t: float = 0.0) -> list[CheckResult]:
+    """Run the full invariant suite."""
     params = params or default_market_params()
     if not isinstance(params.claims, Exponential):
         raise ValueError("the validation suite assumes exponential claims")
@@ -184,7 +182,7 @@ def run_checks(params: MarketParams | None = None, t: float = 0.0,
     for check in _CHECKS:
         start = time.perf_counter()
         try:
-            result = check(params, t, tol_scale)
+            result = check(params, t)
         except Exception as exc:  # a crashed check is a failed check
             result = CheckResult(check.__name__.removeprefix("check_"),
                                  False, f"raised {type(exc).__name__}: {exc}")

@@ -5,8 +5,8 @@ objective reduces to time integrals of layer moments: the mean accumulates
 net drift (premium flow minus expected claim outgo) and the variance follows
 the compound-Poisson isometry, Var = int A(s)^2 lam E[(covered amount)^2] ds.
 Equilibrium value functions are V_k(t, x) = A_k(t) x + B_k(t) with B_k the
-accumulated optimized running reward; at equilibrium V and the objective J
-agree, which the tests use as a cross-module check.
+accumulated optimized running reward (``value_intercepts``); at equilibrium V
+and the objective J agree, which the tests use as a cross-module check.
 
 Every one of these integrals runs from t to the horizon, so one reverse
 cumulative Simpson from T (``market._tail_integral``, the rule of the claim
@@ -222,44 +222,14 @@ def _running_reward(profile: PathProfile, params: MarketParams, party: str,
     return lam * (profile.xi2 * profile.l2 - 0.5 * params.gamma_R2 * a_s * profile.l2_sq)
 
 
-def value_intercepts(path: StrategyPath, params: MarketParams, t,
-                     panels: int = _DEFAULT_PANELS) -> np.ndarray:
-    """(B_I, B_R1, B_R2) at time(s) ``t``: one row per party of ``PARTIES`` and
-    ``t``'s shape, from one ``_tail_integrals`` call over the three integrands."""
+def value_intercepts(path: StrategyPath, params: MarketParams, t) -> np.ndarray:
+    """(B_I, B_R1, B_R2) at time(s) ``t`` in [0, T]: one row per party of ``PARTIES``
+    and ``t``'s shape, from one ``_tail_integrals`` call over the three integrands.
+    B_k, the intercept of V_k(t, x) = A_k(t) x + B_k(t), accumulates party k's
+    optimized running reward from t to the horizon and vanishes at t = T."""
     def integrands(profile):
         a_s = [accum_profile(params, party, profile.s) for party in PARTIES]
         return np.stack([a * _running_reward(profile, params, party, a)
                          for party, a in zip(PARTIES, a_s)])
 
-    return _tail_integrals(path, params, t, panels, integrands)
-
-
-class ValueIntercept:
-    """Intercept B_k(t) of the affine value function V_k(t, x) = A_k(t) x + B_k(t).
-
-    B_k(t) accumulates the party's optimized running reward from t to the
-    horizon and vanishes at t = T; it is party k's row of ``value_intercepts``.
-    """
-
-    def __init__(self, party: str, params: MarketParams, path: StrategyPath,
-                 panels: int = _DEFAULT_PANELS):
-        if party not in PARTIES:
-            raise DomainError(f"unknown party {party!r}")
-        self.party = party
-        self.params = params
-        self.path = path
-        self.panels = panels
-
-    def __call__(self, t):
-        """B_k at time(s) ``t`` in [0, T]: a float for a scalar, an array for an array."""
-        b = value_intercepts(self.path, self.params, t, self.panels)[PARTIES.index(self.party)]
-        return float(b) if b.ndim == 0 else b
-
-    def value(self, t: float, x: float) -> float:
-        return self.params.accum(self.party, t) * x + self(t)
-
-
-def value_intercept(party: str, params: MarketParams, path: StrategyPath,
-                    panels: int = _DEFAULT_PANELS) -> ValueIntercept:
-    """Value-function intercept for one party along a strategy path."""
-    return ValueIntercept(party, params, path, panels)
+    return _tail_integrals(path, params, t, _DEFAULT_PANELS, integrands)

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from reinsgame.config import default_market_params
-from reinsgame.errors import ConfigError, DomainError, RangeError
+from reinsgame.errors import DomainError, RangeError
 from reinsgame.expo import (G_fun, G_inv, Regime, constrained_equilibrium, e_fun,
                             g_fun, g_range, h1, h1_domain, h1_inv, h2,
                             unconstrained_fixed_point)
-from reinsgame.market import (DEFINITION21, Exponential, MarketParams, RateCurve,
-                              admissible_box)
+from reinsgame.market import Exponential, MarketParams, RateCurve, admissible_box
 from reinsgame.reaction import reaction_xi1, reaction_xi2
 from tests.conftest import with_beta
 
@@ -302,11 +301,6 @@ class TestConstrainedEquilibrium:
         xi2 = [e.xi2_star for e in eqs]
         assert all(a >= b - 1e-12 for a, b in zip(xi1, xi1[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(xi2, xi2[1:]))
-
-    def test_rejects_other_convention(self, base_params):
-        params = dataclasses.replace(base_params, bound_convention=DEFINITION21)
-        with pytest.raises(ConfigError):
-            constrained_equilibrium(params, 0.0)
 
     def test_regime_thresholds_in_beta(self, base_params):
         # bisection on the regime transition against the exact case boundaries

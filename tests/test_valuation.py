@@ -5,8 +5,9 @@ import pytest
 
 from reinsgame.errors import DomainError
 from reinsgame.market import RateCurve, accum_profile
-from reinsgame.valuation import (_running_reward, closed_form_objective, constant_path,
-                                 no_reinsurance_path, path_profile, value_intercept)
+from reinsgame.valuation import (PARTIES, _running_reward, closed_form_objective,
+                                 constant_path, no_reinsurance_path, path_profile,
+                                 value_intercepts)
 
 
 @pytest.fixture(scope="module")
@@ -89,79 +90,73 @@ class TestValueIntercept:
                 "no_reinsurance": no_reinsurance_path(base_params)}[request.param]
 
     def test_terminal_condition(self, base_params, eq_path):
-        for party in ("I", "R1", "R2"):
-            intercept = value_intercept(party, base_params, eq_path)
-            assert intercept(base_params.T) == 0.0
-            assert intercept(self.TIMES)[-1] == 0.0
+        assert value_intercepts(eq_path, base_params, base_params.T).tolist() == [0.0] * 3
+        assert value_intercepts(eq_path, base_params, self.TIMES)[:, -1].tolist() == [0.0] * 3
 
     def test_zero_intensity_vanishes(self, base_params, eq_path):
         p0 = dataclasses.replace(base_params, lam=0.0)
-        for party in ("I", "R1", "R2"):
-            intercept = value_intercept(party, p0, eq_path)
-            assert intercept(0.0) == pytest.approx(0.0, abs=1e-15)
-            assert np.all(intercept(self.TIMES) == 0.0)
+        assert value_intercepts(eq_path, p0, 0.0) == pytest.approx([0.0] * 3, abs=1e-15)
+        assert np.all(value_intercepts(eq_path, p0, self.TIMES) == 0.0)
+
+    @staticmethod
+    def value(path, params, t, x):
+        # V_k(t, x) = A_k(t) x + B_k(t), one entry per party
+        b = value_intercepts(path, params, t)
+        return [params.accum(party, t) * x + b[k] for k, party in enumerate(PARTIES)]
 
     def test_value_equals_objective_at_equilibrium(self, base_params, eq_path):
         # V(t, x) = A x + B(t) must reproduce J at the equilibrium strategies
-        for party in ("I", "R1", "R2"):
-            intercept = value_intercept(party, base_params, eq_path)
+        for k, party in enumerate(PARTIES):
             x0 = base_params.x0(party)
             for t in (0.0, base_params.T / 2, base_params.T):
                 j = closed_form_objective(party, eq_path, base_params, t, x0).j
-                assert intercept.value(t, x0) == pytest.approx(j, abs=1e-6)
+                assert self.value(eq_path, base_params, t, x0)[k] == pytest.approx(j, abs=1e-6)
 
     def test_reference_intercepts(self, base_params, eq_path):
         # frozen from an independent Simpson integration of the reduced
         # running rewards on a 4001-point grid
-        assert value_intercept("I", base_params, eq_path)(0.0) == \
-            pytest.approx(-0.0632231, abs=2e-6)
-        assert value_intercept("R1", base_params, eq_path)(0.0) == \
-            pytest.approx(0.1676435, abs=2e-6)
-        assert value_intercept("R2", base_params, eq_path)(0.0) == \
-            pytest.approx(0.1294820, abs=2e-6)
+        assert value_intercepts(eq_path, base_params, 0.0) == \
+            pytest.approx([-0.0632231, 0.1676435, 0.1294820], abs=2e-6)
 
     def test_off_equilibrium_constant_path(self, base_params):
         # V-vs-J consistency is an identity of the integrands, so it holds
         # along any deterministic path, not only the equilibrium one
         path = constant_path(base_params, 0.4, 0.5)
-        for party in ("I", "R1", "R2"):
-            intercept = value_intercept(party, base_params, path)
+        for k, party in enumerate(PARTIES):
             j = closed_form_objective(party, path, base_params, 2.0, 7.0).j
-            assert intercept.value(2.0, 7.0) == pytest.approx(j, abs=1e-6)
+            assert self.value(path, base_params, 2.0, 7.0)[k] == pytest.approx(j, abs=1e-6)
 
     def test_array_matches_scalar_bit_for_bit(self, base_params, path):
         # a time between nodes integrates its own panel, so its value does not
         # depend on the other times in the array
         times = np.concatenate([self.TIMES, [1e-300, 3.14159, base_params.T - 1e-15]])
-        for party in ("I", "R1", "R2"):
-            intercept = value_intercept(party, base_params, path)
-            b = intercept(times)
-            assert isinstance(b, np.ndarray) and b.shape == times.shape
-            assert all(isinstance(intercept(float(t)), float) for t in times[:2])
-            assert b.tolist() == [intercept(float(t)) for t in times]
+        b = value_intercepts(path, base_params, times)
+        assert isinstance(b, np.ndarray) and b.shape == (3,) + times.shape
+        scalar = [value_intercepts(path, base_params, float(t)) for t in times]
+        assert all(row.shape == (3,) for row in scalar)
+        assert b.T.tolist() == [row.tolist() for row in scalar]
 
     def test_matches_per_time_simpson(self, base_params, path):
-        for party in ("I", "R1", "R2"):
-            b = value_intercept(party, base_params, path)(self.TIMES)
+        b = value_intercepts(path, base_params, self.TIMES)
+        for k, party in enumerate(PARTIES):
             ref = [self.per_time_simpson(party, base_params, path, t) for t in self.TIMES]
-            assert b == pytest.approx(ref, rel=0, abs=5e-9)
+            assert b[k] == pytest.approx(ref, rel=0, abs=5e-9)
 
     def test_path_aligned_nodes_converged(self, base_params, eq_path):
         # the per-time Simpson cuts across the path's kinks and converges only
         # at 100x the panels; the path-aligned nodes are converged at the default
         t = 4 / 3
-        for party in ("I", "R1", "R2"):
+        b = value_intercepts(eq_path, base_params, t)
+        for k, party in enumerate(PARTIES):
             fine = self.per_time_simpson(party, base_params, eq_path, t, panels=200_000)
-            assert value_intercept(party, base_params, eq_path)(t) == \
-                pytest.approx(fine, rel=0, abs=1e-12)
+            assert b[k] == pytest.approx(fine, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [-1.0, float("nan"), 9.0])
     def test_time_outside_horizon_raises(self, base_params, eq_path, t):
-        intercept = value_intercept("I", base_params, eq_path)
         with pytest.raises(DomainError, match="outside"):
-            intercept(t)
+            value_intercepts(eq_path, base_params, t)
         with pytest.raises(DomainError, match="outside"):
-            intercept(np.array([0.0, t, 4.0]))
+            value_intercepts(eq_path, base_params, np.array([0.0, t, 4.0]))
 
 
 class TestStrategyPaths:
