@@ -15,10 +15,10 @@ from .errors import (ConfigError, ConvergenceError, DegeneratePremiumError,
 from .expo import (EquilibriumResult, G_fun, G_inv, Regime, constrained_equilibrium,
                    e_fun, g_fun, h1, h1_domain, h1_inv, h2,
                    unconstrained_fixed_point)
-from .market import (ClaimDistribution, Exponential, GenericClaims, LayerMoments,
+from .market import (ClaimDistribution, Exponential, GenericClaims, Ledger,
                      MarketParams, PremiumPoint, RateCurve, TruncatedMoments,
-                     accumulation, admissible_box, insurer_premium_rate,
-                     layer_moments, premium_rates)
+                     accumulation, admissible_box, insurer_premium_rate, ledger,
+                     premium_rates)
 from .reaction import (FocRatios, foc_ratios, foc_residual_r1, foc_residual_r2,
                        general_equilibrium, instantaneous_reward, reaction_xi1,
                        reaction_xi2)

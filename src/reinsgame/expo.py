@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .market import (_SERIES_CUTOFF, Exponential, MarketParams, PremiumPoint,
-                     accum_profile, admissible_box, e_series, gamma_accumulations)
+                     accum_profile, admissible_box, coefficients, e_series,
+                     gamma_accumulations)
 from .reaction import _fixed_point, _r1_reply, _r2_reply, h1_domain
 from .response import ResponseStrategy, layered_response, response
 from .roots import bisect
@@ -154,8 +155,7 @@ def G_inv(y: float, c_r1: float) -> float:
 
 
 def _coeffs(params: MarketParams, t: float):
-    a_i, a_r1, a_r2 = gamma_accumulations(params, t)
-    return a_i, a_r1, a_r2, a_r1 / a_i, a_r2 / a_i
+    return coefficients(*gamma_accumulations(params, t), t)
 
 
 def _beta(params: MarketParams) -> float:

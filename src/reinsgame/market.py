@@ -1,7 +1,10 @@
 """Exogenous market data: rate curves, claim laws, parameters, premium principles.
 
 Everything here is an immutable value object; all downstream solvers treat
-these as read-only and may share them freely across workers.
+these as read-only and may share them freely across workers.  ``ledger`` is
+the one place that writes each party's premium income, claim payout and HJB
+margin under a contract; premium rates, the objectives, the value intercepts
+and the Monte Carlo drift all read it.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrationError
 
+PARTIES = ("I", "R1", "R2")  # the insurer and reinsurers 1 and 2, in every per-party row
 _TAIL_MASS = 1e-12
 # nodes of a GenericClaims layer-moment table on [0, tail_cut]: 2^14 panels,
 # so every 4th node is the 4097-point grid of the ppf spline
@@ -162,8 +166,8 @@ class Exponential(ClaimDistribution):
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise DomainError("exponential rate beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError("exponential rate beta must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -377,15 +381,18 @@ class MarketParams:
     x0_R2: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ConfigError("horizon T must be positive")
-        if self.lam < 0:
-            raise ConfigError("claim intensity lambda must be non-negative")
-        if not (0.0 < self.theta < self.eta):
-            raise ConfigError("loadings must satisfy 0 < theta < eta")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigError("horizon T must be positive and finite")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("claim intensity lambda must be non-negative and finite")
+        if not 0.0 < self.theta < self.eta < math.inf:
+            raise ConfigError("loadings must satisfy 0 < theta < eta < inf")
         for name in ("gamma_I", "gamma_R1", "gamma_R2"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"risk aversion {name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"risk aversion {name} must be positive and finite")
+        for name in ("x0_I", "x0_R1", "x0_R2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"initial surplus {name} must be finite")
         for name in ("rho_I", "rho_R1", "rho_R2"):
             if getattr(self, name).horizon < self.T:
                 raise ConfigError(f"rate curve {name} does not cover [0, T]")
@@ -417,6 +424,19 @@ def gamma_accumulations(params: MarketParams, t: float) -> tuple[float, float, f
             params.gamma_R2 * params.accum("R2", t))
 
 
+def coefficients(a_i, a_r1, a_r2, t):
+    """(a_I, a_R1, a_R2, C_R1, C_R2), C_Rk = a_Rk/a_I, at time(s) ``t``; DomainError where a C
+    is not positive and finite, or R1's reply interval (a_R1, a_R1 + a_I/2) is empty."""
+    c1, c2 = a_r1 / a_i, a_r2 / a_i
+    ok = ((0.0 < c1) & (c1 < math.inf) & (0.0 < c2) & (c2 < math.inf)
+          & (a_r1 + 0.5 * a_i > a_r1))
+    if ok is True or np.all(ok):  # a Python bool skips np.all, about 4 us
+        return a_i, a_r1, a_r2, c1, c2
+    c1, c2, t = (np.ravel(v)[np.argmin(np.ravel(ok))] for v in np.broadcast_arrays(c1, c2, t))
+    raise DomainError(f"C_R1 = {c1:g} and C_R2 = {c2:g} at t = {t:g}: both must be "
+                      f"positive and finite, C_R1 below about 1e16")
+
+
 @dataclass(frozen=True)
 class PremiumPoint:
     """A pair of reinsurer loadings at a given time.
@@ -439,15 +459,17 @@ def admissible_box(params: MarketParams) -> tuple[tuple[float, float], tuple[flo
 
 
 @dataclass(frozen=True)
-class LayerMoments:
-    """Expectations of the layered indemnities under the claim law."""
+class Ledger:
+    """Flows per unit time, one entry per party of ``PARTIES`` in each field, paid =
+    (retained, l1, l2): ``income`` (c - p1 - p2, p1, p2), ``payout`` lam E[paid] and
+    ``payout_sq`` lam E[paid^2], and the HJB ``margin`` lam (theta a_Y - xi1 E[l1^2] -
+    xi2 E[l2], xi1 E[l1^2], xi2 E[l2]): income - payout, kept in the paper's reduced
+    form so that B_k (from margins) and J (from income - payout) check each other."""
 
-    l1: float
-    l1_sq: float
-    l2: float
-    l2_sq: float
-    retained: float
-    retained_sq: float
+    income: tuple
+    payout: tuple
+    payout_sq: tuple
+    margin: tuple
 
 
 def _bounded_term(coef, survival):
@@ -456,30 +478,35 @@ def _bounded_term(coef, survival):
     return 0.0 if np.ndim(survival) == 0 and survival == 0.0 else coef * survival
 
 
-def layer_moments(response, dist: ClaimDistribution) -> LayerMoments:
-    """Moments of (l1, l2, retained) for a layered contract (q, cap, d, retention)."""
-    tm = dist.truncated(response.d)
-    q, cap, ret = response.q, response.cap, response.retention_limit
-    return LayerMoments(
-        l1=q * tm.m1_below + _bounded_term(cap, tm.survival),
-        l1_sq=q * q * tm.m2_below + _bounded_term(cap * cap, tm.survival),
-        l2=tm.excess_mean,
-        l2_sq=tm.excess_sq,
-        retained=(1.0 - q) * tm.m1_below + _bounded_term(ret, tm.survival),
-        retained_sq=(1.0 - q) ** 2 * tm.m2_below + _bounded_term(ret * ret, tm.survival),
-    )
+def ledger(response, xi1, xi2, params: MarketParams) -> Ledger:
+    """The ``Ledger`` of contract ``response`` at loadings (xi1, xi2), scalars or arrays of
+    one shape: p1 = lam (E l1 + xi1 E l1^2), p2 = (1 + xi2) lam E l2."""
+    tm = params.claims.truncated(response.d)
+    q, cap, ret, lam = response.q, response.cap, response.retention_limit, params.lam
+    l1 = q * tm.m1_below + _bounded_term(cap, tm.survival)
+    l1_sq = q * q * tm.m2_below + _bounded_term(cap * cap, tm.survival)
+    retained = (1.0 - q) * tm.m1_below + _bounded_term(ret, tm.survival)
+    retained_sq = (1.0 - q) ** 2 * tm.m2_below + _bounded_term(ret * ret, tm.survival)
+    p1 = lam * (l1 + xi1 * l1_sq)
+    p2 = (1.0 + xi2) * lam * tm.excess_mean
+    r1, r2 = lam * xi1 * l1_sq, lam * xi2 * tm.excess_mean
+    return Ledger(
+        income=(insurer_premium_rate(params) - p1 - p2, p1, p2),
+        payout=(lam * retained, lam * l1, lam * tm.excess_mean),
+        payout_sq=(lam * retained_sq, lam * l1_sq, lam * tm.excess_sq),
+        margin=(lam * params.theta * params.claims.mean - r1 - r2, r1, r2))
 
 
-def premium_rates(point: PremiumPoint, response, params: MarketParams) -> tuple[float, float]:
-    """Instantaneous premium rates (p1, p2) for the given contract.
+def running_reward(led: Ledger, params: MarketParams, party: str, accum):
+    """Party's optimized HJB running reward at accumulation factor(s) ``accum`` = A_k:
+    its ``Ledger`` margin less the risk charge (gamma_k A_k / 2) lam E[paid^2]."""
+    k = PARTIES.index(party)
+    return led.margin[k] - 0.5 * params.gamma(party) * accum * led.payout_sq[k]
 
-    p1 = lam*(E l1 + xi1 E l1^2) (mean-variance principle);
-    p2 = (1+xi2)*lam*E l2 (expected-value principle).
-    """
-    lm = layer_moments(response, params.claims)
-    p1 = params.lam * (lm.l1 + point.xi1 * lm.l1_sq)
-    p2 = (1.0 + point.xi2) * params.lam * lm.l2
-    return p1, p2
+
+def premium_rates(point: PremiumPoint, response, params: MarketParams) -> tuple:
+    """Instantaneous premium rates (p1, p2) for the given contract (``ledger``)."""
+    return ledger(response, point.xi1, point.xi2, params).income[1:]
 
 
 def insurer_premium_rate(params: MarketParams) -> float:

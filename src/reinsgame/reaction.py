@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError, IntegrationError
-from .market import (ClaimDistribution, MarketParams, PremiumPoint, TruncatedMoments,
-                     accum_profile, gamma_accumulations, layer_moments)
+from .market import (PARTIES, ClaimDistribution, MarketParams, PremiumPoint, TruncatedMoments,
+                     accum_profile, coefficients, gamma_accumulations, ledger, running_reward)
 from .response import response
 from .roots import chandrupatla
 
@@ -77,19 +77,16 @@ def foc_residual_r2(point: PremiumPoint, params: MarketParams) -> float:
 
 
 def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) -> float:
-    """Integrand of the reinsurer's HJB supremum at the insurer's response.
+    """Integrand of the reinsurer's HJB supremum at the insurer's response, ``running_reward``:
 
     R1: lam * (xi1 - gamma_R1 A_R1 / 2) * E[l1^2];
     R2: lam * (xi2 * E[l2] - (gamma_R2/2) A_R2 * E[l2^2]).
     Used as a grid-search oracle confirming FOC roots as maximizers.
     """
-    _, a_r1, a_r2 = gamma_accumulations(params, point.t)
-    lm = layer_moments(response(point, params), params.claims)
-    if which == "R1":
-        return params.lam * (point.xi1 - 0.5 * a_r1) * lm.l1_sq
-    if which == "R2":
-        return params.lam * (point.xi2 * lm.l2 - 0.5 * a_r2 * lm.l2_sq)
-    raise DomainError(f"which must be 'R1' or 'R2', got {which!r}")
+    if which not in PARTIES[1:]:
+        raise DomainError(f"which must be 'R1' or 'R2', got {which!r}")
+    return running_reward(ledger(response(point, params), point.xi1, point.xi2, params),
+                          params, which, params.accum(which, point.t))
 
 
 def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
@@ -101,13 +98,14 @@ def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
 
 
 def _gamma_profiles(params: MarketParams, t):
-    # (gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at a scalar or an array of times
-    # in [0, T], the check every solve passes through (np.interp clamps a time)
+    # (a_I, a_R1, a_R2, C_R1, C_R2), a_k = gamma_k*A_k, at a scalar or an array of
+    # times in [0, T], the checks every solve passes through (np.interp clamps a time)
     inside = (t >= 0.0) & (t <= params.T)  # False for NaN
     if not np.all(inside):
         bad = np.ravel(t)[np.argmin(np.ravel(inside))]
         raise DomainError(f"t = {bad:g} outside [0, T = {params.T:g}]")
-    return tuple(params.gamma(p) * accum_profile(params, p, t) for p in ("I", "R1", "R2"))
+    with np.errstate(over="ignore"):  # coefficients names an overflowed ratio
+        return coefficients(*(params.gamma(p) * accum_profile(params, p, t) for p in PARTIES), t)
 
 
 def _resolved_moments(d, claims: ClaimDistribution) -> TruncatedMoments:
@@ -132,8 +130,8 @@ def _deductible_roots(f, k, claims: ClaimDistribution, **kw):
 def _r1_reply(xi2, params: MarketParams, t):
     """R1's best-response xi1 to xi2 at time(s) t: its FOC's root on ``h1_domain``
     with the known end signs (computed ones can be rounding noise)."""
-    a_i, a_r1, _ = _gamma_profiles(params, t)
-    retention, c1 = xi2 / a_i, a_r1 / a_i
+    a_i, a_r1, _, c1, _ = _gamma_profiles(params, t)
+    retention = xi2 / a_i
 
     def foc(x):  # at the insurer's response to (x, xi2), as in ``response``
         two_x = 2.0 * x
@@ -146,8 +144,8 @@ def _r2_reply(xi1, params: MarketParams, t):
     """R2's best-response xi2 = d/(1/a_I + 1/(2 xi1)) to xi1 at time(s) t: its FOC
     over S(d) is k m(d) - d, k = 1 + C_R2 + a_R2/(2 xi1), which is k mean > 0 at
     d = 0 and <= 0 at max(k mean, tail_cut), where m = 1/beta or 0."""
-    a_i, _, a_r2 = _gamma_profiles(params, t)
-    k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * xi1)
+    a_i, _, a_r2, _, c2 = _gamma_profiles(params, t)
+    k = 1.0 + c2 + a_r2 / (2.0 * xi1)
     d, _ = _deductible_roots(lambda d: k * params.claims.truncated(d).mean_excess - d,
                              k, params.claims)
     return d / (1.0 / a_i + 0.5 / xi1)
@@ -156,8 +154,7 @@ def _r2_reply(xi1, params: MarketParams, t):
 def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Unconstrained (xi1, xi2) at each time of an array: the residual in d that
     ``general_equilibrium`` describes, solved elementwise, without its closing check."""
-    a_i, a_r1, a_r2 = _gamma_profiles(params, t)
-    c1, c2 = a_r1 / a_i, a_r2 / a_i
+    a_i, a_r1, a_r2, c1, c2 = _gamma_profiles(params, t)
     k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
 
     def residual(d):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoRootError
+from .errors import DomainError, NoRootError
 
 _XRTOL, _XATOL = 4.0 * np.finfo(float).eps, 4.0 * np.finfo(float).tiny
 
@@ -59,9 +59,14 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
     of the wrong sign); as infinities they steer the bracket but are never
     returned or interpolated through: such a step bisects, as does one after
     two steps in a row that failed to halve the bracket.  Raises NoRootError
-    for the first bracket without a sign change.
+    for the first bracket without a sign change, and DomainError for a bracket
+    end that is not finite (it never closes) or a root whose residual is NaN; a
+    NaN at an iterate steers as not positive, and the bracket still closes.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    if bad.any():
+        raise DomainError(f"chandrupatla: bracket [{lo[bad][0]:g}, {hi[bad][0]:g}] not finite")
     f_lo = f(lo) if f_lo is None else np.copysign(np.full(lo.shape, np.inf), f_lo)
     f_hi = f(hi) if f_hi is None else np.copysign(np.full(hi.shape, np.inf), f_hi)
     no_change = ((f_lo > 0) == (f_hi > 0)) & (f_lo != 0.0) & (f_hi != 0.0)
@@ -86,7 +91,11 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
         tol = _XRTOL * np.maximum(np.abs(x1), np.abs(x2)) + _XATOL
         done = done | (fx == 0.0) | (dx < tol)
         if done.all():
-            root = np.where(np.abs(f2) < np.abs(f1), x2, x1)
+            pick = np.abs(f2) < np.abs(f1)
+            root = np.where(pick, x2, x1)
+            nan = np.isnan(np.where(pick, f2, f1)) & ~at_end
+            if nan.any():
+                raise DomainError(f"chandrupatla: residual is NaN at the root {root[nan][0]:g}")
             return np.where(at_end, np.where(f_lo == 0.0, lo, hi), root)
         fails = np.where((t == 0.5) | (dx <= 0.5 * width), 0, fails + 1)
         # Inverse quadratic interpolation where Chandrupatla's test on (xi, phi)

@@ -6,8 +6,9 @@ factor A_k(t) = exp(int_t^T rho_k) the terminal surplus of party k is
     X_k(T) = A_k(0) x0_k + int_0^T A_k(s) flow_k(s) ds - sum_j A_k(t_j) payout_k(t_j, y_j).
 
 The first two terms are the same on every path and are computed once, the
-premium flows by the objectives' own Simpson rule (``valuation._tail_integrals``
-with their default panels), so only the claim sum is sampled.  Given the
+premium flows, each party's income row of ``market.ledger``, by the
+objectives' own Simpson rule (``valuation._tail_integrals`` with their default
+panels), so only the claim sum is sampled.  Given the
 Poisson(lam*T) claim count, event times are iid uniform on [0, T] and their
 order does not matter, so each path's claim term is one array sum.
 
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .market import MarketParams, accum_profile, insurer_premium_rate
+from .market import PARTIES, MarketParams, accum_profile
 from .response import indemnity
-from .valuation import _DEFAULT_PANELS, PARTIES, StrategyPath, _tail_integrals
+from .valuation import _DEFAULT_PANELS, StrategyPath, _tail_integrals
 
 _BLOCK = 1024  # paths per random stream; changing it changes every sample
 
@@ -68,10 +69,8 @@ def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> Ter
     T = params.T
 
     def premium_flows(profile):
-        flows = (insurer_premium_rate(params) - profile.p1 - profile.p2, profile.p1,
-                 profile.p2)
         return np.stack([accum_profile(params, party, profile.s) * flow
-                         for party, flow in zip(PARTIES, flows)])
+                         for party, flow in zip(PARTIES, profile.ledger.income)])
 
     premiums = _tail_integrals(path, params, 0.0, _DEFAULT_PANELS, premium_flows)
     deterministic = [accum_profile(params, party, 0.0) * params.x0(party) + premiums[k]
@@ -125,7 +124,7 @@ def estimate_objectives(samples: TerminalSamples,
         raise DomainError("objective estimation needs at least 2 paths")
     n = samples.n
     result = {}
-    for party in ("I", "R1", "R2"):
+    for party in PARTIES:
         xs = samples.by_party(party)
         gamma = params.gamma(party)
         mean = float(np.mean(xs))

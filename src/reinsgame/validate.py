@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expo, reaction
 from .config import default_market_params
-from .market import Exponential, MarketParams, PremiumPoint, admissible_box
+from .market import PARTIES, Exponential, MarketParams, PremiumPoint, admissible_box
 from .response import indemnity, response
 from .simulate import SimConfig, estimate_objectives, simulate
 from .valuation import closed_form_objective, equilibrium_path
@@ -149,15 +149,14 @@ def check_mc_vs_closed_form(params: MarketParams, t: float) -> CheckResult:
     samples = simulate(path, params, SimConfig(paths=_VALIDATE_PATHS, seed=7))
     estimates = estimate_objectives(samples, params)
     worst_z = 0.0
-    for party in ("I", "R1", "R2"):
+    for party in PARTIES:
         cf = closed_form_objective(party, path, params, 0.0, params.x0(party))
         est = estimates[party]
         worst_z = max(worst_z, abs(est.j - cf.j) / max(est.se_j, 1e-300))
     p0 = dataclasses.replace(params, lam=0.0)
     s0 = simulate(equilibrium_path(p0, n_grid=3), p0, SimConfig(paths=2, seed=1))
-    det = max(abs(s0.x_i[0] - p0.accum("I", 0.0) * p0.x0_I),
-              abs(s0.x_r1[0] - p0.accum("R1", 0.0) * p0.x0_R1),
-              abs(s0.x_r2[0] - p0.accum("R2", 0.0) * p0.x0_R2))
+    det = max(abs(s0.by_party(party)[0] - p0.accum(party, 0.0) * p0.x0(party))
+              for party in PARTIES)
     ok = worst_z <= 3.0 and det < 1e-9
     return CheckResult("mc_vs_closed_form", ok,
                        f"max |z| {worst_z:.2f} (gate 3.0), lam=0 defect {det:.2e}")

@@ -1,12 +1,13 @@
 """Closed-form mean-variance objectives and equilibrium value intercepts.
 
 Terminal surpluses are affine in the accumulation factors, so each party's
-objective reduces to time integrals of layer moments: the mean accumulates
-net drift (premium flow minus expected claim outgo) and the variance follows
-the compound-Poisson isometry, Var = int A(s)^2 lam E[(covered amount)^2] ds.
+objective reduces to time integrals of its row of ``market.ledger``: the mean
+accumulates the net drift, premium income minus payout lam E[paid], and the
+variance follows the compound-Poisson isometry, Var = int A(s)^2 lam E[paid^2] ds.
 Equilibrium value functions are V_k(t, x) = A_k(t) x + B_k(t) with B_k the
-accumulated optimized running reward (``value_intercepts``); at equilibrium V
-and the objective J agree, which the tests use as a cross-module check.
+accumulated optimized running reward, the ledger's reduced HJB margin less the
+risk charge (``value_intercepts``); at equilibrium V and the objective J agree,
+which the tests use as a cross-module check.
 
 Every one of these integrals runs from t to the horizon, so one reverse
 cumulative Simpson from T (``market._tail_integral``, the rule of the claim
@@ -24,11 +25,10 @@ import numpy as np
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
-from .market import (MarketParams, _tail_integral, accum_profile, insurer_premium_rate,
-                     layer_moments)
+from .market import (PARTIES, Ledger, MarketParams, _tail_integral, accum_profile, ledger,
+                     running_reward)
 from .response import ResponseStrategy, layered_response, no_reinsurance
 
-PARTIES = ("I", "R1", "R2")
 _DEFAULT_PANELS = 2000
 _DEFAULT_PATH_GRID = 801
 _PROFILE_BLOCK = 1024  # nodes per path_profile call in _tail_integrals
@@ -105,40 +105,19 @@ def no_reinsurance_path(params: MarketParams) -> StrategyPath:
 
 @dataclass(frozen=True)
 class PathProfile:
-    """Layer moments (scalars for a fixed contract) and premium rates on a time grid."""
+    """A path's loadings and ``ledger`` on a time grid (scalars for a fixed contract)."""
 
     s: np.ndarray
     xi1: np.ndarray
     xi2: np.ndarray
-    l1: np.ndarray
-    l1_sq: np.ndarray
-    l2: np.ndarray
-    l2_sq: np.ndarray
-    retained: np.ndarray
-    retained_sq: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
+    ledger: Ledger
 
 
 def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> PathProfile:
-    """Evaluate a path's layer moments and premium rates on grid ``s``."""
+    """Evaluate a path's loadings and ledger on grid ``s``."""
     s = np.asarray(s, dtype=float)
     xi1, xi2 = np.atleast_1d(path.xi1(s)), np.atleast_1d(path.xi2(s))
-    lm = layer_moments(path._contract(s, xi1, xi2), params.claims)
-    p1 = params.lam * (lm.l1 + xi1 * lm.l1_sq)
-    p2 = (1.0 + xi2) * params.lam * lm.l2
-    return PathProfile(s, xi1, xi2, lm.l1, lm.l1_sq, lm.l2, lm.l2_sq, lm.retained,
-                       lm.retained_sq, p1, p2)
-
-
-def _drift_and_covered_sq(profile: PathProfile, params: MarketParams, party: str):
-    lam = params.lam
-    if party == "I":
-        flow = insurer_premium_rate(params) - profile.p1 - profile.p2
-        return flow - lam * profile.retained, profile.retained_sq
-    if party == "R1":
-        return profile.p1 - lam * profile.l1, profile.l1_sq
-    return profile.p2 - lam * profile.l2, profile.l2_sq
+    return PathProfile(s, xi1, xi2, ledger(path._contract(s, xi1, xi2), xi1, xi2, params))
 
 
 def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
@@ -194,32 +173,19 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
     """
     if party not in PARTIES:
         raise DomainError(f"unknown party {party!r}")
-    gamma = params.gamma(party)
+    k, gamma = PARTIES.index(party), params.gamma(party)
     a_t = params.accum(party, t)
     if t >= params.T:
         return ObjectiveValue(party, x, 0.0, x)
 
     def integrands(profile):
-        a_s = accum_profile(params, party, profile.s)
-        drift, covered_sq = _drift_and_covered_sq(profile, params, party)
-        return np.stack([a_s * drift, a_s * a_s * params.lam * covered_sq])
+        a_s, led = accum_profile(params, party, profile.s), profile.ledger
+        return np.stack([a_s * (led.income[k] - led.payout[k]), a_s * a_s * led.payout_sq[k]])
 
     drift, variance = _tail_integrals(path, params, t, panels, integrands)
     mean = a_t * x + drift
     return ObjectiveValue(party, float(mean), float(variance),
                           float(mean - 0.5 * gamma * variance))
-
-
-def _running_reward(profile: PathProfile, params: MarketParams, party: str,
-                    a_s: np.ndarray) -> np.ndarray:
-    lam, a_y = params.lam, params.claims.mean
-    if party == "I":
-        return lam * (params.theta * a_y - profile.xi1 * profile.l1_sq
-                      - profile.xi2 * profile.l2
-                      - 0.5 * params.gamma_I * a_s * profile.retained_sq)
-    if party == "R1":
-        return lam * (profile.xi1 - 0.5 * params.gamma_R1 * a_s) * profile.l1_sq
-    return lam * (profile.xi2 * profile.l2 - 0.5 * params.gamma_R2 * a_s * profile.l2_sq)
 
 
 def value_intercepts(path: StrategyPath, params: MarketParams, t) -> np.ndarray:
@@ -229,7 +195,7 @@ def value_intercepts(path: StrategyPath, params: MarketParams, t) -> np.ndarray:
     optimized running reward from t to the horizon and vanishes at t = T."""
     def integrands(profile):
         a_s = [accum_profile(params, party, profile.s) for party in PARTIES]
-        return np.stack([a * _running_reward(profile, params, party, a)
+        return np.stack([a * running_reward(profile.ledger, params, party, a)
                          for party, a in zip(PARTIES, a_s)])
 
     return _tail_integrals(path, params, t, _DEFAULT_PANELS, integrands)

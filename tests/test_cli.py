@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reinsgame
 from reinsgame.cli import main
 
 
@@ -125,6 +130,37 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "--config", str(cfg), "--command", "equilibrium")
         assert code == 2
         assert err.startswith("config error:") and named in err
+
+
+class TestExtremeConfigs:
+    """Non-finite and extreme finite parameters end in a typed error in bounded time.
+
+    Each runs in its own process under a 10 s timeout: unchecked, gamma_R1 = 1e400
+    (an infinite coefficient) and C_R2 = inf (a root bracket with an infinite end)
+    never finish."""
+
+    @pytest.mark.parametrize("text,argv,codes", [
+        ("gamma_R1 = 1e400", ("trajectory",), {2}),
+        ("lambda = 1e400", ("simulate", "--paths", "10"), {2}),
+        ("gamma_I = 1e-300\ngamma_R2 = 1e300", ("trajectory",), {2, 3}),
+        ("gamma_I = 1e-300\ngamma_R2 = 1e300", ("equilibrium",), {2, 3}),
+        ("gamma_I = 1e300\ngamma_R1 = 1e-300", ("equilibrium",), {2, 3}),
+        ("gamma_I = 1e300\ngamma_R1 = 1e-300", ("trajectory",), {2, 3}),
+        ("gamma_R1 = 1e300\ngamma_R2 = 1e-300", ("equilibrium",), {2, 3}),
+        ("gamma_R1 = 1e300\ngamma_R2 = 1e-300", ("trajectory",), {2, 3}),
+    ], ids=["infinite_gamma_r1", "infinite_lambda", "c_r2_overflow_trajectory",
+            "c_r2_overflow_equilibrium", "c_r1_underflow_equilibrium",
+            "c_r1_underflow_trajectory", "c_r1_huge_equilibrium", "c_r1_huge_trajectory"])
+    def test_typed_error_within_10_s(self, tmp_path, text, argv, codes):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(reinsgame.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "reinsgame.cli", "--config", str(cfg),
+                               "--command", *argv], capture_output=True, text=True,
+                              timeout=10, env=env)
+        assert done.returncode in codes
+        assert done.stdout == ""
+        assert re.fullmatch(r"(config|solver) error: [^\n]+\n", done.stderr)
 
 
 @pytest.fixture(scope="module")

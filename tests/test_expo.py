@@ -439,6 +439,21 @@ class TestArrayPath:
                 constrained_equilibrium(base_params, np.array(bad))
 
 
+class TestUnresolvableCoefficients:
+    # C_R1 = 0 by underflow, C_R1 = 1e301 (R1's reply interval empty in floats) and
+    # C_R2 = inf by overflow: unchecked, a scalar solve divides by zero or overflows
+    # there, and an array solve's root bracket has an infinite end
+    @pytest.mark.parametrize("gammas", [dict(gamma_I=1e300, gamma_R1=1e-300),
+                                        dict(gamma_R1=1e300, gamma_R2=1e-300),
+                                        dict(gamma_I=1e-300, gamma_R2=1e300)],
+                             ids=["c_r1_zero", "c_r1_huge", "c_r2_infinite"])
+    @pytest.mark.parametrize("t", [0.0, np.array([0.0, 4.0, 8.0])], ids=["scalar", "array"])
+    def test_raise_domain_error(self, gammas, t):
+        params = default_market_params(**gammas)
+        with pytest.raises(DomainError, match="C_R1 = .* at t = 0: both must be positive"):
+            constrained_equilibrium(params, t)
+
+
 class TestAdmissibleBoxRobustness:
     def test_xi1_best_response_on_the_right_box_edge(self):
         # R1's best response to xi2* lies below its box, so xi1* is the

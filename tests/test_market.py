@@ -104,6 +104,11 @@ class TestClaimMoments:
         with pytest.raises(DomainError):
             Exponential(0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_exponential_requires_finite_rate(self, beta):
+        with pytest.raises(DomainError, match="finite"):
+            Exponential(beta)
+
 
 def exact_exponential_below(beta, d):
     """(m1_below, m2_below) of Exponential(beta) at d, exact for beta d <= 0.5:
@@ -339,6 +344,13 @@ class TestMarketParams:
     def test_rejects_short_curve(self, base_params):
         with pytest.raises(ConfigError):
             dataclasses.replace(base_params, rho_I=RateCurve.flat(0.1, 4.0))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["T", "lam", "theta", "eta", "gamma_I", "gamma_R1",
+                                      "gamma_R2", "x0_I", "x0_R1", "x0_R2"])
+    def test_rejects_non_finite_value(self, base_params, name, value):
+        with pytest.raises(ConfigError, match=name):
+            dataclasses.replace(base_params, **{name: value})
 
     def test_lambda_zero_allowed(self, base_params):
         assert dataclasses.replace(base_params, lam=0.0).lam == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reinsgame import reaction
-from reinsgame.errors import NoRootError
+from reinsgame.errors import DomainError, NoRootError
 from reinsgame.expo import constrained_equilibrium
 from reinsgame.market import GenericClaims
 from reinsgame.roots import bisect, chandrupatla
@@ -53,6 +53,20 @@ class TestBisectArray:
     def test_no_sign_change_raises(self):
         with pytest.raises(NoRootError):
             bisect_array(lambda x: x * x + 1.0, np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("end", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bracket_end_raises(self, end):
+        # such a bracket never narrows below its tolerance
+        with pytest.raises(DomainError, match="not finite"):
+            bisect_array(lambda x: x - 1.0, np.array([0.0, 0.0]), np.array([2.0, end]),
+                         f_lo=-1.0, f_hi=1.0)
+
+    def test_nan_residual_at_the_root_raises(self):
+        # a NaN residual at an iterate steers like a non-positive one, so both
+        # elements close on the NaN region
+        with pytest.raises(DomainError, match="NaN at the root"):
+            bisect_array(lambda x: np.where(x > 0.5, np.nan, x - 0.75),
+                         np.array([0.0, 0.0]), np.array([1.0, 2.0]), f_lo=-1.0, f_hi=1.0)
 
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny

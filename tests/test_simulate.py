@@ -80,9 +80,9 @@ class TestSimulate:
 
         def premium_flows(profile):
             c = insurer_premium_rate(params)
+            _, p1, p2 = profile.ledger.income
             return np.stack([accum_profile(params, party, profile.s) * flow for party, flow
-                             in zip(PARTIES, (c - profile.p1 - profile.p2, profile.p1,
-                                              profile.p2))])
+                             in zip(PARTIES, (c - p1 - p2, p1, p2))])
 
         premiums = _tail_integrals(eq_path, params, 0.0, 64000, premium_flows)
         for k, party in enumerate(PARTIES):

@@ -1,13 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from reinsgame.errors import DomainError
-from reinsgame.market import RateCurve, accum_profile
-from reinsgame.valuation import (PARTIES, _running_reward, closed_form_objective,
-                                 constant_path, no_reinsurance_path, path_profile,
-                                 value_intercepts)
+from reinsgame.market import (GenericClaims, RateCurve, accum_profile, insurer_premium_rate,
+                              ledger, running_reward)
+from reinsgame.response import no_reinsurance
+from reinsgame.valuation import (PARTIES, closed_form_objective,
+                                 constant_path, equilibrium_path, no_reinsurance_path,
+                                 path_profile, value_intercepts)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +83,7 @@ class TestValueIntercept:
             return 0.0
         s = np.linspace(t, params.T, panels + 1)
         a_s = accum_profile(params, party, s)
-        reward = _running_reward(path_profile(path, params, s), params, party, a_s)
+        reward = running_reward(path_profile(path, params, s).ledger, params, party, a_s)
         return float(integrate.simpson(a_s * reward, x=s))
 
     @pytest.fixture(params=["equilibrium", "constant", "no_reinsurance"])
@@ -171,9 +174,10 @@ class TestStrategyPaths:
         from reinsgame.valuation import path_profile
         profile = path_profile(no_reinsurance_path(base_params), base_params,
                                np.linspace(0.0, 8.0, 5))
-        assert np.all(profile.p1 == 0.0)
-        assert np.all(profile.p2 == 0.0)
-        assert np.allclose(profile.retained, base_params.claims.mean)
+        assert np.all(profile.ledger.income[1] == 0.0)
+        assert np.all(profile.ledger.income[2] == 0.0)
+        assert np.allclose(profile.ledger.payout[0],
+                           base_params.lam * base_params.claims.mean)
 
     @pytest.mark.parametrize("law", ["exponential", "uniform_0_2"])
     def test_profile_matches_premium_rates(self, base_params, eq_path, law):
@@ -192,5 +196,44 @@ class TestStrategyPaths:
         for i, t in enumerate(s):
             point = PremiumPoint(float(path.xi1(t)), float(path.xi2(t)), float(t))
             p1, p2 = premium_rates(point, response(point, params), params)
-            assert profile.p1[i] == pytest.approx(p1, rel=1e-12)
-            assert profile.p2[i] == pytest.approx(p2, rel=1e-12)
+            assert profile.ledger.income[1][i] == pytest.approx(p1, rel=1e-12)
+            assert profile.ledger.income[2][i] == pytest.approx(p2, rel=1e-12)
+
+
+class TestLedger:
+    """Identities of ``market.ledger``, which the objectives, the value intercepts and
+    the Monte Carlo drift all read: each party's reduced HJB margin is its income less
+    its payout, and the three drifts sum to lam theta a_Y, as premiums only move money
+    between the parties and retained + l1 + l2 is the claim."""
+
+    LAWS = {"uniform_0_2": lambda y: min(max(y / 2.0, 0.0), 1.0),
+            "erlang_2": lambda y: 0.0 if y <= 0.0 else (-math.expm1(-2.0 * y)
+                                                        - 2.0 * y * math.exp(-2.0 * y))}
+
+    @staticmethod
+    def assert_identities(led, params):
+        tol = 8.0 * np.finfo(float).eps * insurer_premium_rate(params)
+        for k in range(len(PARTIES)):
+            assert np.max(np.abs(led.margin[k] - (led.income[k] - led.payout[k]))) <= tol
+        total = params.lam * params.theta * params.claims.mean
+        drifts = sum(i - p for i, p in zip(led.income, led.payout))
+        assert np.max(np.abs(drifts - total)) <= tol
+        assert np.max(np.abs(sum(led.margin) - total)) <= tol
+
+    @pytest.mark.parametrize("law", ["exponential", "uniform_0_2", "erlang_2"])
+    def test_equilibrium_path(self, base_params, eq_path, law):
+        params, path = base_params, eq_path
+        if law != "exponential":
+            params = dataclasses.replace(base_params, claims=GenericClaims(self.LAWS[law]))
+            path = equilibrium_path(params)
+        led = path_profile(path, params, path.grid).ledger
+        assert all(np.shape(v) == (801,) for v in led.income + led.margin)
+        self.assert_identities(led, params)
+
+    @pytest.mark.parametrize("xi1,xi2", [(0.0, 0.0), (0.3, 0.4)])
+    def test_no_reinsurance_contract(self, base_params, xi1, xi2):
+        # d = inf: the insurer keeps every claim and no premium changes hands
+        led = ledger(no_reinsurance(), xi1, xi2, base_params)
+        self.assert_identities(led, base_params)
+        assert led.income[1:] == led.payout[1:] == led.margin[1:] == (0.0, 0.0)
+        assert led.payout[0] == pytest.approx(base_params.lam * base_params.claims.mean)
