@@ -194,18 +194,22 @@ class Exponential(ClaimDistribution):
             d = float(d)
             if d < 0:
                 raise DomainError("deductible must be non-negative")
-            if math.isinf(d):
-                return TruncatedMoments(d, 2.0 / b**2, 0.0, 0.0, 1.0 / b, 0.0, 1.0 / b)
-        s = np.exp(-b * d)
-        m2 = 2.0 / b**2 - s * (d * d + 2.0 * d / b + 2.0 / b**2)
-        m1 = 1.0 / b - s * (d + 1.0 / b)
+        bd = b * d
+        s = np.exp(-bd)
+        # where S(d) = 0 the moments below d are their limits 2/beta^2 and 1/beta,
+        # and d^2 may overflow there, so S times it would be 0 * inf
+        if scalar and s == 0.0:
+            return TruncatedMoments(d, 2.0 / b**2, 0.0, 0.0, 1.0 / b, 0.0, 1.0 / b)
+        dp = d if scalar or s.min() > 0.0 else np.where(s > 0.0, d, 0.0)
+        m2 = 2.0 / b**2 - s * (dp * dp + 2.0 * dp / b + 2.0 / b**2)
+        m1 = 1.0 / b - s * (dp + 1.0 / b)
         # below the cutoff m2 = d^2 S e(x) and m1 = (d x/2) S (1 + e(x)), x = beta d
-        small = b * d < _SERIES_CUTOFF
+        small = bd < _SERIES_CUTOFF
         if small if scalar else small.any():
-            x = np.minimum(b * d, _SERIES_CUTOFF)
+            x = np.minimum(bd, _SERIES_CUTOFF)
             e = e_series(x)
-            m2 = np.where(small, d * d * s * e, m2)[()]
-            m1 = np.where(small, 0.5 * d * x * s * (1.0 + e), m1)[()]
+            m2 = np.where(small, dp * dp * s * e, m2)[()]
+            m1 = np.where(small, 0.5 * dp * x * s * (1.0 + e), m1)[()]
         m = 1.0 / b if scalar else np.full(d.shape, 1.0 / b)
         return TruncatedMoments(d, m2, s / b, s, m1, 2.0 * s / b**2, m)
 

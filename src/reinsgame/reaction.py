@@ -48,8 +48,13 @@ def foc_ratios(point: PremiumPoint, params: MarketParams) -> FocRatios:
 
 
 def _r1_foc(q: float, d: float, ratio: float, c_r1: float, tm: TruncatedMoments) -> float:
-    return ((2.0 * q * (c_r1 + 1.0) - 1.0) * tm.m2_below
-            + d ** 2 * (ratio - 1.0) * tm.survival)
+    s = tm.survival
+    # the second term is 0 where S(d) = 0, and d^2 may overflow there
+    if np.ndim(s) == 0:
+        d = d if s > 0.0 else 0.0
+    elif not s.all():
+        d = np.where(s > 0.0, d, 0.0)
+    return (2.0 * q * (c_r1 + 1.0) - 1.0) * tm.m2_below + d ** 2 * (ratio - 1.0) * s
 
 
 def foc_residual_r1(point: PremiumPoint, params: MarketParams) -> float:

@@ -424,6 +424,14 @@ class TestArrayPath:
             seen.update(assert_array_path_matches_scalar(params, np.array([t])))
         assert seen == set(Regime)
 
+    @pytest.mark.parametrize("gammas", [dict(gamma_R2=1e177),
+                                        dict(gamma_R1=1e-120, gamma_R2=1e180)])
+    def test_iterates_where_survival_underflows(self, gammas):
+        # the fixed point's bracket reaches deductibles where S(d) = 0 and d^2
+        # overflows; R1's residual must read its limit there, not 0 * inf
+        params = default_market_params(**gammas)
+        assert_array_path_matches_scalar(params, np.linspace(0.0, params.T, 9))
+
     def test_result_fields_are_arrays_over_t(self, base_params):
         ts = np.array([0.0, 4.0, 8.0])
         eq = constrained_equilibrium(base_params, ts)

@@ -145,6 +145,17 @@ class TestExponentialMomentsBelow:
             m1, m2 = exact_exponential_below(beta, d)
             assert (tm.m1_below, tm.m2_below) == pytest.approx((m1, m2), rel=2e-14, abs=0.0)
 
+    @pytest.mark.parametrize("d", [800.0, 1e160, math.inf])
+    def test_limits_where_survival_underflows(self, d):
+        # S(d) = 0: the moments below d are the full ones; d^2 overflows from 1.3e154
+        beta = 1.7
+        law = Exponential(beta)
+        for tm in (law.truncated(d), law.truncated(np.array([0.5, d]))):
+            assert np.all(np.isfinite([tm.m1_below, tm.m2_below, tm.excess_mean,
+                                       tm.excess_sq, tm.mean_excess]))
+            assert np.atleast_1d(tm.m2_below)[-1] == 2.0 / beta**2
+            assert np.atleast_1d(tm.m1_below)[-1] == 1.0 / beta
+
     def test_array_equals_scalar(self):
         law = Exponential(0.8)
         ds = np.array([0.0, 1e-9, 0.3, 0.62, 0.625, 4.0])

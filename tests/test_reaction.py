@@ -12,9 +12,10 @@ from reinsgame.expo import (Regime, constrained_equilibrium, h1, h1_domain, h1_i
                             unconstrained_fixed_point)
 from reinsgame.market import (Exponential, GenericClaims, PremiumPoint, admissible_box,
                               gamma_accumulations)
-from reinsgame.reaction import (_check_fixed_point, foc_ratios, foc_residual_r1,
+from reinsgame.reaction import (_check_fixed_point, _r1_foc, foc_ratios, foc_residual_r1,
                                 foc_residual_r2, general_equilibrium, instantaneous_reward,
                                 reaction_xi1, reaction_xi2)
+from reinsgame.response import response
 from reinsgame.valuation import equilibrium_path
 from test_broad_box import broad_box_point
 
@@ -127,6 +128,16 @@ class TestFocResiduals:
         xi2 = 0.38225
         assert foc_residual_r1(PremiumPoint(lo, xi2, 0.0), base_params) > 0
         assert foc_residual_r1(PremiumPoint(hi, xi2, 0.0), base_params) < 0
+
+    def test_r1_at_a_deductible_beyond_survival(self, base_params):
+        # S(d) = 0 and d^2 overflows: the d^2 (ratio - 1) S term is 0, not 0 * inf
+        point = PremiumPoint(0.3, 1e160, 0.0)
+        resp = response(point, base_params)
+        full = (2.0 * resp.q * (foc_ratios(point, base_params).c_r1 + 1.0) - 1.0) * 2.0
+        assert resp.d > 1e160 and foc_residual_r1(point, base_params) == full
+        d = np.array([2.0, 1e160, math.inf])
+        foc = _r1_foc(0.25, d, 1.1, 0.5, Exponential(1.0).truncated(d))
+        assert np.all(np.isfinite(foc)) and foc[1] == foc[2] == (2.0 * 0.25 * 1.5 - 1.0) * 2.0
 
     def test_zero_deductible_collapses_r1(self, base_params):
         assert foc_residual_r1(PremiumPoint(0.3, 0.0, 0.0), base_params) == 0.0

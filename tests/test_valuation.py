@@ -199,6 +199,25 @@ class TestStrategyPaths:
             assert profile.ledger.income[1][i] == pytest.approx(p1, rel=1e-12)
             assert profile.ledger.income[2][i] == pytest.approx(p2, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["equilibrium", "constant", "no_reinsurance"])
+    def test_response_at_shuffled_times(self, base_params, eq_path, kind):
+        # response() interpolates an array of times in sorted order and scatters
+        # the loadings back; the contract must be the one at the times as given
+        path = {"equilibrium": eq_path,
+                "constant": constant_path(base_params, 0.3, 0.15),
+                "no_reinsurance": no_reinsurance_path(base_params)}[kind]
+        rng = np.random.default_rng(16)
+        t = np.concatenate([eq_path.grid, [0.0, base_params.T],
+                            rng.uniform(0.0, base_params.T, 4000)])
+        t = rng.permutation(np.concatenate([t, t[::7], t[-100:]]))  # repeated times
+        got = path.response(t)
+        want = path._contract(t, np.interp(t, path.grid, path._xi1),
+                              np.interp(t, path.grid, path._xi2),
+                              accum_profile(base_params, "I", t))
+        for field in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+                field.name
+
 
 class TestLedger:
     """Identities of ``market.ledger``, which the objectives, the value intercepts and
