@@ -9,9 +9,12 @@ unconstrained premium equilibrium; clamping it to the admissibility box
 follows the published three-case construction, with the regime tagged.
 
 ``constrained_equilibrium`` takes a scalar time or an array of times.  An
-array, for any claim law, runs the same three-case split on the reinsurers'
-array solves of :mod:`reinsgame.reaction`, in the deductible, so a time grid
-costs one call.  A scalar needs exponential claims and keeps the closed-form
+array, for any claim law, runs the same three-case split on the array fixed
+point of :mod:`reinsgame.reaction`, one root in the deductible per time, so a
+time grid costs one call.  R2's reply runs only at times on the floor or cap
+branch, and R1's only at times where a clamp binds: elsewhere the fixed point
+already solves R1's FOC.  On the reference grid that is 5 residual evaluations
+per time in all.  A scalar needs exponential claims and keeps the closed-form
 pure-Python path, the faster one for a single cold point.
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
@@ -267,7 +270,10 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
 
 def _equilibrium_on_grid(params: MarketParams, t: np.ndarray) -> EquilibriumResult:
     # constrained_equilibrium elementwise over times t, for every claim law: the
-    # scalar path's three-case split and clamps on the reinsurers' array solves
+    # scalar path's three-case split and clamps on the reinsurers' array solves.
+    # Where the middle branch fires and xi2 is not clamped (xi2* == xi2_bar), the
+    # fixed point's pair solves R1's FOC exactly, so xi1* = xi1_bar there and R1's
+    # reply runs only at the clamped times.
     if t.ndim != 1:  # the reinsurers' solves check the range
         raise DomainError("equilibrium times must be a scalar or a one-dimensional array")
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
@@ -280,7 +286,11 @@ def _equilibrium_on_grid(params: MarketParams, t: np.ndarray) -> EquilibriumResu
     if edge.any():
         xi2_star[edge] = _r2_reply(np.where(split[0], xi1_lo, xi1_hi)[edge], params, t[edge])
     xi2_star = np.clip(xi2_star, xi2_lo, xi2_hi)
-    xi1_star = np.clip(_r1_reply(xi2_star, params, t), xi1_lo, xi1_hi)
+    xi1_star = xi1_bar.copy()
+    reply = edge | (xi2_star != xi2_bar)
+    if reply.any():
+        xi1_star[reply] = _r1_reply(xi2_star[reply], params, t[reply])
+    xi1_star = np.clip(xi1_star, xi1_lo, xi1_hi)
 
     landed = np.select([xi2_star == xi2_lo, xi2_star == xi2_hi], [1, 2], 0)
     regime = tuple(map(_REGIMES.__getitem__, (3 * branch + landed).tolist()))

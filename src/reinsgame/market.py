@@ -18,6 +18,10 @@ from .errors import ConfigError, DomainError, IntegrationError
 
 PARTIES = ("I", "R1", "R2")  # the insurer and reinsurers 1 and 2, in every per-party row
 _TAIL_MASS = 1e-12
+# A table law's m(d) misses the excess beyond its tail cut, a relative error
+# of about S(tail_cut)/S(d) where m varies slowly: m(d) counts as resolved
+# where S(d) >= 1e6 S(tail_cut), which keeps that error below 1e-6.
+_CUT_RESOLUTION = 1e6
 # nodes of a GenericClaims layer-moment table on [0, tail_cut]: 2^14 panels,
 # so every 4th node is the 4097-point grid of the ppf spline
 _TABLE_NODES = 16385
@@ -149,6 +153,11 @@ class ClaimDistribution:
         """Layer moments at deductible ``d``; an array ``d`` gives arrays of its shape."""
         raise NotImplementedError
 
+    @property
+    def mean_excess_bounds(self) -> tuple[float, float]:
+        """(m_lo, m_hi) with m_lo <= m(d) <= m_hi wherever the mean excess is resolved."""
+        raise NotImplementedError
+
     def tail_cut(self) -> float:
         """Smallest power of two y >= 1 with tail mass 1 - F(y) below 1e-12."""
         y = 1.0
@@ -176,6 +185,11 @@ class Exponential(ClaimDistribution):
     @property
     def second_moment(self) -> float:
         return 2.0 / self.beta**2
+
+    @property
+    def mean_excess_bounds(self) -> tuple[float, float]:
+        """m(d) = 1/beta at every d (memorylessness)."""
+        return 1.0 / self.beta, 1.0 / self.beta
 
     def cdf(self, y):
         return -np.expm1(-self.beta * np.maximum(y, 0.0))
@@ -241,8 +255,8 @@ class GenericClaims(ClaimDistribution):
     All integrals use survival forms, S = 1 - F, so only F is required, and
     they stop at the tail cut y_max (tail mass below 1e-12).  The layer
     moments EM(d) = int_d^y_max S and ESQ(d) = 2 int_d^y_max (y - d) S come from
-    a table built on the first ``truncated``, ``ppf``, ``mean`` or
-    ``second_moment`` call: F on 16 385 uniform nodes of [0, y_max], EM by one
+    a table built on the first ``truncated``, ``ppf``, ``mean``, ``second_moment``
+    or ``mean_excess_bounds`` call: F on 16 385 uniform nodes of [0, y_max], EM by one
     reverse cumulative Simpson of S from y_max and ESQ by one of 2 EM; the
     mean and second moment are EM(0) and ESQ(0).  A deductible between nodes
     reads them by cubic Hermite interpolation with the exact slopes EM' = -S
@@ -277,6 +291,14 @@ class GenericClaims(ClaimDistribution):
     @property
     def second_moment(self) -> float:
         return float(self._layer_table()[2][0])  # ESQ(0)
+
+    @property
+    def mean_excess_bounds(self) -> tuple[float, float]:
+        """(0, the largest EM/S over the table's nodes of the cells where m(d) is resolved,
+        S >= 1e6 S(tail_cut)), found with the table and widened by 1e-6 relative to cover
+        the Hermite reads between nodes.  For a DMRL law m_hi is the mean."""
+        self._layer_table()
+        return 0.0, self._m_hi
 
     def cdf(self, y):
         if np.ndim(y) == 0:
@@ -322,6 +344,14 @@ class GenericClaims(ClaimDistribution):
                         f"{np.max(np.abs(err)):g} against double spacing, most of it "
                         f"at y = {y[2 * cell]:g}..{y[2 * cell + 2]:g}: the claim CDF has an "
                         f"atom or kink there, or varies on a scale finer than its grid")
+            # m = EM/S where it is resolved, S >= 1e6 S(tail_cut): S falls, so that is
+            # the nodes up to some last one, and the cell after it, where m may still
+            # rise, holds resolved deductibles too
+            s = 1.0 - f
+            near = s >= _CUT_RESOLUTION * self.cut_survival
+            near[1:] |= near[:-1]
+            near &= s > 0.0
+            self._m_hi = float(np.max(em[near] / s[near], initial=0.0)) * (1.0 + 1e-6)
             self._table = f, em, esq
         return self._table
 

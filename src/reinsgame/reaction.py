@@ -1,12 +1,15 @@
 """Reinsurers' first-order conditions and best responses for arbitrary claims.
 
 Both reduced FOCs are free of the claim intensity.  Each solve is one root on
-an exact bracket: reinsurer 1's best response on ``h1_domain``; reinsurer 2's
-and the fixed point in the deductible d, via the mean excess m(d), raising
-IntegrationError where a table law's tail cut leaves m(d) unresolved.  Each is
-written once, as an array solve over times by Chandrupatla's method
-(``_r1_reply``, ``_r2_reply``, ``_fixed_point``) for every claim law; the
-reaction maps and ``general_equilibrium`` are one-element calls of them.
+an exact bracket: reinsurer 1's best response on ``h1_domain``; reinsurer 2's,
+and the fixed point, as the root of k(d) m(d) - d in the deductible d, m the
+mean excess, on the bracket of the law's ``mean_excess_bounds``, raising
+IntegrationError where a table law's tail cut leaves m(d) unresolved.  R2's k
+is a constant; the fixed point's is R1's closed-form reply at d
+(``_r1_ratio``), so no solve nests another.  Each is written once, as an array
+solve over times by Chandrupatla's method (``_r1_reply``, ``_r2_reply``,
+``_fixed_point``) for every claim law; the reaction maps and
+``general_equilibrium`` are one-element calls of them.
 Times outside [0, T] raise DomainError in every solve.
 For exponential claims they equal the closed forms of :mod:`reinsgame.expo`;
 for other laws the fixed point is a candidate, one of several if the
@@ -19,16 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError, IntegrationError
-from .market import (PARTIES, ClaimDistribution, MarketParams, PremiumPoint, TruncatedMoments,
-                     accum_profile, coefficients, gamma_accumulations, ledger, running_reward)
-from .response import response
+from .market import (_CUT_RESOLUTION, PARTIES, ClaimDistribution, MarketParams, PremiumPoint,
+                     TruncatedMoments, accum_profile, coefficients, gamma_accumulations, ledger,
+                     running_reward)
+from .response import layered_response, response
 from .roots import chandrupatla
 
 _FOC_TOL = 1e-8
-# A table law's m(d) misses the excess beyond its tail cut, a relative error
-# of about S(tail_cut)/S(d) where m varies slowly: roots in d must keep it
-# below 1e-6.
-_CUT_RESOLUTION = 1e6
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,21 @@ def _r1_foc(q: float, d: float, ratio: float, c_r1: float, tm: TruncatedMoments)
     return (2.0 * q * (c_r1 + 1.0) - 1.0) * tm.m2_below + d ** 2 * (ratio - 1.0) * s
 
 
+def _at_response(point: PremiumPoint, params: MarketParams):
+    """(a_I, a_R1, a_R2), a = gamma*A at ``point.t``, the insurer's response to ``point``
+    and the claim law's layer moments at its deductible: the inputs of both FOCs."""
+    a = gamma_accumulations(params, point.t)
+    resp = layered_response(point.xi1, point.xi2, a[0], point.t)
+    return a, resp, params.claims.truncated(resp.d)
+
+
 def foc_residual_r1(point: PremiumPoint, params: MarketParams) -> float:
     """Reinsurer 1's FOC residual at the insurer's response to ``point``.
 
     [2q(C_R1+1) - 1] * int_0^d y^2 dF + d^2 [gamma_R1 A_R1/xi1 - 1] S(d).
     """
-    ratios = foc_ratios(point, params)
-    resp = response(point, params)
-    return _r1_foc(resp.q, resp.d, ratios.b_r1_ratio, ratios.c_r1,
-                   params.claims.truncated(resp.d))
+    (a_i, a_r1, _), resp, tm = _at_response(point, params)
+    return _r1_foc(resp.q, resp.d, a_r1 / point.xi1, a_r1 / a_i, tm)
 
 
 def foc_residual_r2(point: PremiumPoint, params: MarketParams) -> float:
@@ -73,12 +79,8 @@ def foc_residual_r2(point: PremiumPoint, params: MarketParams) -> float:
 
     [1 + C_R2 + gamma_R2 A_R2/(2 xi1)] * int_d^inf (y-d) dF - d S(d).
     """
-    _, _, a_r2 = gamma_accumulations(params, point.t)
-    ratios = foc_ratios(point, params)
-    resp = response(point, params)
-    tm = params.claims.truncated(resp.d)
-    return ((1.0 + ratios.c_r2 + a_r2 / (2.0 * point.xi1)) * tm.excess_mean
-            - resp.d * tm.survival)
+    (a_i, _, a_r2), resp, tm = _at_response(point, params)
+    return (1.0 + a_r2 / a_i + a_r2 / (2.0 * point.xi1)) * tm.excess_mean - resp.d * tm.survival
 
 
 def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) -> float:
@@ -97,7 +99,8 @@ def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) 
 def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
     """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve: its
     exact bracket for every claim law, where its FOC is int_0^d y^2 dF/(2C+1) >= 0 at
-    the lower end and -d^2 S(d)/(2C+1) <= 0 at the upper end."""
+    the lower end and -d^2 S(d)/(2C+1) <= 0 at the upper end.  In r = a_R1/xi1 it is
+    (2C/(2C+1), 1), whose closure is the range of R1's reply to a deductible (``_r1_ratio``)."""
     a_i, a_r1, _ = gamma_accumulations(params, t)
     return a_r1, a_r1 + 0.5 * a_i
 
@@ -125,10 +128,29 @@ def _resolved_moments(d, claims: ClaimDistribution) -> TruncatedMoments:
     return tm
 
 
-def _deductible_roots(f, k, claims: ClaimDistribution, **kw):
-    """Roots of f in d on [0, max(k mean, tail_cut)], elementwise, and their moments."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # m(d) = 0 past a table's cut
-        d = chandrupatla(f, 0.0 * k, np.maximum(k * claims.mean, claims.tail_cut()), **kw)
+def _r1_ratio(d, tm: TruncatedMoments, c_r1):
+    """R1's reply r = a_R1/xi1 to deductible d: the positive root of its FOC over
+    d^2 S + M2, w r^2 + (2C_R1 + 1 - 2w) r - 2C_R1, w = d^2 S/(d^2 S + M2) (``expo.g_fun``
+    at e = (1 - w)/w); from 1 at w = 1 to 2C_R1/(2C_R1+1) at w = 0, where S(d) = 0."""
+    d2s = d * (d * tm.survival)  # 0 where S(d) = 0, where d^2 may overflow
+    # a table law's M2 can round below 0 at small d, where it cancels; w is NaN
+    # only where d^2 S and M2 are both 0, below the float range
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.where computes both forms
+        w = d2s / (d2s + np.maximum(tm.m2_below, 0.0))
+        b = 2.0 * c_r1 + 1.0 - 2.0 * w
+        root = np.sqrt(b * b + 8.0 * c_r1 * w)
+        return np.where(b > 0.0, 4.0 * c_r1 / (b + root), (root - b) / (2.0 * w))
+
+
+def _deductible_root(k, k_lo, k_hi, claims: ClaimDistribution):
+    """Roots of k(d) m(d) - d, elementwise, and their moments; ``k(d, moments)`` lies in
+    [k_lo, k_hi], so the residual is >= 0 at k_lo m_lo and <= 0 at k_hi m_hi, (m_lo, m_hi)
+    the law's ``mean_excess_bounds``: the bracket, with known end signs."""
+    def residual(d):
+        tm = claims.truncated(d)
+        return k(d, tm) * tm.mean_excess - d
+    m_lo, m_hi = claims.mean_excess_bounds
+    d = chandrupatla(residual, k_lo * m_lo, k_hi * m_hi, f_lo=1.0, f_hi=-1.0)
     return d, _resolved_moments(d, claims)
 
 
@@ -147,31 +169,24 @@ def _r1_reply(xi2, params: MarketParams, t):
 
 def _r2_reply(xi1, params: MarketParams, t):
     """R2's best-response xi2 = d/(1/a_I + 1/(2 xi1)) to xi1 at time(s) t: its FOC
-    over S(d) is k m(d) - d, k = 1 + C_R2 + a_R2/(2 xi1), which is k mean > 0 at
-    d = 0 and <= 0 at max(k mean, tail_cut), where m = 1/beta or 0."""
+    over S(d) is k m(d) - d with the constant k = 1 + C_R2 + a_R2/(2 xi1)."""
     a_i, _, a_r2, _, c2 = _gamma_profiles(params, t)
     k = 1.0 + c2 + a_r2 / (2.0 * xi1)
-    d, _ = _deductible_roots(lambda d: k * params.claims.truncated(d).mean_excess - d,
-                             k, params.claims)
+    d, _ = _deductible_root(lambda d, tm: k, k, k, params.claims)
     return d / (1.0 / a_i + 0.5 / xi1)
 
 
 def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Unconstrained (xi1, xi2) at each time of an array: the residual in d that
+    """Unconstrained (xi1, xi2) at each time of an array: the root in d that
     ``general_equilibrium`` describes, solved elementwise, without its closing check."""
     a_i, a_r1, a_r2, c1, c2 = _gamma_profiles(params, t)
-    k_hi = 1.0 + c2 + a_r2 / (2.0 * a_r1)
-
-    def residual(d):
-        tm = params.claims.truncated(d)
-        v = (d / tm.mean_excess - 1.0 - c2) / a_r2  # 1/(2 xi1)
-        a_i_v = a_i * v
-        r1 = _r1_foc(a_i_v / (1.0 + a_i_v), d, 2.0 * a_r1 * v, c1, tm)
-        return np.where(d >= k_hi * tm.mean_excess, 1.0, np.where(v <= 0.0, -1.0, r1))
-
-    d, tm = _deductible_roots(residual, k_hi, params.claims, f_lo=-1.0, f_hi=1.0)
-    v = (d / tm.mean_excess - 1.0 - c2) / a_r2
-    return 0.5 / v, d / (1.0 / a_i + v)
+    with np.errstate(over="ignore"):  # an infinite bracket end raises DomainError
+        u_hi = a_r2 / (2.0 * a_r1)  # C_R2/(2C_R1): k(d) = 1 + C_R2 + u_hi r(d)
+    d, tm = _deductible_root(lambda d, tm: 1.0 + c2 + u_hi * _r1_ratio(d, tm, c1),
+                             1.0 + c2 + a_r2 / (2.0 * a_r1 + a_i), 1.0 + c2 + u_hi,
+                             params.claims)
+    r = _r1_ratio(d, tm, c1)
+    return a_r1 / r, d / (1.0 / a_i + r / (2.0 * a_r1))
 
 
 def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0) -> float:
@@ -191,10 +206,12 @@ def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
 def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
     """Candidate premium equilibrium: one root in the deductible d (``_fixed_point``).
 
-    R2's FOC gives 1/(2 xi1) = (d/m(d) - 1 - C_R2)/a_R2, xi2 = d/(1/a_I + 1/(2 xi1)),
-    and R1's FOC there is the residual: < 0 at d = 0 and > 0 where d >= k_hi m(d),
-    k_hi = 1 + C_R2 + C_R2/(2 C_R1), as xi1 <= a_R1 there (h1_domain's lower end).
-    The bracket is [0, max(k_hi mean, tail_cut)], as in ``_deductible_roots``.
+    At a fixed d, R1's FOC is a quadratic in r = a_R1/xi1 with one root r(d) in
+    [2C_R1/(2C_R1+1), 1] (``_r1_ratio``), and R2's is k(d) m(d) = d with k(d) = 1 + C_R2 +
+    (C_R2/(2C_R1)) r(d), between k_lo = 1 + C_R2 + C_R2/(2C_R1+1) and k_hi = 1 + C_R2 +
+    C_R2/(2C_R1): the bracket is [k_lo m_lo, k_hi m_hi] (``_deductible_root``), of zero
+    width for exponential claims where C_R2 is below rounding.  Then xi1 = a_R1/r and
+    xi2 = d/(1/a_I + r/(2 a_R1)), neither divided by a_R2.
     Raises ConvergenceError unless both FOCs hold at the result (``_check_fixed_point``).
     """
     xi1, xi2 = _fixed_point(params, np.array([t], dtype=float))
@@ -207,11 +224,11 @@ def _check_fixed_point(point: PremiumPoint, params: MarketParams) -> None:
     """Raise ConvergenceError naming each FOC that fails at ``point`` beyond 1e-8:
     R1's residual, and R2's in deductible space, (k m(d) - d)/max(d, mean) at the
     response's d, which does not read 0 where S(d) underflows as k EM - d S does."""
-    _, _, a_r2 = gamma_accumulations(params, point.t)
-    d = response(point, params).d
-    k = 1.0 + foc_ratios(point, params).c_r2 + a_r2 / (2.0 * point.xi1)
-    r2 = (k * params.claims.truncated(d).mean_excess - d) / max(d, params.claims.mean)
-    failed = [f"{name} {r:g}" for name, r in (("R1", foc_residual_r1(point, params)),
-                                               ("R2 in d", r2)) if not abs(r) <= _FOC_TOL]
+    (a_i, a_r1, a_r2), resp, tm = _at_response(point, params)
+    r1 = _r1_foc(resp.q, resp.d, a_r1 / point.xi1, a_r1 / a_i, tm)
+    k = 1.0 + a_r2 / a_i + a_r2 / (2.0 * point.xi1)
+    r2 = (k * tm.mean_excess - resp.d) / max(resp.d, params.claims.mean)
+    failed = [f"{name} {r:g}" for name, r in (("R1", r1), ("R2 in d", r2))
+              if not abs(r) <= _FOC_TOL]
     if failed:
         raise ConvergenceError(f"fixed point FOC residuals too large: {', '.join(failed)}")

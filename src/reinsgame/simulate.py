@@ -22,7 +22,9 @@ the first n paths of any longer run with the same seed.
 A block costs about what its draws cost: on the reference config (about 8200
 events a block; 2-vCPU Xeon, numpy 2.4) the draws take 0.55 ms, the loadings
 at the event times 0.45 ms, interpolated in sorted order as in
-``StrategyPath.response``, and all the rest 0.8 ms.
+``StrategyPath.response``, and all the rest about 0.6 ms.  Parties with equal
+rate curves share one accumulation factor at the event times, about 0.1 ms
+each (all three on the reference config).
 """
 from __future__ import annotations
 
@@ -81,6 +83,9 @@ def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> Ter
     deterministic = [accum_profile(params, party, 0.0) * params.x0(party) + premiums[k]
                      for k, party in enumerate(PARTIES)]
 
+    # parties with equal rate curves share one accumulation factor per block
+    curves = [params.rho(party) for party in PARTIES]
+    same = [curves.index(curve) for curve in curves]
     out = np.empty((3, config.paths))
     total_claims = 0.0
     total_jumps = np.zeros(3)
@@ -94,7 +99,9 @@ def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> Ter
         events = counts[:keep].sum()
         times, sizes = times[:events], sizes[:events]
         owner = np.repeat(np.arange(keep), counts[:keep])
-        accum = [accum_profile(params, party, times) for party in PARTIES]
+        accum = []
+        for k, party in enumerate(PARTIES):
+            accum.append(accum[same[k]] if same[k] < k else accum_profile(params, party, times))
         l1, l2, retained = indemnity(sizes, path._contract(times, *path._loadings(times),
                                                            accum[0]))
         for k, paid in enumerate((retained, l1, l2)):

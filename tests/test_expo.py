@@ -432,6 +432,25 @@ class TestArrayPath:
         params = default_market_params(**gammas)
         assert_array_path_matches_scalar(params, np.linspace(0.0, params.T, 9))
 
+    @pytest.mark.parametrize("gamma_r2", [1e-100, 1e-20, 1e-14, 1e-10])
+    def test_small_gamma_r2_matches_scalar(self, gamma_r2):
+        # small C_R2 (below rounding of 1 + C_R2 from 1e-16 on): the array fixed point
+        # reads xi1 from R1's ratio at d, not back through a division by a_R2
+        params = default_market_params(gamma_R2=gamma_r2)
+        scalar = constrained_equilibrium(params, 0.0)
+        grid = constrained_equilibrium(params, np.array([0.0]))
+        got = (grid.xi1_star[0], grid.xi2_star[0], *(u[0] for u in grid.unconstrained))
+        want = (scalar.xi1_star, scalar.xi2_star, *scalar.unconstrained)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert grid.regime == (scalar.regime,)
+
+    def test_overflowing_bracket_raises_domain_error(self):
+        # C_R2/(2C_R1) overflows: the fixed point's bracket has an infinite end,
+        # a DomainError, not an overflow warning
+        params = default_market_params(gamma_R1=1e-300, gamma_R2=1e300)
+        with pytest.raises(DomainError, match="not finite"):
+            constrained_equilibrium(params, np.array([0.0, 4.0]))
+
     def test_result_fields_are_arrays_over_t(self, base_params):
         ts = np.array([0.0, 4.0, 8.0])
         eq = constrained_equilibrium(base_params, ts)

@@ -208,6 +208,30 @@ class TestGenericClaimsTable:
         assert abs(law.mean - mean_ref) <= max(1e-8, 1e-8 * mean_ref)
         assert abs(law.second_moment - m2_ref) <= max(1e-8, 1e-8 * m2_ref)
 
+    @pytest.mark.parametrize("cdf,dmrl", [
+        (lambda y: min(max(y / 2.0, 0.0), 1.0), True),
+        (erlang2_cdf, True),
+        (lambda y: 0.0 if y <= 0.0 else 1.0 - (1.0 + y) ** -8, False),  # Lomax(8, 1)
+    ], ids=["uniform_0_2", "erlang2_rate2", "lomax8"])
+    def test_mean_excess_bounds_hold_between_nodes(self, cdf, dmrl):
+        # m(d) at deductibles between the table's nodes, wherever it is resolved
+        law = GenericClaims(cdf)
+        m_lo, m_hi = law.mean_excess_bounds
+        end = law.tail_cut()
+        ds = np.concatenate((np.linspace(0.0, end, _TABLE_NODES),
+                             np.random.default_rng(3).uniform(0.0, end, 20000)))
+        tm = law.truncated(ds)
+        resolved = (tm.survival > 0.0) & (tm.survival >= 1e6 * law.cut_survival)
+        m = tm.mean_excess[resolved]
+        assert m_lo == 0.0
+        assert np.all(m <= m_hi)
+        assert m.max() == pytest.approx(m_hi, rel=1e-3)
+        if dmrl:  # a decreasing mean residual life peaks at d = 0
+            assert m_hi == pytest.approx(law.mean * (1.0 + 1e-6), rel=1e-12)
+
+    def test_exponential_mean_excess_bounds_are_exact(self):
+        assert Exponential(4.0).mean_excess_bounds == (0.25, 0.25)
+
     def test_array_call_equals_scalar_calls(self):
         law = GenericClaims(erlang2_cdf)
         ds = np.array([[0.0, 0.37, 1.0], [2.5, 15.999, 40.0]])

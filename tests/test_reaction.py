@@ -419,6 +419,22 @@ class TestGeneralLawGrid:
         assert [(p.xi1, p.xi2) for p in points] == list(zip(xi1_bar.tolist(),
                                                             xi2_bar.tolist()))
 
+    @pytest.mark.parametrize("law", ["erlang2_rate2", "uniform_0_2", "lomax8"])
+    def test_801_point_path_agrees_with_general_equilibrium(self, base_params, claim_laws,
+                                                            law):
+        claims = claim_laws.get(law) or GenericClaims(
+            lambda y: 0.0 if y <= 0.0 else 1.0 - (1.0 + y) ** -8)
+        params = dataclasses.replace(base_params, claims=claims)
+        grid = np.linspace(0.0, params.T, 801)
+        eq = constrained_equilibrium(params, grid)
+        for i in (0, 123, 400, 677, 800):
+            point = general_equilibrium(params, float(grid[i]))
+            assert (eq.unconstrained[0][i], eq.unconstrained[1][i]) == pytest.approx(
+                (point.xi1, point.xi2), rel=1e-12, abs=0.0)
+            if eq.regime[i] is Regime.INTERIOR:
+                assert (eq.xi1_star[i], eq.xi2_star[i]) == pytest.approx(
+                    (point.xi1, point.xi2), rel=1e-12, abs=0.0)
+
     def test_lomax8_path_is_lower_left(self, base_params):
         # Lomax with shape 8: the unconstrained point (0.296, 0.083) lies below
         # both floors of its box, xi1 in [0.6, 5.4] and xi2 in [0.1, 0.9]

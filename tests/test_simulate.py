@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -111,6 +112,30 @@ class TestSimulate:
         path = equilibrium_path(params)
         samples = simulate(path, params, SimConfig(paths=20000, seed=41))
         assert_means_match_closed_form(samples, path, params)
+
+    @pytest.mark.parametrize("rates,distinct", [((0.1, 0.1, 0.1), 1), ((0.1, 0.05, 0.1), 2),
+                                                ((0.1, 0.05, 0.02), 3)])
+    def test_one_accumulation_factor_per_distinct_rate_curve(self, base_params, eq_path,
+                                                             monkeypatch, rates, distinct):
+        # each block computes A_k at its event times once per distinct rate curve
+        # (equal curves are equal values, not one object): two more blocks add
+        # that many calls
+        params = dataclasses.replace(base_params, **{
+            f"rho_{party}": RateCurve.flat(rate, base_params.T)
+            for party, rate in zip(PARTIES, rates)})
+        module = importlib.import_module("reinsgame.simulate")
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return accum_profile(*args)
+        monkeypatch.setattr(module, "accum_profile", counted)
+        counts = []
+        for paths in (1024, 3072):
+            calls.clear()
+            simulate(eq_path, params, SimConfig(paths=paths, seed=5))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 2 * distinct
 
     def test_general_law_mean_and_accounting(self, base_params):
         uniform = GenericClaims(lambda y: min(max(y / 2.0, 0.0), 1.0))
