@@ -3,10 +3,11 @@
 Reinsurer 1's first-order condition reduces to a quadratic whose positive
 root is ``G_fun``; composing with the deductible gives the two reaction
 curves ``h1`` (reinsurer 1's, via the inverse of G) and ``h2`` (reinsurer
-2's, fully explicit).  The solvers bisect R1's FOC in x = beta*d instead,
-where R2's FOC gives xi1 in closed form.  The curves' unique crossing is the
-unconstrained premium equilibrium; clamping it to the admissibility box
-follows the published three-case construction, with the regime tagged.
+2's, fully explicit).  R1's reply to xi2 and the curves' unique crossing, the
+unconstrained premium equilibrium, are each one bisection for x = a + b G(x)
+in x = beta*d (``_g_at_x_root``), then xi1 = a_R1/G(x).  Clamping the
+crossing to the admissibility box follows the published three-case
+construction, with the regime tagged.
 
 ``constrained_equilibrium`` takes a scalar time or an array of times.  An
 array, for any claim law, runs the same three-case split on the array fixed
@@ -195,29 +196,32 @@ def _delta(x: float, c: float) -> float:
     return 2.0 * k / (s + root) if s > 0 else 0.5 * (root - s)
 
 
+def _g_at_x_root(a: float, b: float, c_r1: float) -> float:
+    """G(x) at the root of a + b G(x) - x, which is >= 0 at a + b G(inf) and <= 0 at a + b."""
+    g_inf = g_range(c_r1)[0]
+    lo = a + b * g_inf
+    x = bisect(lambda x: lo + b * _delta(x, c_r1) - x, lo, a + b, xtol=0.0, f_lo=1.0, f_hi=-1.0)
+    return g_inf + _delta(x, c_r1)
+
+
 def h1_inv(xi2: float, params: MarketParams, t: float = 0.0) -> float:
-    """R1's best response, h1(xi1) = xi2: bisects its FOC delta(beta d) - G(inf)
-    (hi/xi1 - 1) on h1's domain [lo, hi], negative at lo and >= 0 at hi."""
+    """R1's best response, h1(xi1) = xi2: xi1 = a_R1/G(x) at the root of
+    x = beta d = beta xi2/a_I + (beta xi2/(2 a_R1)) G(x) (``_g_at_x_root``)."""
     if not xi2 > 0:
         raise RangeError("h1 only takes positive values")
     beta = _beta(params)
-    a_i, _, _, c1, _ = _coeffs(params, t)
-    lo, hi = h1_domain(params, t)
-    return bisect(lambda x: _delta(beta * xi2 * (1.0 / a_i + 0.5 / x), c1)
-                  - g_range(c1)[0] * (hi / x - 1.0), lo, hi, xtol=0.0)
+    a_i, a_r1, _, c1, _ = _coeffs(params, t)
+    return a_r1 / _g_at_x_root(beta * xi2 / a_i, beta * xi2 / (2.0 * a_r1), c1)
 
 
 def unconstrained_fixed_point(params: MarketParams, t: float = 0.0) -> tuple[float, float]:
     """Unique positive crossing of the two reaction curves (no box).
 
-    R2's FOC gives beta d = 1 + C_R2 + u, u = a_R2/(2 xi1); R1's FOC then reads
-    delta(beta d) = 2C_R1 (u - u_lo)/C_R2 with one root on [u_lo, u_hi], free of beta.
+    R2's FOC gives x = beta d = 1 + C_R2 + a_R2/(2 xi1) and R1's xi1 = a_R1/G(x), so
+    x = 1 + C_R2 + (C_R2/(2C_R1)) G(x) (``_g_at_x_root``): its root and xi1 are free of beta.
     """
-    _, _, a_r2, c1, c2 = _coeffs(params, t)
-    u_lo, u_hi = c2 / (2.0 * c1 + 1.0), c2 / (2.0 * c1)
-    u = bisect(lambda u: _delta(1.0 + c2 + u, c1) - 2.0 * c1 * (u - u_lo) / c2,
-               u_lo, u_hi, xtol=0.0)
-    xi1_bar = a_r2 / (2.0 * u)
+    _, a_r1, _, c1, c2 = _coeffs(params, t)
+    xi1_bar = a_r1 / _g_at_x_root(1.0 + c2, c2 / (2.0 * c1), c1)
     return xi1_bar, h2(xi1_bar, params, t)
 
 

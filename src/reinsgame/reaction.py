@@ -1,19 +1,18 @@
 """Reinsurers' first-order conditions and best responses for arbitrary claims.
 
-Both reduced FOCs are free of the claim intensity.  Each solve is one root on
-an exact bracket: reinsurer 1's best response on ``h1_domain``; reinsurer 2's,
-and the fixed point, as the root of k(d) m(d) - d in the deductible d, m the
-mean excess, on the bracket of the law's ``mean_excess_bounds``, raising
-IntegrationError where a table law's tail cut leaves m(d) unresolved.  R2's k
-is a constant; the fixed point's is R1's closed-form reply at d
-(``_r1_ratio``), so no solve nests another.  Each is written once, as an array
-solve over times by Chandrupatla's method (``_r1_reply``, ``_r2_reply``,
-``_fixed_point``) for every claim law; the reaction maps and
-``general_equilibrium`` are one-element calls of them.
-Times outside [0, T] raise DomainError in every solve.
-For exponential claims they equal the closed forms of :mod:`reinsgame.expo`;
-for other laws the fixed point is a candidate, one of several if the
-residual in d changes sign more than once.
+Both reduced FOCs are free of the claim intensity and close in the insurer's
+deductible d: at a fixed d, R1's FOC has one root r(d) = a_R1/xi1
+(``_r1_ratio``) and R2's reads k m(d) = d, m the mean excess.  So every solve
+is one root of d = f(d) on [f_lo, f_hi], f's bounds, with end signs known for
+every claim law (``_deductible_root``): R1's reply, f = ret + c r(d); R2's,
+f = k m(d); the fixed point, f = k(d) m(d) with k(d) read from r(d).  The two
+that read m(d) raise IntegrationError where a table law's tail cut leaves it
+unresolved at the root.  Each is one array solve over times (``_r1_reply``,
+``_r2_reply``, ``_fixed_point``) for every claim law; the reaction maps and
+``general_equilibrium`` are one-element calls.  Times outside [0, T] raise
+DomainError.  For exponential claims they equal the closed forms of
+:mod:`reinsgame.expo`; for other laws the fixed point is a candidate, one of
+several if the residual in d changes sign more than once.
 """
 from __future__ import annotations
 
@@ -49,11 +48,7 @@ def foc_ratios(point: PremiumPoint, params: MarketParams) -> FocRatios:
 
 def _r1_foc(q: float, d: float, ratio: float, c_r1: float, tm: TruncatedMoments) -> float:
     s = tm.survival
-    # the second term is 0 where S(d) = 0, and d^2 may overflow there
-    if np.ndim(s) == 0:
-        d = d if s > 0.0 else 0.0
-    elif not s.all():
-        d = np.where(s > 0.0, d, 0.0)
+    d = d if s > 0.0 else 0.0  # the second term is 0 where S(d) = 0, and d^2 may overflow there
     return (2.0 * q * (c_r1 + 1.0) - 1.0) * tm.m2_below + d ** 2 * (ratio - 1.0) * s
 
 
@@ -97,10 +92,10 @@ def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) 
 
 
 def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
-    """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve: its
-    exact bracket for every claim law, where its FOC is int_0^d y^2 dF/(2C+1) >= 0 at
-    the lower end and -d^2 S(d)/(2C+1) <= 0 at the upper end.  In r = a_R1/xi1 it is
-    (2C/(2C+1), 1), whose closure is the range of R1's reply to a deductible (``_r1_ratio``)."""
+    """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve for
+    every claim law, where its FOC is int_0^d y^2 dF/(2C+1) >= 0 at the lower end and
+    -d^2 S(d)/(2C+1) <= 0 at the upper end.  In r = a_R1/xi1 it is (2C/(2C+1), 1), whose
+    closure is the range of R1's reply to a deductible (``_r1_ratio``)."""
     a_i, a_r1, _ = gamma_accumulations(params, t)
     return a_r1, a_r1 + 0.5 * a_i
 
@@ -116,16 +111,14 @@ def _gamma_profiles(params: MarketParams, t):
         return coefficients(*(params.gamma(p) * accum_profile(params, p, t) for p in PARTIES), t)
 
 
-def _resolved_moments(d, claims: ClaimDistribution) -> TruncatedMoments:
-    """Moments at roots d; IntegrationError at the first with S(d) < 1e6 S(tail_cut)."""
-    tm, cut = claims.truncated(d), claims.cut_survival
-    ok = (tm.mean_excess > 0.0) & (tm.survival >= _CUT_RESOLUTION * cut)
+def _check_resolved(d, tm: TruncatedMoments, claims: ClaimDistribution) -> None:
+    """IntegrationError at the first root d with S(d) < 1e6 S(tail_cut): m(d) unresolved."""
+    ok = (tm.mean_excess > 0.0) & (tm.survival >= _CUT_RESOLUTION * claims.cut_survival)
     if not np.all(ok):
         d_bad, s_bad = (np.ravel(v)[np.argmin(ok)] for v in (d, tm.survival))
         raise IntegrationError(
             f"root d = {d_bad:g} has S(d) = {s_bad:g} below {_CUT_RESOLUTION:g} "
-            f"S(tail_cut = {claims.tail_cut():g}) = {cut:g}: m(d) is unresolved")
-    return tm
+            f"S(tail_cut = {claims.tail_cut():g}) = {claims.cut_survival:g}: m(d) is unresolved")
 
 
 def _r1_ratio(d, tm: TruncatedMoments, c_r1):
@@ -133,38 +126,31 @@ def _r1_ratio(d, tm: TruncatedMoments, c_r1):
     d^2 S + M2, w r^2 + (2C_R1 + 1 - 2w) r - 2C_R1, w = d^2 S/(d^2 S + M2) (``expo.g_fun``
     at e = (1 - w)/w); from 1 at w = 1 to 2C_R1/(2C_R1+1) at w = 0, where S(d) = 0."""
     d2s = d * (d * tm.survival)  # 0 where S(d) = 0, where d^2 may overflow
-    # a table law's M2 can round below 0 at small d, where it cancels; w is NaN
-    # only where d^2 S and M2 are both 0, below the float range
+    # a table law's M2 can round below 0 at small d, where it cancels; 0/0 where
+    # d^2 S and M2 both underflow, as d -> 0, is NaN, and fmin takes its limit w = 1
     with np.errstate(divide="ignore", invalid="ignore"):  # np.where computes both forms
-        w = d2s / (d2s + np.maximum(tm.m2_below, 0.0))
+        w = np.fmin(d2s / (d2s + np.maximum(tm.m2_below, 0.0)), 1.0)
         b = 2.0 * c_r1 + 1.0 - 2.0 * w
         root = np.sqrt(b * b + 8.0 * c_r1 * w)
         return np.where(b > 0.0, 4.0 * c_r1 / (b + root), (root - b) / (2.0 * w))
 
 
-def _deductible_root(k, k_lo, k_hi, claims: ClaimDistribution):
-    """Roots of k(d) m(d) - d, elementwise, and their moments; ``k(d, moments)`` lies in
-    [k_lo, k_hi], so the residual is >= 0 at k_lo m_lo and <= 0 at k_hi m_hi, (m_lo, m_hi)
-    the law's ``mean_excess_bounds``: the bracket, with known end signs."""
-    def residual(d):
-        tm = claims.truncated(d)
-        return k(d, tm) * tm.mean_excess - d
-    m_lo, m_hi = claims.mean_excess_bounds
-    d = chandrupatla(residual, k_lo * m_lo, k_hi * m_hi, f_lo=1.0, f_hi=-1.0)
-    return d, _resolved_moments(d, claims)
+def _deductible_root(f, f_lo, f_hi, claims: ClaimDistribution):
+    """Roots of f(d, moments) - d, elementwise, and the moments there; f lies in
+    [f_lo, f_hi], so the residual is >= 0 at f_lo and <= 0 at f_hi: the bracket,
+    with known end signs."""
+    d = chandrupatla(lambda d: f(d, claims.truncated(d)) - d, f_lo, f_hi, f_lo=1.0, f_hi=-1.0)
+    return d, claims.truncated(d)
 
 
 def _r1_reply(xi2, params: MarketParams, t):
-    """R1's best-response xi1 to xi2 at time(s) t: its FOC's root on ``h1_domain``
-    with the known end signs (computed ones can be rounding noise)."""
+    """R1's best-response xi1 = a_R1/r(d) to xi2 at time(s) t, where the insurer's
+    deductible d = ret + c r, ret = xi2/a_I and c = xi2/(2 a_R1), meets r = r(d)."""
     a_i, a_r1, _, c1, _ = _gamma_profiles(params, t)
-    retention = xi2 / a_i
-
-    def foc(x):  # at the insurer's response to (x, xi2), as in ``response``
-        two_x = 2.0 * x
-        d = retention + xi2 / two_x
-        return _r1_foc(a_i / (two_x + a_i), d, a_r1 / x, c1, params.claims.truncated(d))
-    return chandrupatla(foc, a_r1, a_r1 + 0.5 * a_i, f_lo=1.0, f_hi=-1.0)
+    ret, c = xi2 / a_i, xi2 / (2.0 * a_r1)
+    d, tm = _deductible_root(lambda d, tm: ret + c * _r1_ratio(d, tm, c1),
+                             ret + c * (2.0 * c1 / (2.0 * c1 + 1.0)), ret + c, params.claims)
+    return a_r1 / _r1_ratio(d, tm, c1)
 
 
 def _r2_reply(xi1, params: MarketParams, t):
@@ -172,7 +158,9 @@ def _r2_reply(xi1, params: MarketParams, t):
     over S(d) is k m(d) - d with the constant k = 1 + C_R2 + a_R2/(2 xi1)."""
     a_i, _, a_r2, _, c2 = _gamma_profiles(params, t)
     k = 1.0 + c2 + a_r2 / (2.0 * xi1)
-    d, _ = _deductible_root(lambda d, tm: k, k, k, params.claims)
+    m_lo, m_hi = params.claims.mean_excess_bounds
+    d, tm = _deductible_root(lambda d, tm: k * tm.mean_excess, k * m_lo, k * m_hi, params.claims)
+    _check_resolved(d, tm, params.claims)
     return d / (1.0 / a_i + 0.5 / xi1)
 
 
@@ -181,10 +169,12 @@ def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
     ``general_equilibrium`` describes, solved elementwise, without its closing check."""
     a_i, a_r1, a_r2, c1, c2 = _gamma_profiles(params, t)
     with np.errstate(over="ignore"):  # an infinite bracket end raises DomainError
-        u_hi = a_r2 / (2.0 * a_r1)  # C_R2/(2C_R1): k(d) = 1 + C_R2 + u_hi r(d)
-    d, tm = _deductible_root(lambda d, tm: 1.0 + c2 + u_hi * _r1_ratio(d, tm, c1),
-                             1.0 + c2 + a_r2 / (2.0 * a_r1 + a_i), 1.0 + c2 + u_hi,
+        u_hi = a_r2 / (2.0 * a_r1)  # C_R2/(2C_R1)
+    k0, (m_lo, m_hi) = 1.0 + c2, params.claims.mean_excess_bounds  # k(d) = k0 + u_hi r(d)
+    d, tm = _deductible_root(lambda d, tm: (k0 + u_hi * _r1_ratio(d, tm, c1)) * tm.mean_excess,
+                             (k0 + a_r2 / (2.0 * a_r1 + a_i)) * m_lo, (k0 + u_hi) * m_hi,
                              params.claims)
+    _check_resolved(d, tm, params.claims)
     r = _r1_ratio(d, tm, c1)
     return a_r1 / r, d / (1.0 / a_i + r / (2.0 * a_r1))
 

@@ -1,13 +1,14 @@
 """Bracketed root finding.
 
-``bisect`` serves the scalar solves; ``chandrupatla`` the array solves of
-:mod:`reinsgame.reaction`, one bracket per time of a grid, by Chandrupatla's
-hybrid of inverse quadratic interpolation and bisection (Adv. Eng. Software
-28, 1997): 5 residual evaluations per time for the reference grid's fixed
-point, 7 to 11 on the Erlang-2 path's solves, where bisection takes about 54.  Both take end values of known sign, where computed ones can
-be rounding noise.  The equilibrium xi1's invariance under claim-size
-rescaling (acceptance criterion 5) rests on the scalar closed form solving in
-u = beta*d - 1 - C_R2, whose residual and root are free of beta.
+``bisect`` serves the scalar solves of :mod:`reinsgame.expo`; ``chandrupatla``
+the array solves of :mod:`reinsgame.reaction`, one bracket per time of a grid,
+by Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+(Adv. Eng. Software 28, 1997): 5 residual evaluations per time for the
+reference grid's fixed point, at most 11 on the Erlang-2 path's, where
+bisection takes about 54.  Both take end values of known sign, where computed
+ones can be rounding noise.  The equilibrium xi1's invariance under claim-size
+rescaling (acceptance criterion 5) rests on the scalar fixed point solving
+x = a + b G(x) in x = beta*d, whose a, b and root are free of beta.
 """
 from __future__ import annotations
 
@@ -58,10 +59,12 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
     signs known without calling ``f`` (a computed value can be rounding noise
     of the wrong sign); as infinities they steer the bracket but are never
     returned or interpolated through: such a step bisects, as does one after
-    two steps in a row that failed to halve the bracket.  Raises NoRootError
-    for the first bracket without a sign change, and DomainError for a bracket
-    end that is not finite (it never closes) or a root whose residual is NaN; a
-    NaN at an iterate steers as not positive, and the bracket still closes.
+    two steps in a row that failed to halve the bracket; one after 3 steps in a
+    row that kept a sign-only end probes half the stopping width inside it, so a
+    root at such an end is not bisected all the way to.  Raises NoRootError for
+    the first bracket without a sign change, and DomainError for a bracket end
+    that is not finite (it never closes) or a root whose residual is NaN; a NaN
+    at an iterate steers as not positive, and the bracket still closes.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     bad = ~(np.isfinite(lo) & np.isfinite(hi))
@@ -78,7 +81,7 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
     # x1 is the newest point, [x1, x2] the bracket, x3 the point dropped last
     x1, f1, x2, f2 = hi, f_hi, lo, f_lo
     dx = np.abs(x2 - x1)
-    done, fails, t = at_end, 0, 0.5
+    done, fails, held, t = at_end, 0, 0, 0.5
     x = x1 + t * (x2 - x1)
     while True:
         fx, width = f(x), dx
@@ -98,6 +101,7 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
                 raise DomainError(f"chandrupatla: residual is NaN at the root {root[nan][0]:g}")
             return np.where(at_end, np.where(f_lo == 0.0, lo, hi), root)
         fails = np.where((t == 0.5) | (dx <= 0.5 * width), 0, fails + 1)
+        held = np.where(np.isinf(f2), held + 1, 0)  # steps x2 has kept a sign-only end
         # Inverse quadratic interpolation where Chandrupatla's test on (xi, phi)
         # passes, else bisection; the weights divide by differences that can be
         # 0 or infinite.
@@ -107,5 +111,5 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (fails < 2)
             t = np.where(iqi, f1 / f32 * (f3 / f12 + (x3 - x1) / step * f2 / (f3 - f1)), 0.5)
             t_min = 0.5 * tol / dx  # keeps x at least tol/2 inside the bracket
-        t = np.minimum(np.maximum(t, t_min), 1.0 - t_min)
+        t = np.where(held >= 3, 1.0 - t_min, np.minimum(np.maximum(t, t_min), 1.0 - t_min))
         x = np.where(done, x1, x1 + t * step)

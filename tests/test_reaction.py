@@ -12,12 +12,13 @@ from reinsgame.expo import (Regime, constrained_equilibrium, h1, h1_domain, h1_i
                             unconstrained_fixed_point)
 from reinsgame.market import (Exponential, GenericClaims, PremiumPoint, admissible_box,
                               gamma_accumulations)
-from reinsgame.reaction import (_check_fixed_point, _r1_foc, foc_ratios, foc_residual_r1,
-                                foc_residual_r2, general_equilibrium, instantaneous_reward,
-                                reaction_xi1, reaction_xi2)
+from reinsgame.reaction import (_check_fixed_point, _fixed_point, _r1_foc, foc_ratios,
+                                foc_residual_r1, foc_residual_r2, general_equilibrium,
+                                instantaneous_reward, reaction_xi1, reaction_xi2)
 from reinsgame.response import response
 from reinsgame.valuation import equilibrium_path
 from test_broad_box import broad_box_point
+from test_roots import solves  # noqa: F401  the per-solve evaluation counts
 
 
 def uniform_claims(upper=2.0):
@@ -135,8 +136,8 @@ class TestFocResiduals:
         resp = response(point, base_params)
         full = (2.0 * resp.q * (foc_ratios(point, base_params).c_r1 + 1.0) - 1.0) * 2.0
         assert resp.d > 1e160 and foc_residual_r1(point, base_params) == full
-        d = np.array([2.0, 1e160, math.inf])
-        foc = _r1_foc(0.25, d, 1.1, 0.5, Exponential(1.0).truncated(d))
+        foc = [_r1_foc(0.25, d, 1.1, 0.5, Exponential(1.0).truncated(d))
+               for d in (2.0, 1e160, math.inf)]
         assert np.all(np.isfinite(foc)) and foc[1] == foc[2] == (2.0 * 0.25 * 1.5 - 1.0) * 2.0
 
     def test_zero_deductible_collapses_r1(self, base_params):
@@ -269,6 +270,22 @@ class TestReactionCurves:
         limit = a_i * (1.0 + a_r2 / a_i) / base_params.claims.beta
         assert reaction_xi2(1e6, base_params, 0.0) == pytest.approx(limit, abs=1e-6)
 
+    @pytest.mark.parametrize("xi2", [5.0, 30.0, 1e3])
+    def test_r1_reply_past_the_tail_cut(self, base_params, claim_laws, xi2):
+        # the insurer's deductible is at least xi2/a_I, beyond the Erlang-2 table's
+        # tail cut y = 16, where S(d) = 0 and R1's reply is the top of h1_domain;
+        # it reads no m(d), so the cut's IntegrationError does not apply
+        params = dataclasses.replace(base_params, claims=claim_laws["erlang2_rate2"])
+        assert reaction_xi1(xi2, params, 0.0) == pytest.approx(
+            h1_domain(params, 0.0)[1], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("xi2", [1e-300, 1e-200, 5e-324])
+    def test_r1_reply_at_a_vanishing_deductible(self, base_params, xi2):
+        # d^2 S(d) and int_0^d y^2 dF both underflow to 0, and R1's reply takes
+        # their ratio's limit: the bottom of h1_domain, as the closed form gives
+        assert reaction_xi1(xi2, base_params, 0.0) == h1_inv(xi2, base_params, 0.0) == \
+            h1_domain(base_params, 0.0)[0]
+
     def test_reaction_rejects_nonpositive_inputs(self, base_params):
         with pytest.raises(DomainError):
             reaction_xi1(0.0, base_params, 0.0)
@@ -325,6 +342,15 @@ class TestGeneralEquilibrium:
         point = general_equilibrium(params, t)
         assert (point.xi1, point.xi2) == pytest.approx(
             unconstrained_fixed_point(params, t), rel=1e-10, abs=0.0)
+
+    def test_root_at_the_lower_bracket_end_is_not_bisected_to(self, solves):
+        # seed-5 broad-box point 2844: S(d) is about 0 at the root, so r(d) is at
+        # its floor and the root within rounding of the sign-only end k_lo m_lo;
+        # bisecting all the way there took 69 evaluations
+        u = np.random.default_rng(5).uniform(size=(4000, 11))[2844]
+        params, t = broad_box_point(u.tolist())
+        _fixed_point(params, np.array([t]))
+        assert [c.size for c in solves] == [1] and int(solves[0][0]) <= 32
 
     def test_uniform_claims_candidate(self, base_params):
         params = dataclasses.replace(base_params, claims=uniform_claims())

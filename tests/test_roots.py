@@ -199,6 +199,19 @@ class TestChandrupatla:
         assert runs[0] == runs[1] == runs[2]
         assert np.all(np.abs(np.array(runs[0][0]) - roots) <= 4.0 * EPS * np.abs(roots))
 
+    def test_root_within_an_ulp_of_a_sign_only_end(self):
+        # the end a root sits next to keeps its sign-only value, so bisecting
+        # towards it never closes in; after 3 such steps the next one probes just
+        # inside it (50 evaluations without the probe)
+        lo, hi = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+        ends = np.array([1.0, 2.0])
+        roots = np.nextafter(ends, 1.5)
+        log = []
+        got = chandrupatla(counted(lambda x: x - roots, log), lo, hi, f_lo=-1.0, f_hi=1.0)
+        assert not any(np.any((x == lo) | (x == hi)) for x in log)
+        assert np.all(evaluations(log) <= 8)
+        assert np.all(np.abs(got - ends) <= 4.0 * EPS * ends + 4.0 * TINY)
+
     def test_each_element_alone_gives_the_same_root_bitwise(self):
         # elements stop after 1 to about 75 steps; a stopped one stays frozen
         roots = np.array([0.3, 1.0 / 3.0, 1e-7, 2.0, 51.379649718179, 0.5])
