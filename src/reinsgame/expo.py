@@ -4,10 +4,11 @@ Reinsurer 1's first-order condition reduces to a quadratic whose positive
 root is ``G_fun``; composing with the deductible gives the two reaction
 curves ``h1`` (reinsurer 1's, via the inverse of G) and ``h2`` (reinsurer
 2's, fully explicit).  R1's reply to xi2 and the curves' unique crossing, the
-unconstrained premium equilibrium, are each one bisection for x = a + b G(x)
-in x = beta*d (``_g_at_x_root``), then xi1 = a_R1/G(x).  Clamping the
-crossing to the admissibility box follows the published three-case
-construction, with the regime tagged.
+unconstrained premium equilibrium, are each one root of x = a + b G(x) in
+x = beta*d by ``chandrupatla_scalar`` (``_g_at_x_root``), then
+xi1 = a_R1/G(x), with G(x) read as (x - a)/b where G is steep at the root.
+Clamping the crossing to the admissibility box follows the published
+three-case construction, with the regime tagged.
 
 ``constrained_equilibrium`` takes a scalar time or an array of times.  An
 array, for any claim law, runs the same three-case split on the array fixed
@@ -36,7 +37,7 @@ from .market import (_SERIES_CUTOFF, Exponential, MarketParams, PremiumPoint,
                      gamma_accumulations)
 from .reaction import _fixed_point, _r1_reply, _r2_reply, h1_domain
 from .response import ResponseStrategy, layered_response, response
-from .roots import bisect
+from .roots import chandrupatla_scalar
 
 _EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
 _ENDPOINT_SHRINK = 1e-12
@@ -144,7 +145,7 @@ def G_fun(x: float, c_r1: float) -> float:
 
 
 def G_inv(y: float, c_r1: float) -> float:
-    """Inverse of G_fun by bisection on [1e-300, 709] to 1e-12 interval width.
+    """Inverse of G_fun by ``chandrupatla_scalar`` on [1e-300, 709].
 
     Raises RangeError when y is not strictly inside G's open range; the
     endpoints are shrunk by 1e-12 relative so boundary values are rejected
@@ -154,8 +155,8 @@ def G_inv(y: float, c_r1: float) -> float:
     lim_inf, g0 = g_range(c_r1)
     if not (lim_inf * (1.0 + _ENDPOINT_SHRINK) <= y <= g0 * (1.0 - _ENDPOINT_SHRINK)):
         raise RangeError(f"G_inv argument {y!r} outside open range ({lim_inf}, {g0})")
-    return bisect(lambda x: G_fun(x, c_r1) - y, 1e-300, _EXP_OVERFLOW, xtol=1e-12,
-                  f_lo=1.0, f_hi=-1.0)
+    return chandrupatla_scalar(lambda x: G_fun(x, c_r1) - y, 1e-300, _EXP_OVERFLOW,
+                               f_lo=1.0, f_hi=-1.0)[0]
 
 
 def _coeffs(params: MarketParams, t: float):
@@ -197,10 +198,21 @@ def _delta(x: float, c: float) -> float:
 
 
 def _g_at_x_root(a: float, b: float, c_r1: float) -> float:
-    """G(x) at the root of a + b G(x) - x, which is >= 0 at a + b G(inf) and <= 0 at a + b."""
+    """G(x) at the root of a + b G(x) - x, which is >= 0 at a + b G(inf) and <= 0 at a + b.
+
+    At the root G(x) = (x - a)/b as well, the better conditioned of the two
+    where b |G'(x)| > 1, that is where the residual falls by more than 2 per
+    unit of x across the solver's final bracket.  Where a + b overflows, the
+    root's limit x -> inf gives G(inf).
+    """
     g_inf = g_range(c_r1)[0]
-    lo = a + b * g_inf
-    x = bisect(lambda x: lo + b * _delta(x, c_r1) - x, lo, a + b, xtol=0.0, f_lo=1.0, f_hi=-1.0)
+    lo, hi = a + b * g_inf, a + b
+    if hi == math.inf:
+        return g_inf
+    x, f_x, y, f_y = chandrupatla_scalar(lambda x: lo + b * _delta(x, c_r1) - x, lo, hi,
+                                         f_lo=1.0, f_hi=-1.0)
+    if math.isfinite(f_y) and x != y and (f_x - f_y) / (x - y) < -2.0:
+        return (x - a) / b
     return g_inf + _delta(x, c_r1)
 
 

@@ -1,24 +1,30 @@
 """Bracketed root finding.
 
-``bisect`` serves the scalar solves of :mod:`reinsgame.expo`; ``chandrupatla``
-the array solves of :mod:`reinsgame.reaction`, one bracket per time of a grid,
-by Chandrupatla's hybrid of inverse quadratic interpolation and bisection
-(Adv. Eng. Software 28, 1997): 5 residual evaluations per time for the
-reference grid's fixed point, at most 11 on the Erlang-2 path's, where
-bisection takes about 54.  Both take end values of known sign, where computed
-ones can be rounding noise.  The equilibrium xi1's invariance under claim-size
-rescaling (acceptance criterion 5) rests on the scalar fixed point solving
-x = a + b G(x) in x = beta*d, whose a, b and root are free of beta.
+Every solve runs Chandrupatla's hybrid of inverse quadratic interpolation and
+bisection (Adv. Eng. Software 28, 1997): ``chandrupatla`` for the array solves
+of :mod:`reinsgame.reaction`, one bracket per time of a grid, and
+``chandrupatla_scalar``, the same rule in pure Python, for the scalar solves
+of :mod:`reinsgame.expo`.  The reference grid's fixed point takes 5 residual
+evaluations per time, the Erlang-2 path's at most 11, and a scalar solve of
+the benchmark's sweep_box draw a median of 6 and at most 13, where bisection
+takes about 48-56.  Both take end values of known sign, where computed ones
+can be rounding noise.  ``bisect`` stays as a plain reference; no solve calls
+it.  The equilibrium xi1's invariance under claim-size rescaling (acceptance
+criterion 5) rests on the scalar fixed point solving x = a + b G(x) in
+x = beta*d, whose a, b and root are free of beta.
 """
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NoRootError
 
-_XRTOL, _XATOL = 4.0 * np.finfo(float).eps, 4.0 * np.finfo(float).tiny
+# Python floats, so the scalar solver's arithmetic stays out of numpy
+_XRTOL, _XATOL = 4.0 * sys.float_info.epsilon, 4.0 * sys.float_info.min
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12,
@@ -113,3 +119,62 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
             t_min = 0.5 * tol / dx  # keeps x at least tol/2 inside the bracket
         t = np.where(held >= 3, 1.0 - t_min, np.minimum(np.maximum(t, t_min), 1.0 - t_min))
         x = np.where(done, x1, x1 + t * step)
+
+
+def chandrupatla_scalar(f: Callable[[float], float], lo: float, hi: float,
+                        f_lo: float | None = None, f_hi: float | None = None):
+    """Root of f on [lo, hi] by ``chandrupatla``'s rule, in pure Python.
+
+    Takes the steps of ``chandrupatla`` on a one-element bracket and returns
+    its root bit for bit, with the same evaluations of ``f`` (none at a known
+    end sign) and the same errors, without numpy's cost per step.  Returns
+    (x, f(x), y, f(y)): the root and the final bracket's other end, each with
+    its residual; a residual given as a sign is an infinity.
+    """
+    lo, hi = float(lo), float(hi)  # numpy scalars would be slower and warn
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"chandrupatla: bracket [{lo:g}, {hi:g}] not finite")
+    f_lo = float(f(lo)) if f_lo is None else math.copysign(math.inf, f_lo)
+    f_hi = float(f(hi)) if f_hi is None else math.copysign(math.inf, f_hi)
+    if f_lo == 0.0:
+        return lo, f_lo, hi, f_hi
+    if f_hi == 0.0:
+        return hi, f_hi, lo, f_lo
+    if (f_lo > 0) == (f_hi > 0):
+        raise NoRootError("chandrupatla", lo, hi, f_lo, f_hi)
+    # x1 is the newest point, [x1, x2] the bracket, x3 the point dropped last
+    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
+    dx = abs(x2 - x1)
+    fails = held = 0
+    t = 0.5
+    x = x1 + t * (x2 - x1)
+    while True:
+        fx, width = float(f(x)), dx
+        if (fx > 0) == (f1 > 0):  # x replaces x1, else x1 becomes x2
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        step = x2 - x1
+        dx = abs(step)
+        tol = _XRTOL * max(abs(x1), abs(x2)) + _XATOL
+        if fx == 0.0 or dx < tol:
+            if abs(f2) < abs(f1):
+                x1, f1, x2, f2 = x2, f2, x1, f1
+            if math.isnan(f1):
+                raise DomainError(f"chandrupatla: residual is NaN at the root {x1:g}")
+            return x1, f1, x2, f2
+        fails = 0 if t == 0.5 or dx <= 0.5 * width else fails + 1
+        held = held + 1 if math.isinf(f2) else 0
+        # Chandrupatla's test on (xi, phi) without a division by 0: where
+        # f3 = f2, phi is infinite or NaN and the test fails; where it passes,
+        # f1 - f2 and f3 - f1 are not 0 (x2 - x3 is the last bracket's width).
+        t = 0.5
+        f12, f32 = f1 - f2, f3 - f2
+        if fails < 2 and f32 != 0.0:
+            xi, phi = step / (x2 - x3), f12 / f32
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = f1 / f32 * (f3 / f12 + (x3 - x1) / step * f2 / (f3 - f1))
+        t_min = 0.5 * tol / dx  # keeps x at least tol/2 inside the bracket
+        t = 1.0 - t_min if held >= 3 else min(max(t, t_min), 1.0 - t_min)
+        x = x1 + t * step

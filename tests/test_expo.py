@@ -13,6 +13,7 @@ from reinsgame.expo import (G_fun, G_inv, Regime, constrained_equilibrium, e_fun
 from reinsgame.market import Exponential, MarketParams, RateCurve, admissible_box
 from reinsgame.reaction import reaction_xi1, reaction_xi2
 from tests.conftest import with_beta
+from tests.test_broad_box import broad_box_point
 
 
 class TestEFun:
@@ -215,6 +216,40 @@ class TestUnconstrainedFixedPoint:
         half = unconstrained_fixed_point(with_beta(base_params, 0.5), 0.0)[1]
         assert half == pytest.approx(2.0 * ref, rel=1e-9)
         assert half == pytest.approx(0.76450, abs=1e-4)
+
+    @pytest.mark.parametrize("index, xi1", [
+        (1304, "1.813843196398791207173327247423822844054016065864"),
+        (2495, "67.397402713646474966444782508580691261601770135016"),
+        (2559, "10.556282995610789931080403230153565315647653386129")])
+    def test_steep_g_at_the_root(self, index, xi1):
+        # seed-5 broad-box points where G is steep at the x root, so G(x) there
+        # loses digits that (x - a)/b keeps (a_R1/G(x) was 4.3e-14 off at 2495);
+        # the references are 50-digit mpmath solves on the same coefficients
+        u = np.random.default_rng(5).uniform(size=(4000, 11))[index]
+        params, t = broad_box_point(u.tolist())
+        assert unconstrained_fixed_point(params, t)[0] == pytest.approx(
+            float(xi1), rel=5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma_r1, gamma_r2, xi1", [
+        (1e-300, 1e-270, "1.4027423763815447255e-270"),
+        (1e-150, 1e-120, "1.4027423763815446065e-120"),
+        (1e-60, 1e-30, "1.4027423763815448711e-30")])
+    def test_g_falling_by_orders_at_the_root(self, gamma_r1, gamma_r2, xi1):
+        # C_R1 is tiny, so G falls from O(1) to O(C_R1) within an ulp of the root:
+        # a_R1/G(x) read about 1e-151, 1e-76 and 2e-17 here (800-digit references)
+        params = default_market_params(gamma_R1=gamma_r1, gamma_R2=gamma_r2)
+        assert unconstrained_fixed_point(params, 0.0)[0] == pytest.approx(
+            float(xi1), rel=5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma_r2", [1e30, 1e300])
+    def test_overflowing_slope_takes_the_root_at_infinity(self, gamma_r2):
+        # C_R2/(2C_R1) overflows, so a + b is inf: the root's limit x -> inf
+        # gives G(inf), where a solve on the bracket would raise
+        params = default_market_params(gamma_R1=1e-300, gamma_R2=gamma_r2)
+        eq = constrained_equilibrium(params, 0.0)
+        assert eq.regime is Regime.XI2_CAP_ONLY
+        assert (eq.xi1_star, eq.xi2_star) == pytest.approx((0.10916338606203772, 0.9),
+                                                            rel=1e-12, abs=0.0)
 
     def test_single_sign_change_on_bracket(self, base_params):
         lo, hi = h1_domain(base_params, 0.0)

@@ -1,14 +1,17 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
 
-from reinsgame import reaction
+from reinsgame import expo, reaction, roots
 from reinsgame.errors import DomainError, NoRootError
 from reinsgame.expo import constrained_equilibrium
 from reinsgame.market import GenericClaims
-from reinsgame.roots import bisect, chandrupatla
+from reinsgame.roots import bisect, chandrupatla, chandrupatla_scalar
 from reinsgame.roots import chandrupatla as bisect_array  # the array root finder
+from tests.test_expo import flat_rate_params
 from tests.test_market import erlang2_cdf
 
 
@@ -268,3 +271,97 @@ class TestChandrupatla:
                                         tolerances={"fatol": 0.0})
             assert np.all(res.success)
             np.testing.assert_allclose(root, res.x, rtol=16.0 * EPS, atol=0.0)
+
+
+def sweep_box_draw():
+    """The 2000 points the benchmark's sweep_box workload draws at seed 1, batches
+    0-7: log-uniform risk aversions on [0.02, 1] and beta on [0.25, 4], flat rates
+    on [0, 0.2], T on [1, 10], t on [0, T)."""
+    for batch in range(8):
+        rng = np.random.default_rng([1, batch])
+        for _ in range(250):
+            gammas = tuple(math.exp(v) for v in rng.uniform(math.log(0.02), 0.0, 3))
+            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            rhos = [float(r) for r in rng.uniform(0.0, 0.2, 3)]
+            T = float(rng.uniform(1.0, 10.0))
+            yield flat_rate_params(T, gammas, beta, rhos), float(rng.uniform(0.0, T))
+
+
+def counted_scalar(f, counts):
+    """f, counting its calls in a new entry of ``counts``."""
+    counts.append(0)
+
+    def g(x):
+        counts[-1] += 1
+        return f(x)
+    return g
+
+
+class TestChandrupatlaScalar:
+    def assert_each_element_alone(self, run, monkeypatch):
+        # runs a test of the array solver, then solves each element of each of its
+        # calls with the scalar solver: the same root bit for bit, and the same
+        # residual evaluations
+        calls = []
+
+        def spy(f, lo, hi, **ends):
+            log = []
+            root = roots.chandrupatla(counted(f, log), lo, hi, **ends)
+            calls.append((f, lo, hi, ends, root, evaluations(log)))
+            return root
+        monkeypatch.setattr(sys.modules[__name__], "chandrupatla", spy)
+        run()
+        monkeypatch.undo()
+        assert calls
+        for f, lo, hi, ends, root, per_element in calls:
+            for i in range(lo.size):
+                counts = []
+                residual = counted_scalar(lambda x, i=i: f(np.full(lo.shape, x))[i], counts)
+                got = chandrupatla_scalar(residual, lo[i], hi[i], **ends)[0]
+                assert np.float64(got).tobytes() == root[i].tobytes()
+                assert counts == [per_element[i]]
+
+    @pytest.mark.parametrize("case", ["step", "plateaus", "cbrt", "cube", "skewed",
+                                      "zero_first"])
+    def test_adversarial_residuals_match_the_array_solver(self, case, monkeypatch):
+        array_tests = TestChandrupatla()
+        self.assert_each_element_alone(
+            lambda: array_tests.test_adversarial_residuals_stay_within_the_worst_case(case),
+            monkeypatch)
+
+    def test_root_within_an_ulp_of_a_sign_only_end_matches_the_array_solver(
+            self, monkeypatch):
+        self.assert_each_element_alone(
+            TestChandrupatla().test_root_within_an_ulp_of_a_sign_only_end, monkeypatch)
+
+    def test_returns_the_final_bracket(self):
+        x, f_x, y, f_y = chandrupatla_scalar(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert x == pytest.approx(math.sqrt(2.0), rel=4.0 * EPS)
+        assert f_x == x * x - 2.0 and f_y == y * y - 2.0
+        assert (f_x > 0) != (f_y > 0) and abs(f_x) <= abs(f_y)
+        assert abs(x - y) < 4.0 * EPS * 2.0 + 4.0 * TINY
+
+    def test_errors_and_ends_match_the_array_solver(self):
+        assert chandrupatla_scalar(lambda x: x * (x - 1.0), 0.0, 2.0)[0] == 0.0
+        assert chandrupatla_scalar(lambda x: x * (x + 1.0), -2.0, 0.0)[0] == 0.0
+        with pytest.raises(NoRootError):
+            chandrupatla_scalar(lambda x: x * x + 1.0, -1.0, 1.0)
+        for end in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="not finite"):
+                chandrupatla_scalar(lambda x: x - 1.0, 0.0, end, f_lo=-1.0, f_hi=1.0)
+        with pytest.raises(DomainError, match="NaN at the root"):
+            chandrupatla_scalar(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0,
+                                f_lo=-1.0, f_hi=1.0)
+
+    def test_evaluations_on_the_sweep_box_draw(self, monkeypatch):
+        # both scalar root solves of each point, the fixed point and R1's reply;
+        # bisection took a median of 48 residual evaluations per solve, at most 56
+        counts = []
+
+        def spy(f, lo, hi, **ends):
+            return chandrupatla_scalar(counted_scalar(f, counts), lo, hi, **ends)
+        monkeypatch.setattr(expo, "chandrupatla_scalar", spy)
+        for params, t in sweep_box_draw():
+            constrained_equilibrium(params, t)
+        assert len(counts) == 4000
+        assert max(counts) <= 16
