@@ -10,14 +10,15 @@ xi1 = a_R1/G(x), with G(x) read as (x - a)/b where G is steep at the root.
 Clamping the crossing to the admissibility box follows the published
 three-case construction, with the regime tagged.
 
-``constrained_equilibrium`` takes a scalar time or an array of times.  An
-array, for any claim law, runs the same three-case split on the array fixed
-point of :mod:`reinsgame.reaction`, one root in the deductible per time, so a
-time grid costs one call.  R2's reply runs only at times on the floor or cap
-branch, and R1's only at times where a clamp binds: elsewhere the fixed point
-already solves R1's FOC.  On the reference grid that is 5 residual evaluations
-per time in all.  A scalar needs exponential claims and keeps the closed-form
-pure-Python path, the faster one for a single cold point.
+``constrained_equilibrium`` takes a scalar time or an array of times.  A
+scalar needs exponential claims and keeps the closed-form pure-Python path,
+the faster one for a single cold point.  An array, for any claim law, runs the
+same three-case split on the array fixed point of :mod:`reinsgame.reaction`,
+one root in the deductible per time, so a time grid costs one call; its
+solves read xi1 back by the rule of ``_g_at_x_root``.  On both paths R2's
+reply runs only on the floor or cap branch, and R1's only where a clamp binds:
+elsewhere the fixed point already solves R1's FOC.  On the reference grid that
+is 5 residual evaluations per time in all.
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket
@@ -155,8 +156,7 @@ def G_inv(y: float, c_r1: float) -> float:
     lim_inf, g0 = g_range(c_r1)
     if not (lim_inf * (1.0 + _ENDPOINT_SHRINK) <= y <= g0 * (1.0 - _ENDPOINT_SHRINK)):
         raise RangeError(f"G_inv argument {y!r} outside open range ({lim_inf}, {g0})")
-    return chandrupatla_scalar(lambda x: G_fun(x, c_r1) - y, 1e-300, _EXP_OVERFLOW,
-                               f_lo=1.0, f_hi=-1.0)[0]
+    return chandrupatla_scalar(lambda x: G_fun(x, c_r1) - y, 1e-300, _EXP_OVERFLOW)[0]
 
 
 def _coeffs(params: MarketParams, t: float):
@@ -209,8 +209,7 @@ def _g_at_x_root(a: float, b: float, c_r1: float) -> float:
     lo, hi = a + b * g_inf, a + b
     if hi == math.inf:
         return g_inf
-    x, f_x, y, f_y = chandrupatla_scalar(lambda x: lo + b * _delta(x, c_r1) - x, lo, hi,
-                                         f_lo=1.0, f_hi=-1.0)
+    x, f_x, y, f_y = chandrupatla_scalar(lambda x: lo + b * _delta(x, c_r1) - x, lo, hi)
     if math.isfinite(f_y) and x != y and (f_x - f_y) / (x - y) < -2.0:
         return (x - a) / b
     return g_inf + _delta(x, c_r1)
@@ -257,7 +256,9 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     Follows the published construction verbatim: xi2* is set by a three-way
     split on where the unconstrained xi1 falls against [theta*beta,
     eta*beta] (clamping to [theta, eta]); reinsurer 1 then best-responds
-    once, clamped to its own box.  The regime tag records which clamps bound.
+    once, clamped to its own box, a reply that is the unconstrained xi1
+    itself where xi2* is the unclamped xi2 of the middle branch.  The regime
+    tag records which clamps bound.
 
     ``t`` may be a one-dimensional array of times in [0, T], for any claim law
     (the xi1 box is then theta and eta times 2 a_Y/sigma2): the numeric fields
@@ -276,7 +277,8 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     else:
         branch, xi2_star = 2, _clamp(h2(xi1_hi, params, t), xi2_lo, xi2_hi)
 
-    xi1_star = _clamp(h1_inv(xi2_star, params, t), xi1_lo, xi1_hi)
+    unclamped = branch == 1 and xi2_star == xi2_bar
+    xi1_star = _clamp(xi1_bar if unclamped else h1_inv(xi2_star, params, t), xi1_lo, xi1_hi)
     landed = 1 if xi2_star == xi2_lo else 2 if xi2_star == xi2_hi else 0
     regime = _REGIMES[3 * branch + landed]
     point = PremiumPoint(xi1_star, xi2_star, t)

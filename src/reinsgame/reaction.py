@@ -136,11 +136,13 @@ def _r1_ratio(d, tm: TruncatedMoments, c_r1):
 
 
 def _deductible_root(f, f_lo, f_hi, claims: ClaimDistribution):
-    """Roots of f(d, moments) - d, elementwise, and the moments there; f lies in
-    [f_lo, f_hi], so the residual is >= 0 at f_lo and <= 0 at f_hi: the bracket,
-    with known end signs."""
-    d = chandrupatla(lambda d: f(d, claims.truncated(d)) - d, f_lo, f_hi, f_lo=1.0, f_hi=-1.0)
-    return d, claims.truncated(d)
+    """Roots of f(d, moments) - d, elementwise, where f lies in [f_lo, f_hi] (the
+    bracket), the moments there, and where |f'| > 1, read from the final bracket:
+    there the caller reads r from d = f(d), not r(d), as ``expo._g_at_x_root`` does."""
+    d, f_d, e, f_e = chandrupatla(lambda d: f(d, claims.truncated(d)) - d, f_lo, f_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steep = np.isfinite(f_e) & (d != e) & ((f_d - f_e) / (d - e) < -2.0)
+    return d, claims.truncated(d), steep
 
 
 def _r1_reply(xi2, params: MarketParams, t):
@@ -148,9 +150,10 @@ def _r1_reply(xi2, params: MarketParams, t):
     deductible d = ret + c r, ret = xi2/a_I and c = xi2/(2 a_R1), meets r = r(d)."""
     a_i, a_r1, _, c1, _ = _gamma_profiles(params, t)
     ret, c = xi2 / a_i, xi2 / (2.0 * a_r1)
-    d, tm = _deductible_root(lambda d, tm: ret + c * _r1_ratio(d, tm, c1),
-                             ret + c * (2.0 * c1 / (2.0 * c1 + 1.0)), ret + c, params.claims)
-    return a_r1 / _r1_ratio(d, tm, c1)
+    d, tm, steep = _deductible_root(lambda d, tm: ret + c * _r1_ratio(d, tm, c1),
+                                    ret + c * (2.0 * c1 / (2.0 * c1 + 1.0)), ret + c,
+                                    params.claims)
+    return a_r1 / np.where(steep, (d - ret) / c, _r1_ratio(d, tm, c1))
 
 
 def _r2_reply(xi1, params: MarketParams, t):
@@ -159,7 +162,8 @@ def _r2_reply(xi1, params: MarketParams, t):
     a_i, _, a_r2, _, c2 = _gamma_profiles(params, t)
     k = 1.0 + c2 + a_r2 / (2.0 * xi1)
     m_lo, m_hi = params.claims.mean_excess_bounds
-    d, tm = _deductible_root(lambda d, tm: k * tm.mean_excess, k * m_lo, k * m_hi, params.claims)
+    d, tm, _ = _deductible_root(lambda d, tm: k * tm.mean_excess, k * m_lo, k * m_hi,
+                                params.claims)
     _check_resolved(d, tm, params.claims)
     return d / (1.0 / a_i + 0.5 / xi1)
 
@@ -168,14 +172,20 @@ def _fixed_point(params: MarketParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Unconstrained (xi1, xi2) at each time of an array: the root in d that
     ``general_equilibrium`` describes, solved elementwise, without its closing check."""
     a_i, a_r1, a_r2, c1, c2 = _gamma_profiles(params, t)
-    with np.errstate(over="ignore"):  # an infinite bracket end raises DomainError
+    with np.errstate(over="ignore"):  # overflows where C_R2/C_R1 exceeds the largest float
         u_hi = a_r2 / (2.0 * a_r1)  # C_R2/(2C_R1)
     k0, (m_lo, m_hi) = 1.0 + c2, params.claims.mean_excess_bounds  # k(d) = k0 + u_hi r(d)
-    d, tm = _deductible_root(lambda d, tm: (k0 + u_hi * _r1_ratio(d, tm, c1)) * tm.mean_excess,
-                             (k0 + a_r2 / (2.0 * a_r1 + a_i)) * m_lo, (k0 + u_hi) * m_hi,
-                             params.claims)
+    hi = (k0 + u_hi) * m_hi
+    if not np.all(np.isfinite(hi)):
+        c1, c2, t = (np.broadcast_to(v, hi.shape)[~np.isfinite(hi)][0] for v in (c1, c2, t))
+        raise DomainError(f"fixed point bracket not finite: C_R2/(2 C_R1) overflows at "
+                          f"C_R1 = {c1:g}, C_R2 = {c2:g}, t = {t:g}")
+    d, tm, steep = _deductible_root(
+        lambda d, tm: (k0 + u_hi * _r1_ratio(d, tm, c1)) * tm.mean_excess,
+        (k0 + a_r2 / (2.0 * a_r1 + a_i)) * m_lo, hi, params.claims)
     _check_resolved(d, tm, params.claims)
-    r = _r1_ratio(d, tm, c1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.where computes both forms
+        r = np.where(steep, (d / tm.mean_excess - k0) / u_hi, _r1_ratio(d, tm, c1))
     return a_r1 / r, d / (1.0 / a_i + r / (2.0 * a_r1))
 
 

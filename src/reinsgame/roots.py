@@ -7,11 +7,13 @@ of :mod:`reinsgame.reaction`, one bracket per time of a grid, and
 of :mod:`reinsgame.expo`.  The reference grid's fixed point takes 5 residual
 evaluations per time, the Erlang-2 path's at most 11, and a scalar solve of
 the benchmark's sweep_box draw a median of 6 and at most 13, where bisection
-takes about 48-56.  Both take end values of known sign, where computed ones
-can be rounding noise.  ``bisect`` stays as a plain reference; no solve calls
-it.  The equilibrium xi1's invariance under claim-size rescaling (acceptance
-criterion 5) rests on the scalar fixed point solving x = a + b G(x) in
-x = beta*d, whose a, b and root are free of beta.
+takes about 48-56.  Both solve a residual known to be >= 0 at the bracket's
+lower end and <= 0 at its upper end, and never evaluate it there, where a
+computed value can be rounding noise; both return the root and the final
+bracket's other end, each with its residual.  ``bisect`` stays as a plain
+reference; no solve calls it.  The equilibrium xi1's invariance under
+claim-size rescaling (acceptance criterion 5) rests on the scalar fixed point
+solving x = a + b G(x) in x = beta*d, whose a, b and root are free of beta.
 """
 from __future__ import annotations
 
@@ -52,42 +54,35 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
-                 f_hi=None) -> np.ndarray:
+def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     """Elementwise roots of f on the brackets [lo_i, hi_i] by Chandrupatla's method.
 
-    ``f`` maps an array of abscissae to the residuals, element i on bracket i.
-    An element stops at an exact zero or once its bracket is narrower than
-    4 eps |x| + 4 tiny (x its larger end), and returns the end with the
-    smaller residual; a zero at an end returns that end.  A stopped element
-    stays frozen (``f`` sees its last abscissa again), so each element gets
-    what a call on its bracket alone gives.  ``f_lo`` and ``f_hi`` are end
-    signs known without calling ``f`` (a computed value can be rounding noise
-    of the wrong sign); as infinities they steer the bracket but are never
-    returned or interpolated through: such a step bisects, as does one after
-    two steps in a row that failed to halve the bracket; one after 3 steps in a
-    row that kept a sign-only end probes half the stopping width inside it, so a
-    root at such an end is not bisected all the way to.  Raises NoRootError for
-    the first bracket without a sign change, and DomainError for a bracket end
-    that is not finite (it never closes) or a root whose residual is NaN; a NaN
-    at an iterate steers as not positive, and the bracket still closes.
+    ``f`` maps an array of abscissae to the residuals, element i on bracket i,
+    and is >= 0 at lo_i and <= 0 at hi_i; it is never evaluated at an end (a
+    computed end value can be rounding noise of the wrong sign).  The ends'
+    residuals are taken as +inf and -inf: they steer the bracket but are never
+    interpolated through, so a step that would use one bisects, as does one
+    after two steps in a row that failed to halve the bracket; one after 3 steps
+    in a row that kept an end probes half the stopping width inside it, so a
+    root at an end is not bisected all the way to.  An element stops at an
+    exact zero or once its bracket is narrower than 4 eps |x| + 4 tiny (x its
+    larger end), and then stays frozen (``f`` sees its last abscissa again), so
+    each element gets what a call on its bracket alone gives.  Returns arrays
+    (x, f(x), y, f(y)): the root, the final bracket's end with the smaller
+    residual, and its other end, each with its residual (an infinity at an end
+    of [lo, hi]).
+    Raises DomainError for a bracket end that is not finite (it never closes)
+    or a root whose residual is NaN; a NaN at an iterate steers as not
+    positive, and the bracket still closes.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     bad = ~(np.isfinite(lo) & np.isfinite(hi))
     if bad.any():
         raise DomainError(f"chandrupatla: bracket [{lo[bad][0]:g}, {hi[bad][0]:g}] not finite")
-    f_lo = f(lo) if f_lo is None else np.copysign(np.full(lo.shape, np.inf), f_lo)
-    f_hi = f(hi) if f_hi is None else np.copysign(np.full(hi.shape, np.inf), f_hi)
-    no_change = ((f_lo > 0) == (f_hi > 0)) & (f_lo != 0.0) & (f_hi != 0.0)
-    if np.any(no_change):
-        i = np.flatnonzero(no_change)[0]
-        raise NoRootError("chandrupatla", lo.flat[i], hi.flat[i], f_lo.flat[i],
-                          f_hi.flat[i])
-    at_end = (f_lo == 0.0) | (f_hi == 0.0)
     # x1 is the newest point, [x1, x2] the bracket, x3 the point dropped last
-    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
+    x1, f1, x2, f2 = hi, np.full(hi.shape, -np.inf), lo, np.full(lo.shape, np.inf)
     dx = np.abs(x2 - x1)
-    done, fails, held, t = at_end, 0, 0, 0.5
+    done, fails, held, t = False, 0, 0, 0.5
     x = x1 + t * (x2 - x1)
     while True:
         fx, width = f(x), dx
@@ -101,13 +96,14 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
         done = done | (fx == 0.0) | (dx < tol)
         if done.all():
             pick = np.abs(f2) < np.abs(f1)
-            root = np.where(pick, x2, x1)
-            nan = np.isnan(np.where(pick, f2, f1)) & ~at_end
+            x1, f1, x2, f2 = (np.where(pick, x2, x1), np.where(pick, f2, f1),
+                              np.where(pick, x1, x2), np.where(pick, f1, f2))
+            nan = np.isnan(f1)
             if nan.any():
-                raise DomainError(f"chandrupatla: residual is NaN at the root {root[nan][0]:g}")
-            return np.where(at_end, np.where(f_lo == 0.0, lo, hi), root)
+                raise DomainError(f"chandrupatla: residual is NaN at the root {x1[nan][0]:g}")
+            return x1, f1, x2, f2
         fails = np.where((t == 0.5) | (dx <= 0.5 * width), 0, fails + 1)
-        held = np.where(np.isinf(f2), held + 1, 0)  # steps x2 has kept a sign-only end
+        held = np.where(np.isinf(f2), held + 1, 0)  # steps x2 has kept an end of [lo, hi]
         # Inverse quadratic interpolation where Chandrupatla's test on (xi, phi)
         # passes, else bisection; the weights divide by differences that can be
         # 0 or infinite.
@@ -121,29 +117,18 @@ def chandrupatla(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo=None,
         x = np.where(done, x1, x1 + t * step)
 
 
-def chandrupatla_scalar(f: Callable[[float], float], lo: float, hi: float,
-                        f_lo: float | None = None, f_hi: float | None = None):
+def chandrupatla_scalar(f: Callable[[float], float], lo: float, hi: float):
     """Root of f on [lo, hi] by ``chandrupatla``'s rule, in pure Python.
 
-    Takes the steps of ``chandrupatla`` on a one-element bracket and returns
-    its root bit for bit, with the same evaluations of ``f`` (none at a known
-    end sign) and the same errors, without numpy's cost per step.  Returns
-    (x, f(x), y, f(y)): the root and the final bracket's other end, each with
-    its residual; a residual given as a sign is an infinity.
+    Takes the steps of ``chandrupatla`` on a one-element bracket, with f >= 0 at
+    ``lo`` and <= 0 at ``hi``, and returns what it returns, bit for bit, with the
+    same evaluations of ``f`` and the same errors, without numpy's cost per step.
     """
     lo, hi = float(lo), float(hi)  # numpy scalars would be slower and warn
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"chandrupatla: bracket [{lo:g}, {hi:g}] not finite")
-    f_lo = float(f(lo)) if f_lo is None else math.copysign(math.inf, f_lo)
-    f_hi = float(f(hi)) if f_hi is None else math.copysign(math.inf, f_hi)
-    if f_lo == 0.0:
-        return lo, f_lo, hi, f_hi
-    if f_hi == 0.0:
-        return hi, f_hi, lo, f_lo
-    if (f_lo > 0) == (f_hi > 0):
-        raise NoRootError("chandrupatla", lo, hi, f_lo, f_hi)
     # x1 is the newest point, [x1, x2] the bracket, x3 the point dropped last
-    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
+    x1, f1, x2, f2 = hi, -math.inf, lo, math.inf
     dx = abs(x2 - x1)
     fails = held = 0
     t = 0.5

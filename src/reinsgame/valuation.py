@@ -120,20 +120,18 @@ def no_reinsurance_path(params: MarketParams) -> StrategyPath:
 
 @dataclass(frozen=True)
 class PathProfile:
-    """A path's loadings and ``ledger`` on a time grid (scalars for a fixed contract)."""
+    """A path's ``ledger`` on a time grid (scalars for a fixed contract)."""
 
     s: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
     ledger: Ledger
 
 
 def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> PathProfile:
-    """Evaluate a path's loadings and ledger on grid ``s``."""
+    """Evaluate a path's ledger on grid ``s``."""
     s = np.asarray(s, dtype=float)
     xi1, xi2 = np.atleast_1d(path.xi1(s)), np.atleast_1d(path.xi2(s))
     contract = path._contract(s, xi1, xi2, accum_profile(params, "I", s))
-    return PathProfile(s, xi1, xi2, ledger(contract, xi1, xi2, params))
+    return PathProfile(s, ledger(contract, xi1, xi2, params))
 
 
 def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,

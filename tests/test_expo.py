@@ -486,6 +486,50 @@ class TestArrayPath:
         with pytest.raises(DomainError, match="not finite"):
             constrained_equilibrium(params, np.array([0.0, 4.0]))
 
+    def test_overflowing_bracket_names_the_coefficients(self):
+        params = default_market_params(gamma_R1=1e-300, gamma_R2=1e30)
+        with pytest.raises(DomainError, match=r"C_R1 = 1e-299, C_R2 = 1e\+31, t = 4"):
+            constrained_equilibrium(params, np.array([4.0, 0.0]))
+
+    def test_gamma_scan_matches_scalar(self):
+        # gamma_R1 x gamma_R2 over 1e-300..1e300 at t = 0: where C_R1 is tiny, R1's
+        # ratio falls by orders of magnitude within an ulp of the root, and xi1 read
+        # as a_R1/r(d) was off by up to 133 orders at 45 of these points
+        solved = 0
+        gammas = [10.0 ** k for k in range(-300, 301, 30)]
+        for gamma_r1 in gammas:
+            for gamma_r2 in gammas:
+                params = default_market_params(gamma_R1=gamma_r1, gamma_R2=gamma_r2)
+                try:
+                    scalar = constrained_equilibrium(params, 0.0)
+                except DomainError:
+                    continue
+                if gamma_r2 > 1e300 * gamma_r1:  # C_R2/(2C_R1) overflows: the array raises
+                    with pytest.raises(DomainError, match="not finite"):
+                        constrained_equilibrium(params, np.array([0.0]))
+                    continue
+                grid = constrained_equilibrium(params, np.array([0.0]))
+                got = (grid.xi1_star[0], grid.xi2_star[0], *(u[0] for u in grid.unconstrained))
+                want = (scalar.xi1_star, scalar.xi2_star, *scalar.unconstrained)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert grid.regime == (scalar.regime,)
+                solved += 1
+        assert solved == 176
+
+    @pytest.mark.parametrize("index", [1045, 2559])
+    def test_steep_read_back_matches_scalar(self, index):
+        # seed-5 broad-box points where the array solves' residual is steep at the
+        # root: R1's reply at the scalar xi2* (4.2e-14 off read from r(d), point
+        # 1045) and the fixed point's xi1 (3.5e-14, point 2559)
+        u = np.random.default_rng(5).uniform(size=(4000, 11))[index]
+        params, t = broad_box_point(u.tolist())
+        scalar = constrained_equilibrium(params, t)
+        grid = constrained_equilibrium(params, np.array([t]))
+        assert grid.unconstrained[0][0] == pytest.approx(scalar.unconstrained[0], rel=1e-14,
+                                                         abs=0.0)
+        assert reaction_xi1(scalar.xi2_star, params, t) == pytest.approx(
+            h1_inv(scalar.xi2_star, params, t), rel=1e-14, abs=0.0)
+
     def test_result_fields_are_arrays_over_t(self, base_params):
         ts = np.array([0.0, 4.0, 8.0])
         eq = constrained_equilibrium(base_params, ts)

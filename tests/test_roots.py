@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from reinsgame import expo, reaction, roots
-from reinsgame.errors import DomainError, NoRootError
-from reinsgame.expo import constrained_equilibrium
+from reinsgame.errors import DomainError
+from reinsgame.expo import Regime, constrained_equilibrium
 from reinsgame.market import GenericClaims
 from reinsgame.roots import bisect, chandrupatla, chandrupatla_scalar
 from reinsgame.roots import chandrupatla as bisect_array  # the array root finder
@@ -18,58 +18,40 @@ from tests.test_market import erlang2_cdf
 class TestBisectArray:
     def test_matches_scalar_bisect_bit_for_bit(self):
         # one bracket per element; the last three put a midpoint exactly on the root.
-        # With the end signs given, f is never called at an end, so an end value
-        # computed as rounding noise of the wrong sign (here -1e-17 at every upper
-        # end, where tanh is positive) does not raise.
+        # f is never called at an end, so an end value computed as rounding noise
+        # of the wrong sign (here 1e-17 at every upper end, where the residual is
+        # negative) does not steer the solve.
         roots = np.array([0.3, 1.0 / 3.0, 1e-7, 2.0, 1.0, -1.5])
         lo = np.array([0.0, -1.0, -1.0, 0.0, 0.0, -2.0])
         hi = np.array([1.0, 7.0, 1.0, 4.0, 2.0, -1.0])
-        for known_ends in (False, True):
-            ends = {"f_lo": -1.0, "f_hi": 1.0} if known_ends else {}
-            calls = []
+        calls = []
 
-            def f(x):
-                calls.append(x)
-                return np.where(known_ends & (x == hi), -1e-17, np.tanh(x - roots))
+        def f(x):
+            calls.append(x)
+            return np.where(x == hi, 1e-17, np.tanh(roots - x))
 
-            def f_i(x, r, b):
-                return -1e-17 if known_ends and x == b else np.tanh(x - r)
+        def f_i(x, r, b):
+            return 1e-17 if x == b else np.tanh(r - x)
 
-            got = bisect_array(f, lo, hi, **ends)
-            want = [bisect(lambda x, r=r, b=b: f_i(x, r, b), a, b, xtol=0.0, **ends)
-                    for r, a, b in zip(roots, lo, hi)]
-            assert got.tolist() == want
-            assert got[3:].tolist() == [2.0, 1.0, -1.5]
-            called_at_an_end = any(np.any((x == lo) | (x == hi)) for x in calls)
-            assert called_at_an_end != known_ends
-
-    def test_zero_at_an_end_is_returned(self):
-        # x (x - 1) on [0, 2] and x (x + 1) on [-2, 0] vanish at an end and at
-        # the first midpoint: like the scalar rule, the end comes back
-        shift = np.array([1.0, -1.0])
-        got = bisect_array(lambda x: x * (x - shift), np.array([0.0, -2.0]),
-                           np.array([2.0, 0.0]))
-        want = [bisect(lambda x, s=s: x * (x - s), a, b, xtol=0.0)
-                for s, a, b in zip(shift, (0.0, -2.0), (2.0, 0.0))]
-        assert got.tolist() == want == [0.0, 0.0]
-
-    def test_no_sign_change_raises(self):
-        with pytest.raises(NoRootError):
-            bisect_array(lambda x: x * x + 1.0, np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+        got = bisect_array(f, lo, hi)[0]
+        want = [bisect(lambda x, r=r, b=b: f_i(x, r, b), a, b, xtol=0.0, f_lo=1.0, f_hi=-1.0)
+                for r, a, b in zip(roots, lo, hi)]
+        assert got.tolist() == want
+        assert got[3:].tolist() == [2.0, 1.0, -1.5]
+        assert not any(np.any((x == lo) | (x == hi)) for x in calls)
 
     @pytest.mark.parametrize("end", [np.inf, -np.inf, np.nan])
     def test_non_finite_bracket_end_raises(self, end):
         # such a bracket never narrows below its tolerance
         with pytest.raises(DomainError, match="not finite"):
-            bisect_array(lambda x: x - 1.0, np.array([0.0, 0.0]), np.array([2.0, end]),
-                         f_lo=-1.0, f_hi=1.0)
+            bisect_array(lambda x: 1.0 - x, np.array([0.0, 0.0]), np.array([2.0, end]))
 
     def test_nan_residual_at_the_root_raises(self):
         # a NaN residual at an iterate steers like a non-positive one, so both
         # elements close on the NaN region
         with pytest.raises(DomainError, match="NaN at the root"):
-            bisect_array(lambda x: np.where(x > 0.5, np.nan, x - 0.75),
-                         np.array([0.0, 0.0]), np.array([1.0, 2.0]), f_lo=-1.0, f_hi=1.0)
+            bisect_array(lambda x: np.where(x > 0.5, np.nan, 0.75 - x),
+                         np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -94,21 +76,21 @@ def evaluations(log):
     return 1 + np.count_nonzero(np.diff(xs, axis=0), axis=0)
 
 
-def worst_case(lo, hi, root, computed_ends=0):
+def worst_case(lo, hi, root):
     """Steps that halve the bracket below 4 eps |root| + 4 tiny, when every third
-    step halves it, plus the end evaluations."""
+    step halves it."""
     halvings = np.floor(np.log2((hi - lo) / (4.0 * EPS * np.abs(root) + 4.0 * TINY))) + 1
-    return 3 * halvings + 1 + computed_ends
+    return 3 * halvings + 1
 
 
-def longest_stall(log, residual, lo, hi, sign_lo):
+def longest_stall(log, residual, lo, hi):
     """Per element, the longest run of steps that left the bracket wider than half
     (up to rounding), rebuilt from the abscissae and the residuals' signs."""
     a, b, prev = lo.copy(), hi.copy(), None
     run = best = np.zeros(lo.shape, int)
     for x in log:
         fresh = np.ones(lo.shape, bool) if prev is None else x != prev
-        left = (residual(x) > 0) == (sign_lo > 0)
+        left = residual(x) > 0
         a_new, b_new = np.where(left, x, a), np.where(left, b, x)
         halved = np.abs(b_new - a_new) <= 0.5 * np.abs(b - a) + 4.0 * EPS * np.abs(x)
         run = np.where(fresh, np.where(halved, 0, run + 1), run)
@@ -122,11 +104,11 @@ def solves(monkeypatch):
     """Per-element evaluation counts of each array root solve in ``reaction``."""
     counts = []
 
-    def spy(f, lo, hi, **ends):
+    def spy(f, lo, hi):
         log = []
-        root = chandrupatla(counted(f, log), lo, hi, **ends)
+        result = chandrupatla(counted(f, log), lo, hi)
         counts.append(evaluations(log))
-        return root
+        return result
     monkeypatch.setattr(reaction, "chandrupatla", spy)
     return counts
 
@@ -160,47 +142,45 @@ class TestChandrupatla:
             roots = 0.5 * (lo + hi)
         residual = {
             # sign only: every value is +-1
-            "step": lambda x: np.where(x < roots, -1.0, 1.0),
-            # sign-saturated -1 and +1 plateaus, the right one reaching
+            "step": lambda x: np.where(x < roots, 1.0, -1.0),
+            # sign-saturated +1 and -1 plateaus, the right one reaching
             # the root, around a shallow smooth branch
-            "plateaus": lambda x: np.where(x >= roots, 1.0, np.where(
-                x < roots - 0.1, -1.0, 1e-3 * (x - roots))),
+            "plateaus": lambda x: np.where(x >= roots, -1.0, np.where(
+                x < roots - 0.1, 1.0, 1e-3 * (roots - x))),
             # infinite slope at the root, where interpolation converges slowly
-            "cbrt": lambda x: np.cbrt(x - roots),
+            "cbrt": lambda x: np.cbrt(roots - x),
             # a triple root, flat
-            "cube": lambda x: (x - roots) ** 3,
-            # a steep concave branch left of the root, a linear one right of it:
+            "cube": lambda x: (roots - x) ** 3,
+            # a steep power-law branch left of the root, a linear one right of it:
             # interpolation passes Chandrupatla's test yet lands on the root's
             # left, up to 6 steps in a row, unless the halving safeguard bisects
             "skewed": lambda x: np.where(
-                x < roots, -np.abs(roots - x) ** np.array([0.023, 1.97, 0.0215, 0.543, 0.0141]),
-                np.array([5554.0, 0.0301, 84036.0, 6.51, 68.2]) * (x - roots)),
-            "zero_first": lambda x: x - roots,
+                x < roots, np.abs(roots - x) ** np.array([0.023, 1.97, 0.0215, 0.543, 0.0141]),
+                np.array([5554.0, 0.0301, 84036.0, 6.51, 68.2]) * (roots - x)),
+            "zero_first": lambda x: roots - x,
         }[case]
         log = []
-        got = chandrupatla(counted(residual, log), lo, hi, f_lo=-1.0, f_hi=1.0)
+        got = chandrupatla(counted(residual, log), lo, hi)[0]
         assert np.all((lo < got) & (got < hi))
         assert np.all(np.abs(got - roots) <= 8.0 * EPS * np.abs(roots) + 8.0 * TINY)
-        assert np.all(longest_stall(log, residual, lo, hi, -1.0) <= 2)
+        assert np.all(longest_stall(log, residual, lo, hi) <= 2)
         assert np.all(evaluations(log) <= worst_case(lo, hi, roots))
         if case == "zero_first":
             assert len(log) == 1 and got.tolist() == roots.tolist()
 
     def test_sign_only_ends_are_never_evaluated_or_interpolated(self):
-        # Computed at the ends, tanh(x - r) would be interpolated through. Given as
-        # signs, the ends are never evaluated, and their magnitudes, from 1e-300
-        # (smaller than any residual) to 1e300, change no abscissa and no result.
+        # Computed at the ends, tanh(r - x) would be interpolated through. Known
+        # only by sign, the ends are never evaluated, and the first two steps,
+        # each of whose interpolations would use an end, bisect.
         roots = np.array([0.3, 1.0 / 3.0, 1e-7, 1.999])
         lo, hi = np.array([0.0, -1.0, -1.0, 0.0]), np.array([1.0, 7.0, 1.0, 2.0])
-        runs = []
-        for size in (1e-300, 1.0, 1e300):
-            log = []
-            got = chandrupatla(counted(lambda x: np.tanh(x - roots), log), lo, hi,
-                               f_lo=-size, f_hi=size)
-            assert not any(np.any((x == lo) | (x == hi)) for x in log)
-            runs.append((got.tolist(), [x.tolist() for x in log]))
-        assert runs[0] == runs[1] == runs[2]
-        assert np.all(np.abs(np.array(runs[0][0]) - roots) <= 4.0 * EPS * np.abs(roots))
+        log = []
+        got = chandrupatla(counted(lambda x: np.tanh(roots - x), log), lo, hi)[0]
+        assert not any(np.any((x == lo) | (x == hi)) for x in log)
+        assert log[0].tolist() == (hi + 0.5 * (lo - hi)).tolist()
+        end = np.where(np.tanh(roots - log[0]) > 0, hi, lo)  # the end the root is towards
+        assert log[1].tolist() == (log[0] + 0.5 * (end - log[0])).tolist()
+        assert np.all(np.abs(got - roots) <= 4.0 * EPS * np.abs(roots))
 
     def test_root_within_an_ulp_of_a_sign_only_end(self):
         # the end a root sits next to keeps its sign-only value, so bisecting
@@ -210,7 +190,7 @@ class TestChandrupatla:
         ends = np.array([1.0, 2.0])
         roots = np.nextafter(ends, 1.5)
         log = []
-        got = chandrupatla(counted(lambda x: x - roots, log), lo, hi, f_lo=-1.0, f_hi=1.0)
+        got = chandrupatla(counted(lambda x: roots - x, log), lo, hi)[0]
         assert not any(np.any((x == lo) | (x == hi)) for x in log)
         assert np.all(evaluations(log) <= 8)
         assert np.all(np.abs(got - ends) <= 4.0 * EPS * ends + 4.0 * TINY)
@@ -223,12 +203,12 @@ class TestChandrupatla:
         sign_only = np.array([False, True, True, False, False, True])
 
         def residual(x, i=slice(None)):
-            return np.where(sign_only[i], np.where(x < roots[i], -1.0, 1.0),
-                            np.tanh(x - roots[i]))
-        whole = chandrupatla(residual, lo, hi, f_lo=-1.0, f_hi=1.0)
-        alone = [chandrupatla(lambda x, i=i: residual(x, [i]), lo[[i]], hi[[i]],
-                              f_lo=-1.0, f_hi=1.0)[0] for i in range(roots.size)]
-        assert whole.tolist() == alone
+            return np.where(sign_only[i], np.where(x < roots[i], 1.0, -1.0),
+                            np.tanh(roots[i] - x))
+        whole = np.stack(chandrupatla(residual, lo, hi))  # root, its residual, other end, its
+        alone = np.hstack([np.stack(chandrupatla(lambda x, i=i: residual(x, [i]), lo[[i]],
+                                                 hi[[i]])) for i in range(roots.size)])
+        assert whole.tolist() == alone.tolist()
 
     @pytest.mark.parametrize("law", ["exponential", "erlang2"])
     def test_concatenated_grids_match_separate_calls_bitwise(self, base_params, law):
@@ -254,10 +234,10 @@ class TestChandrupatla:
         elementwise = pytest.importorskip("scipy.optimize.elementwise")
         calls = []
 
-        def spy(f, lo, hi, **ends):
-            root = chandrupatla(f, lo, hi, **ends)
-            calls.append((f, lo, hi, root))
-            return root
+        def spy(f, lo, hi):
+            result = chandrupatla(f, lo, hi)
+            calls.append((f, lo, hi, result[0]))
+            return result
         monkeypatch.setattr(reaction, "chandrupatla", spy)
         constrained_equilibrium(base_params, np.linspace(0.0, base_params.T, 801))
         for f, lo, hi, root in calls:
@@ -300,25 +280,25 @@ def counted_scalar(f, counts):
 class TestChandrupatlaScalar:
     def assert_each_element_alone(self, run, monkeypatch):
         # runs a test of the array solver, then solves each element of each of its
-        # calls with the scalar solver: the same root bit for bit, and the same
-        # residual evaluations
+        # calls with the scalar solver: the same root, final bracket and residuals
+        # bit for bit, and the same residual evaluations
         calls = []
 
-        def spy(f, lo, hi, **ends):
+        def spy(f, lo, hi):
             log = []
-            root = roots.chandrupatla(counted(f, log), lo, hi, **ends)
-            calls.append((f, lo, hi, ends, root, evaluations(log)))
-            return root
+            result = roots.chandrupatla(counted(f, log), lo, hi)
+            calls.append((f, lo, hi, np.stack(result), evaluations(log)))
+            return result
         monkeypatch.setattr(sys.modules[__name__], "chandrupatla", spy)
         run()
         monkeypatch.undo()
         assert calls
-        for f, lo, hi, ends, root, per_element in calls:
+        for f, lo, hi, result, per_element in calls:
             for i in range(lo.size):
                 counts = []
                 residual = counted_scalar(lambda x, i=i: f(np.full(lo.shape, x))[i], counts)
-                got = chandrupatla_scalar(residual, lo[i], hi[i], **ends)[0]
-                assert np.float64(got).tobytes() == root[i].tobytes()
+                got = chandrupatla_scalar(residual, lo[i], hi[i])
+                assert np.array(got).tobytes() == result[:, i].tobytes()
                 assert counts == [per_element[i]]
 
     @pytest.mark.parametrize("case", ["step", "plateaus", "cbrt", "cube", "skewed",
@@ -335,33 +315,38 @@ class TestChandrupatlaScalar:
             TestChandrupatla().test_root_within_an_ulp_of_a_sign_only_end, monkeypatch)
 
     def test_returns_the_final_bracket(self):
-        x, f_x, y, f_y = chandrupatla_scalar(lambda x: x * x - 2.0, 0.0, 2.0)
+        x, f_x, y, f_y = chandrupatla_scalar(lambda x: 2.0 - x * x, 0.0, 2.0)
         assert x == pytest.approx(math.sqrt(2.0), rel=4.0 * EPS)
-        assert f_x == x * x - 2.0 and f_y == y * y - 2.0
+        assert f_x == 2.0 - x * x and f_y == 2.0 - y * y
         assert (f_x > 0) != (f_y > 0) and abs(f_x) <= abs(f_y)
         assert abs(x - y) < 4.0 * EPS * 2.0 + 4.0 * TINY
+        # a root at an end: the final bracket keeps that end, whose residual is
+        # known only by its sign
+        x, f_x, y, f_y = chandrupatla_scalar(lambda x: 1.0 - x, 0.0, 1.0)
+        assert 0.0 < 1.0 - x <= 4.0 * EPS and f_x == 1.0 - x
+        assert (y, f_y) == (1.0, -math.inf)
+        array = chandrupatla(lambda x: 1.0 - x, np.array([0.0]), np.array([1.0]))
+        assert np.array([x, f_x, y, f_y]).tobytes() == np.concatenate(array).tobytes()
 
     def test_errors_and_ends_match_the_array_solver(self):
-        assert chandrupatla_scalar(lambda x: x * (x - 1.0), 0.0, 2.0)[0] == 0.0
-        assert chandrupatla_scalar(lambda x: x * (x + 1.0), -2.0, 0.0)[0] == 0.0
-        with pytest.raises(NoRootError):
-            chandrupatla_scalar(lambda x: x * x + 1.0, -1.0, 1.0)
         for end in (math.inf, -math.inf, math.nan):
-            with pytest.raises(DomainError, match="not finite"):
-                chandrupatla_scalar(lambda x: x - 1.0, 0.0, end, f_lo=-1.0, f_hi=1.0)
+            for solve in (chandrupatla_scalar, chandrupatla):
+                with pytest.raises(DomainError, match="not finite"):
+                    solve(lambda x: 1.0 - x, 0.0, end)
         with pytest.raises(DomainError, match="NaN at the root"):
-            chandrupatla_scalar(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0,
-                                f_lo=-1.0, f_hi=1.0)
+            chandrupatla_scalar(lambda x: math.nan if x > 0.5 else 0.75 - x, 0.0, 1.0)
+        with pytest.raises(DomainError, match="NaN at the root"):
+            chandrupatla(lambda x: np.where(x > 0.5, np.nan, 0.75 - x), 0.0, 1.0)
 
     def test_evaluations_on_the_sweep_box_draw(self, monkeypatch):
-        # both scalar root solves of each point, the fixed point and R1's reply;
-        # bisection took a median of 48 residual evaluations per solve, at most 56
+        # the fixed point at each point, and R1's reply where a clamp binds, that is
+        # outside the Interior regime; bisection took a median of 48 residual
+        # evaluations per solve, at most 56
         counts = []
 
-        def spy(f, lo, hi, **ends):
-            return chandrupatla_scalar(counted_scalar(f, counts), lo, hi, **ends)
+        def spy(f, lo, hi):
+            return chandrupatla_scalar(counted_scalar(f, counts), lo, hi)
         monkeypatch.setattr(expo, "chandrupatla_scalar", spy)
-        for params, t in sweep_box_draw():
-            constrained_equilibrium(params, t)
-        assert len(counts) == 4000
+        regimes = [constrained_equilibrium(params, t).regime for params, t in sweep_box_draw()]
+        assert len(counts) == 2000 + sum(r is not Regime.INTERIOR for r in regimes)
         assert max(counts) <= 16
