@@ -1,24 +1,18 @@
-"""Closed-form equilibrium machinery for exponential claims.
+"""Closed-form reaction curves for exponential claims, and the boxed equilibrium.
 
 Reinsurer 1's first-order condition reduces to a quadratic whose positive
 root is ``G_fun``; composing with the deductible gives the two reaction
 curves ``h1`` (reinsurer 1's, via the inverse of G) and ``h2`` (reinsurer
-2's, fully explicit).  R1's reply to xi2 and the curves' unique crossing, the
-unconstrained premium equilibrium, are each one root of x = a + b G(x) in
-x = beta*d by ``chandrupatla_scalar`` (``_g_at_x_root``), then
-xi1 = a_R1/G(x), with G(x) read as (x - a)/b where G is steep at the root.
-Clamping the crossing to the admissibility box follows the published
-three-case construction, with the regime tagged.
+2's, fully explicit).  They are the paper's formulas and the oracles the
+solves of :mod:`reinsgame.reaction` are held to; only ``G_inv`` solves here.
+``h1_inv`` and ``unconstrained_fixed_point`` name reaction's solves.
 
-``constrained_equilibrium`` takes a scalar time or an array of times.  A
-scalar needs exponential claims and keeps the closed-form pure-Python path,
-the faster one for a single cold point.  An array, for any claim law, runs the
-same three-case split on the array fixed point of :mod:`reinsgame.reaction`,
-one root in the deductible per time, so a time grid costs one call; its
-solves read xi1 back by the rule of ``_g_at_x_root``.  On both paths R2's
-reply runs only on the floor or cap branch, and R1's only where a clamp binds:
-elsewhere the fixed point already solves R1's FOC.  On the reference grid that
-is 5 residual evaluations per time in all.
+``constrained_equilibrium`` clamps the reaction curves' crossing to the
+admissibility box by the published three-case construction, with the regime
+tagged, for any claim law, at a float time or, in one call, an array of times.
+R2's reply runs only on the floor or cap branch, and R1's only where a clamp
+binds: elsewhere the fixed point already solves R1's FOC.  On the reference
+grid that is 5 residual evaluations per time in all.
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket
@@ -33,11 +27,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .market import (_SERIES_CUTOFF, Exponential, MarketParams, PremiumPoint,
-                     accum_profile, admissible_box, coefficients, e_series,
-                     gamma_accumulations)
-from .reaction import _fixed_point, _r1_reply, _r2_reply, h1_domain
-from .response import ResponseStrategy, layered_response, response
+from .market import Exponential, MarketParams, PremiumPoint, admissible_box, e_fun
+from .reaction import (_fixed_point, _gamma_profiles, _kind, _r1_ratio, _r1_reply, _r2_reply,
+                       h1_domain, reaction_xi1)
+from .response import ResponseStrategy, layered_response
 from .roots import chandrupatla_scalar
 
 _EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
@@ -93,27 +86,6 @@ class EquilibriumResult:
         return PremiumPoint(self.xi1_star, self.xi2_star, self.t)
 
 
-def e_fun(x: float) -> float:
-    """(2/x^2)e^x - (1 + 2/x + 2/x^2), the scaled truncated second moment.
-
-    Equals sum_{n>=1} 2 x^n/(n+2)!, the form used below 0.5, where the
-    closed form cancels to under 14 digits.  Beyond x ~ 709.78, where e^x
-    overflows, e(x) = 2 exp(x - 2 ln x) to rounding; it is inf from x ~ 722,
-    where e(x) itself exceeds the largest float.
-    """
-    if x <= 0:
-        raise DomainError("e_fun requires x > 0")
-    if x < _SERIES_CUTOFF:
-        return e_series(x)
-    try:
-        return (2.0 / (x * x)) * math.exp(x) - (1.0 + 2.0 / x + 2.0 / (x * x))
-    except OverflowError:
-        try:
-            return 2.0 * math.exp(x - 2.0 * math.log(x))
-        except OverflowError:
-            return math.inf
-
-
 def g_fun(x: float, c_r1: float) -> float:
     """Positive root of the reduced quadratic in the FOC ratio, at e-value x.
 
@@ -137,12 +109,14 @@ def g_range(c_r1: float) -> tuple[float, float]:
 def G_fun(x: float, c_r1: float) -> float:
     """g_fun composed with e_fun; continuously decreasing on (0, inf).
 
-    Computed as G(inf) + delta(x), which stays accurate where e(x) is huge
-    (the composed form overflows there) and is G(inf) once e(x) overflows.
+    Computed as G(inf) + delta(e(x)) (``reaction._r1_ratio``), which stays
+    accurate where e(x) is huge (the composed form overflows there) and is
+    G(inf) once e(x) overflows.
     """
     if not c_r1 > 0:
         raise DomainError("G_fun requires c_r1 > 0")
-    return g_range(c_r1)[0] + _delta(x, c_r1)
+    g_inf, delta = _r1_ratio(c_r1)
+    return g_inf + delta(e_fun(x))
 
 
 def G_inv(y: float, c_r1: float) -> float:
@@ -159,10 +133,6 @@ def G_inv(y: float, c_r1: float) -> float:
     return chandrupatla_scalar(lambda x: G_fun(x, c_r1) - y, 1e-300, _EXP_OVERFLOW)[0]
 
 
-def _coeffs(params: MarketParams, t: float):
-    return coefficients(*gamma_accumulations(params, t), t)
-
-
 def _beta(params: MarketParams) -> float:
     if not isinstance(params.claims, Exponential):
         raise DomainError("closed-form equilibrium requires exponential claims")
@@ -172,7 +142,7 @@ def _beta(params: MarketParams) -> float:
 def h1(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 1's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
-    a_i, a_r1, _, c1, _ = _coeffs(params, t)
+    a_i, a_r1, _, c1, _ = _gamma_profiles(params, t)
     x = G_inv(a_r1 / xi1, c1)
     return a_i * x / (beta * (a_i / (2.0 * xi1) + 1.0))
 
@@ -180,60 +150,17 @@ def h1(xi1: float, params: MarketParams, t: float = 0.0) -> float:
 def h2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 2's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
-    a_i, _, _, _, c2 = _coeffs(params, t)
+    a_i, _, _, _, c2 = _gamma_profiles(params, t)
     # 1 - a_i/(a_i + 2 xi1) written as 2 xi1/(a_i + 2 xi1): no cancellation
     # when a_i >> xi1
     return (a_i / beta) * (c2 + 2.0 * xi1 / (a_i + 2.0 * xi1))
 
 
-def _delta(x: float, c: float) -> float:
-    """G(x) - G(inf) without cancellation (0 once e(x) overflows): the positive
-    root of D^2 + s D - K, K = 4C(C+1)/(2C+1)^2, s = 2G(inf) + 2C - 1 + e(x)(2C+1)."""
-    if x >= _EXP_OVERFLOW:
-        return 0.0
-    k = 4.0 * c * (c + 1.0) / (2.0 * c + 1.0) ** 2
-    s = 4.0 * c / (2.0 * c + 1.0) + 2.0 * c - 1.0 + e_fun(x) * (2.0 * c + 1.0)
-    root = math.hypot(s, 2.0 * math.sqrt(k))
-    return 2.0 * k / (s + root) if s > 0 else 0.5 * (root - s)
-
-
-def _g_at_x_root(a: float, b: float, c_r1: float) -> float:
-    """G(x) at the root of a + b G(x) - x, which is >= 0 at a + b G(inf) and <= 0 at a + b.
-
-    At the root G(x) = (x - a)/b as well, the better conditioned of the two
-    where b |G'(x)| > 1, that is where the residual falls by more than 2 per
-    unit of x across the solver's final bracket.  Where a + b overflows, the
-    root's limit x -> inf gives G(inf).
-    """
-    g_inf = g_range(c_r1)[0]
-    lo, hi = a + b * g_inf, a + b
-    if hi == math.inf:
-        return g_inf
-    x, f_x, y, f_y = chandrupatla_scalar(lambda x: lo + b * _delta(x, c_r1) - x, lo, hi)
-    if math.isfinite(f_y) and x != y and (f_x - f_y) / (x - y) < -2.0:
-        return (x - a) / b
-    return g_inf + _delta(x, c_r1)
-
-
-def h1_inv(xi2: float, params: MarketParams, t: float = 0.0) -> float:
-    """R1's best response, h1(xi1) = xi2: xi1 = a_R1/G(x) at the root of
-    x = beta d = beta xi2/a_I + (beta xi2/(2 a_R1)) G(x) (``_g_at_x_root``)."""
-    if not xi2 > 0:
-        raise RangeError("h1 only takes positive values")
-    beta = _beta(params)
-    a_i, a_r1, _, c1, _ = _coeffs(params, t)
-    return a_r1 / _g_at_x_root(beta * xi2 / a_i, beta * xi2 / (2.0 * a_r1), c1)
+h1_inv = reaction_xi1  # R1's best response to xi2: the xi1 with h1(xi1) = xi2
 
 
 def unconstrained_fixed_point(params: MarketParams, t: float = 0.0) -> tuple[float, float]:
-    """Unique positive crossing of the two reaction curves (no box).
-
-    R2's FOC gives x = beta d = 1 + C_R2 + a_R2/(2 xi1) and R1's xi1 = a_R1/G(x), so
-    x = 1 + C_R2 + (C_R2/(2C_R1)) G(x) (``_g_at_x_root``): its root and xi1 are free of beta.
-    """
-    _, a_r1, _, c1, c2 = _coeffs(params, t)
-    xi1_bar = a_r1 / _g_at_x_root(1.0 + c2, c2 / (2.0 * c1), c1)
-    return xi1_bar, h2(xi1_bar, params, t)
+    return _fixed_point(params, float(t))  # the reaction curves' positive crossing, no box
 
 
 # Regime per the published case analysis, at index 3 * branch + landed: the
@@ -246,8 +173,15 @@ _REGIMES = (Regime.XI1_FLOOR_ONLY, Regime.LOWER_LEFT, Regime.OTHER_BOUNDARY,
             Regime.OTHER_BOUNDARY, Regime.OTHER_BOUNDARY, Regime.UPPER_RIGHT)
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return max(lo, min(x, hi))
+def _replies(solve, mask, default, arg, params: MarketParams, t, coefs):
+    # default, with solve(arg, params, t, coefs) where mask holds: a float time's
+    # reply runs or not, an array's runs on the times that need it
+    if not isinstance(t, np.ndarray):
+        return solve(arg, params, t, coefs) if mask else default
+    out = default.copy()
+    if mask.any():
+        out[mask] = solve(arg[mask], params, t[mask], tuple(c[mask] for c in coefs))
+    return out
 
 
 def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
@@ -260,57 +194,31 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
     itself where xi2* is the unclamped xi2 of the middle branch.  The regime
     tag records which clamps bound.
 
-    ``t`` may be a one-dimensional array of times in [0, T], for any claim law
-    (the xi1 box is then theta and eta times 2 a_Y/sigma2): the numeric fields
-    are arrays over t, and ``regime`` is a tuple with one Regime per time.
+    The xi1 box is theta and eta times 2 a_Y/sigma2, for any claim law.  ``t`` may
+    be a one-dimensional array of times in [0, T]: the numeric fields are then
+    arrays over t, and ``regime`` is a tuple with one Regime per time.
     """
-    if not isinstance(t, float) and np.ndim(t) > 0:  # np.ndim costs ~1 us on a float
-        return _equilibrium_on_grid(params, np.asarray(t, dtype=float))
-    (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
-    xi1_bar, xi2_bar = unconstrained_fixed_point(params, t)
-
-    # branch of the published three-case split on the unconstrained xi1
-    if xi1_bar < xi1_lo:
-        branch, xi2_star = 0, _clamp(h2(xi1_lo, params, t), xi2_lo, xi2_hi)
-    elif xi1_bar <= xi1_hi:
-        branch, xi2_star = 1, _clamp(xi2_bar, xi2_lo, xi2_hi)
-    else:
-        branch, xi2_star = 2, _clamp(h2(xi1_hi, params, t), xi2_lo, xi2_hi)
-
-    unclamped = branch == 1 and xi2_star == xi2_bar
-    xi1_star = _clamp(xi1_bar if unclamped else h1_inv(xi2_star, params, t), xi1_lo, xi1_hi)
-    landed = 1 if xi2_star == xi2_lo else 2 if xi2_star == xi2_hi else 0
-    regime = _REGIMES[3 * branch + landed]
-    point = PremiumPoint(xi1_star, xi2_star, t)
-    return EquilibriumResult(xi1_star, xi2_star, response(point, params), regime,
-                             (xi1_bar, xi2_bar), t)
-
-
-def _equilibrium_on_grid(params: MarketParams, t: np.ndarray) -> EquilibriumResult:
-    # constrained_equilibrium elementwise over times t, for every claim law: the
-    # scalar path's three-case split and clamps on the reinsurers' array solves.
-    # Where the middle branch fires and xi2 is not clamped (xi2* == xi2_bar), the
-    # fixed point's pair solves R1's FOC exactly, so xi1* = xi1_bar there and R1's
-    # reply runs only at the clamped times.
-    if t.ndim != 1:  # the reinsurers' solves check the range
+    # np.ndim costs ~1 us on a float; the reinsurers' solves check the range
+    t = float(t) if isinstance(t, float) or np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    xp = _kind(t)
+    if xp is np and t.ndim != 1:
         raise DomainError("equilibrium times must be a scalar or a one-dimensional array")
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
-    xi1_bar, xi2_bar = _fixed_point(params, t)
+    coefs = _gamma_profiles(params, t)
+    xi1_bar, xi2_bar = _fixed_point(params, t, coefs)
 
-    split = [xi1_bar < xi1_lo, xi1_bar <= xi1_hi]
-    branch = np.select(split, [0, 1], 2)
-    xi2_star = xi2_bar.copy()
-    edge = branch != 1  # R2 replies to the xi1 box edge the branch names
-    if edge.any():
-        xi2_star[edge] = _r2_reply(np.where(split[0], xi1_lo, xi1_hi)[edge], params, t[edge])
-    xi2_star = np.clip(xi2_star, xi2_lo, xi2_hi)
-    xi1_star = xi1_bar.copy()
-    reply = edge | (xi2_star != xi2_bar)
-    if reply.any():
-        xi1_star[reply] = _r1_reply(xi2_star[reply], params, t[reply])
-    xi1_star = np.clip(xi1_star, xi1_lo, xi1_hi)
-
-    landed = np.select([xi2_star == xi2_lo, xi2_star == xi2_hi], [1, 2], 0)
-    regime = tuple(map(_REGIMES.__getitem__, (3 * branch + landed).tolist()))
-    resp = layered_response(xi1_star, xi2_star, params.gamma_I * accum_profile(params, "I", t), t)
+    # the published three-case split on the unconstrained xi1: on the floor or cap
+    # branch, R2 replies to that edge of the xi1 box; R1 replies where a clamp binds,
+    # elsewhere the fixed point's pair solves its FOC, so xi1* = xi1_bar there
+    floor, cap = xi1_bar < xi1_lo, xi1_bar > xi1_hi
+    xi2_star = _replies(_r2_reply, floor | cap, xi2_bar, xp.where(floor, xi1_lo, xi1_hi),
+                        params, t, coefs)
+    xi2_star = xp.clip(xi2_star, xi2_lo, xi2_hi)
+    xi1_star = _replies(_r1_reply, floor | cap | (xi2_star != xi2_bar), xi1_bar, xi2_star,
+                        params, t, coefs)
+    xi1_star = xp.clip(xi1_star, xi1_lo, xi1_hi)
+    regime = 3 * (1 - floor + cap) + (xi2_star == xi2_lo) + 2 * (xi2_star == xi2_hi)
+    regime = (tuple(map(_REGIMES.__getitem__, regime.tolist())) if xp is np
+              else _REGIMES[regime])
+    resp = layered_response(xi1_star, xi2_star, coefs[0], t)
     return EquilibriumResult(xi1_star, xi2_star, resp, regime, (xi1_bar, xi2_bar), t)

@@ -9,6 +9,7 @@ and the Monte Carlo drift all read it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +19,7 @@ from .errors import ConfigError, DomainError, IntegrationError
 
 PARTIES = ("I", "R1", "R2")  # the insurer and reinsurers 1 and 2, in every per-party row
 _TAIL_MASS = 1e-12
+_TINY = 2.0 ** -1022  # the smallest normal float
 # A table law's m(d) misses the excess beyond its tail cut, a relative error
 # of about S(tail_cut)/S(d) where m varies slowly: m(d) counts as resolved
 # where S(d) >= 1e6 S(tail_cut), which keeps that error below 1e-6.
@@ -33,11 +35,32 @@ _E_SERIES = tuple(2.0 / math.factorial(n + 2) for n in range(14, 0, -1))
 
 
 def e_series(x):
-    """sum_{n>=1} 2 x^n/(n+2)! = expo.e_fun(x) to rounding for 0 <= x <= 0.5; elementwise."""
+    """sum_{n>=1} 2 x^n/(n+2)! = e_fun(x) to rounding for 0 <= x <= 0.5; elementwise."""
     total = 0.0
     for c in _E_SERIES:
         total = (total + c) * x
     return total
+
+
+def e_fun(x: float) -> float:
+    """(2/x^2)e^x - (1 + 2/x + 2/x^2), the scaled truncated second moment.
+
+    Equals sum_{n>=1} 2 x^n/(n+2)!, the form used below 0.5, where the
+    closed form cancels to under 14 digits.  Beyond x ~ 709.78, where e^x
+    overflows, e(x) = 2 exp(x - 2 ln x) to rounding; it is inf from x ~ 722,
+    where e(x) itself exceeds the largest float.
+    """
+    if x <= 0:
+        raise DomainError("e_fun requires x > 0")
+    if x < _SERIES_CUTOFF:
+        return e_series(x)
+    try:
+        return (2.0 / (x * x)) * math.exp(x) - (1.0 + 2.0 / x + 2.0 / (x * x))
+    except OverflowError:
+        try:
+            return 2.0 * math.exp(x - 2.0 * math.log(x))
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -82,16 +105,16 @@ class RateCurve:
     def flat(cls, rate: float, horizon: float) -> "RateCurve":
         return cls(((0.0, rate),), horizon)
 
-    def integral(self, t0: float, t1: float) -> float:
-        """Exact int_{t0}^{t1} rho(s) ds; requires 0 <= t0 <= t1 <= horizon."""
-        if not (0.0 <= t0 <= t1 <= self.horizon + 1e-12):
+    def integral(self, t0, t1: float):
+        """Exact int_{t0}^{t1} rho(s) ds, 0 <= t0 <= t1 <= horizon; elementwise for an array t0."""
+        fmax = np.maximum if isinstance(t0, np.ndarray) else max
+        if not (np.all((0.0 <= t0) & (t0 <= t1)) if fmax is np.maximum else 0.0 <= t0 <= t1) \
+                or not t1 <= self.horizon + 1e-12:
             raise DomainError(f"integration bounds [{t0}, {t1}] outside [0, {self.horizon}]")
         total = 0.0
         for i, (start, rate) in enumerate(self.segments):
             end = self.segments[i + 1][0] if i + 1 < len(self.segments) else self.horizon
-            a, b = max(t0, start), min(t1, end)
-            if b > a:
-                total += rate * (b - a)
+            total = total + rate * fmax(min(t1, end) - fmax(t0, start), 0.0)
         return total
 
     def cumulative(self, s: np.ndarray) -> np.ndarray:
@@ -153,6 +176,18 @@ class ClaimDistribution:
         """Layer moments at deductible ``d``; an array ``d`` gives arrays of its shape."""
         raise NotImplementedError
 
+    def foc_terms(self, d):
+        """(e, m, S) at deductible(s) d, which the reinsurers' FOCs read: e = M2(d)/(d^2 S(d)),
+        the paper's e generalised (0 at d = 0, huge where d^2 S underflows), m(d) and S(d)."""
+        tm = self.truncated(d)
+        # a table law's M2 can round below 0 at small d, where it cancels; d^2 S is
+        # NaN at d = inf, where S = 0, and max and fmax skip a NaN as their second
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2s = d * (d * tm.survival)
+            e = (max(0.0, tm.m2_below) / max(_TINY, d2s) if isinstance(d, float)
+                 else np.maximum(tm.m2_below, 0.0) / np.fmax(d2s, _TINY))
+        return e, tm.mean_excess, tm.survival
+
     @property
     def mean_excess_bounds(self) -> tuple[float, float]:
         """(m_lo, m_hi) with m_lo <= m(d) <= m_hi wherever the mean excess is resolved."""
@@ -199,6 +234,14 @@ class Exponential(ClaimDistribution):
 
     def ppf(self, u):
         return -np.log1p(-u) / self.beta
+
+    def foc_terms(self, d):
+        """``ClaimDistribution.foc_terms``; a Python float d reads e_fun(beta d) in pure Python."""
+        if not isinstance(d, float):
+            return super().foc_terms(d)
+        x = self.beta * d
+        # e is its limit 0 at d = 0, and inf at d = inf, where S(d) = 0
+        return (e_fun(x) if 0.0 < x < math.inf else x), 1.0 / self.beta, math.exp(-x)
 
     def truncated(self, d):
         """Closed-form layer moments; accepts scalar d (inf allowed) or arrays."""
@@ -281,7 +324,7 @@ class GenericClaims(ClaimDistribution):
         self._cdf = cdf
         self._ymax = super().tail_cut()
         self.cut_survival = float(self.survival(self._ymax))
-        self._table = None
+        self._table = self._rows = None
         self._ppf_spline = None
 
     @property
@@ -353,6 +396,8 @@ class GenericClaims(ClaimDistribution):
             near &= s > 0.0
             self._m_hi = float(np.max(em[near] / s[near], initial=0.0)) * (1.0 + 1e-6)
             self._table = f, em, esq
+            # the same nodes for a float's read: indexing these gives Python floats
+            self._rows = tuple(array("d", v.tobytes()) for v in self._table)
         return self._table
 
     def ppf(self, u):
@@ -388,6 +433,21 @@ class GenericClaims(ClaimDistribution):
         if d_arr.ndim == 0:
             return TruncatedMoments(*(float(v) for v in (d_arr, m2, em, surv, m1, esq, m)))
         return TruncatedMoments(d_arr, m2, em, surv, m1, esq, m)
+
+    def foc_terms(self, d):
+        """``ClaimDistribution.foc_terms``; a float is read in pure Python, to an array's bits."""
+        # a float outside the table, or a negative one, reads as an array does; the
+        # condition's last term builds the table, and so the rows read below
+        if not (isinstance(d, float) and 0.0 <= d < self._ymax and self._layer_table()):
+            return super().foc_terms(d)
+        (f, em_nodes, esq_nodes), h = self._rows, self._ymax / (_TABLE_NODES - 1)
+        j = min(int(d / h), _TABLE_NODES - 2)
+        t, s = d / h - j, 1.0 - min(max(float(self._cdf(d)), 0.0), 1.0)
+        em0, em1 = em_nodes[j], em_nodes[j + 1]
+        em = _hermite(em0, em1, h * (f[j] - 1.0), h * (f[j + 1] - 1.0), t)
+        esq = _hermite(esq_nodes[j], esq_nodes[j + 1], -2.0 * h * em0, -2.0 * h * em1, t)
+        m2 = esq_nodes[0] - esq - 2.0 * d * em - d * d * s
+        return max(0.0, m2) / max(_TINY, d * (d * s)), em / s if s > 0.0 else 0.0, s
 
 
 @dataclass(frozen=True)
@@ -451,11 +511,13 @@ def accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray
     return np.exp(curve.cumulative(params.T) - curve.cumulative(s))
 
 
-def gamma_accumulations(params: MarketParams, t: float) -> tuple[float, float, float]:
-    """(gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at time t."""
-    return (params.gamma_I * params.accum("I", t),
-            params.gamma_R1 * params.accum("R1", t),
-            params.gamma_R2 * params.accum("R2", t))
+def gamma_accumulations(params: MarketParams, t) -> tuple:
+    """(gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at time(s) t, A_k by ``RateCurve.integral``
+    and np.exp for a float too, so that it gives the bits of an array's element."""
+    a = np.exp([params.rho_I.integral(t, params.T), params.rho_R1.integral(t, params.T),
+                params.rho_R2.integral(t, params.T)])
+    a_i, a_r1, a_r2 = a if isinstance(t, np.ndarray) else a.tolist()
+    return params.gamma_I * a_i, params.gamma_R1 * a_r1, params.gamma_R2 * a_r2
 
 
 def coefficients(a_i, a_r1, a_r2, t):

@@ -45,9 +45,12 @@ def layered_response(xi1, xi2, a_i, t) -> ResponseStrategy:
     d = retention + cap.  Arguments may be arrays of one shape, which gives
     array-valued fields.
     """
-    if np.any(np.equal(xi1, 0.0)):
+    zero, negative = xi1 == 0.0, (xi1 < 0.0) | (xi2 < 0.0)  # Python bools for floats
+    if isinstance(zero, np.ndarray) or isinstance(negative, np.ndarray):
+        zero, negative = np.any(zero), np.any(negative)
+    if zero:
         raise DegeneratePremiumError("xi1 = 0: proportional layer is unpriced")
-    if np.any(np.less(xi1, 0)) or np.any(np.less(xi2, 0)):
+    if negative:
         raise DomainError("loadings must be non-negative")
     q = a_i / (2.0 * xi1 + a_i)
     cap = xi2 / (2.0 * xi1)

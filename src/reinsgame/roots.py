@@ -1,19 +1,19 @@
 """Bracketed root finding.
 
 Every solve runs Chandrupatla's hybrid of inverse quadratic interpolation and
-bisection (Adv. Eng. Software 28, 1997): ``chandrupatla`` for the array solves
-of :mod:`reinsgame.reaction`, one bracket per time of a grid, and
-``chandrupatla_scalar``, the same rule in pure Python, for the scalar solves
-of :mod:`reinsgame.expo`.  The reference grid's fixed point takes 5 residual
-evaluations per time, the Erlang-2 path's at most 11, and a scalar solve of
-the benchmark's sweep_box draw a median of 6 and at most 13, where bisection
-takes about 48-56.  Both solve a residual known to be >= 0 at the bracket's
-lower end and <= 0 at its upper end, and never evaluate it there, where a
-computed value can be rounding noise; both return the root and the final
-bracket's other end, each with its residual.  ``bisect`` stays as a plain
-reference; no solve calls it.  The equilibrium xi1's invariance under
-claim-size rescaling (acceptance criterion 5) rests on the scalar fixed point
-solving x = a + b G(x) in x = beta*d, whose a, b and root are free of beta.
+bisection (Adv. Eng. Software 28, 1997) on a root in the deductible of
+:mod:`reinsgame.reaction`: ``chandrupatla`` for an array of times, one bracket
+each, and ``chandrupatla_scalar``, the same rule in pure Python, for a float
+time.  The reference grid's fixed point takes 5 residual evaluations per time,
+the Erlang-2 path's at most 11, and a scalar solve of the benchmark's sweep_box
+draw a median of 6 and at most 12, where bisection takes about 48-56.  Both
+solve a residual known to be >= 0 at the bracket's lower end and <= 0 at its
+upper end, and never evaluate it there, where a computed value can be rounding
+noise; both return the root and the final bracket's other end, each with its
+residual.  ``bisect`` stays as a plain reference for the tests; no solve calls
+it.  The equilibrium xi1's invariance under claim-size rescaling (acceptance
+criterion 5) holds to rounding: the fixed point in d scales as 1/beta, and
+e(d) = e_fun(beta d), R1's ratio r(d) and xi1 = a_R1/r at the root do not.
 """
 from __future__ import annotations
 

@@ -73,6 +73,8 @@ def check_indemnity(params: MarketParams, t: float) -> CheckResult:
 
 
 def check_foc_cross(params: MarketParams, t: float) -> CheckResult:
+    # the reaction maps against the closed-form curves: R2's reply against h2, and
+    # R1's reply mapped back through h1, whose G_inv solves apart from the root in d
     lo, hi = expo.h1_domain(params, t)
     beta = params.claims.beta
     worst = 0.0
@@ -80,8 +82,8 @@ def check_foc_cross(params: MarketParams, t: float) -> CheckResult:
         worst = max(worst, abs(reaction.reaction_xi2(xi1, params, t)
                                - expo.h2(xi1, params, t)))
     for xi2 in np.linspace(0.15, 0.7, 12):
-        worst = max(worst, abs(reaction.reaction_xi1(xi2, params, t)
-                               - expo.h1_inv(xi2, params, t)))
+        worst = max(worst, abs(expo.h1(reaction.reaction_xi1(xi2, params, t), params, t)
+                               - xi2))
     eq = expo.constrained_equilibrium(params, t)
     ratio = reaction.foc_ratios(eq.point(), params).b_r1_ratio
     ident = abs(ratio - expo.G_fun(beta * eq.response.d,

@@ -342,3 +342,11 @@ class TestValidateCommand:
             assert isinstance(check["seconds"], float), check["name"]
             assert check["seconds"] >= 0.0, check["name"]
 
+    def test_foc_cross_check_catches_an_off_reply(self, base_params, monkeypatch):
+        # R1's reply mapped back through the closed-form h1: a reply off by 1e-4
+        # relative fails, which reaction_xi1 against h1_inv, the same solve, cannot see
+        from reinsgame import reaction, validate
+        assert validate.check_foc_cross(base_params, 0.0).passed
+        solve = reaction.reaction_xi1
+        monkeypatch.setattr(reaction, "reaction_xi1", lambda *a: solve(*a) * (1.0 + 1e-4))
+        assert not validate.check_foc_cross(base_params, 0.0).passed

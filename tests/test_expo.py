@@ -479,22 +479,47 @@ class TestArrayPath:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert grid.regime == (scalar.regime,)
 
-    def test_overflowing_bracket_raises_domain_error(self):
-        # C_R2/(2C_R1) overflows: the fixed point's bracket has an infinite end,
-        # a DomainError, not an overflow warning
+    def test_overflowing_bracket_takes_the_limit_on_both_paths(self):
+        # C_R2/(2C_R1) overflows, and so does the fixed point's bracket: its root sits
+        # where S(d) = 0, and both paths read R1's ratio there as G(inf)
         params = default_market_params(gamma_R1=1e-300, gamma_R2=1e300)
-        with pytest.raises(DomainError, match="not finite"):
-            constrained_equilibrium(params, np.array([0.0, 4.0]))
+        assert_array_path_matches_scalar(params, np.array([0.0, 4.0]))
 
-    def test_overflowing_bracket_names_the_coefficients(self):
+    def test_overflowing_bracket_agrees_with_the_scalar_limit(self):
+        # the array path raised DomainError here, naming C_R1 = 1e-299, C_R2 = 1e+31
+        # and t = 4; both paths now give the scalar path's boxed point and xi2 from
+        # R2's k = 1 + C_R2 + a_R2/(2 xi1), which stays finite
         params = default_market_params(gamma_R1=1e-300, gamma_R2=1e30)
-        with pytest.raises(DomainError, match=r"C_R1 = 1e-299, C_R2 = 1e\+31, t = 4"):
-            constrained_equilibrium(params, np.array([4.0, 0.0]))
+        grid = constrained_equilibrium(params, np.array([4.0, 0.0]))
+        for i, t in ((1, 0.0), (0, 4.0)):
+            scalar = constrained_equilibrium(params, t)
+            assert grid.regime[i] is scalar.regime
+            got = (grid.xi1_star[i], grid.xi2_star[i], *(u[i] for u in grid.unconstrained))
+            assert got == pytest.approx((scalar.xi1_star, scalar.xi2_star, *scalar.unconstrained),
+                                        rel=1e-15, abs=0.0)
+        assert grid.regime[1] is Regime.XI2_CAP_ONLY
+        assert (grid.xi1_star[1], grid.xi2_star[1]) == pytest.approx(
+            (0.10916338606203772, 0.9), rel=1e-15, abs=0.0)
+        assert (grid.unconstrained[0][1], grid.unconstrained[1][1]) == pytest.approx(
+            (0.1112770464246234, 2.2255409284924678e30), rel=1e-15, abs=0.0)
+
+    def test_subnormal_a_r1_takes_the_overflow_limit_on_both_paths(self):
+        # gamma_R1 = 1e-310 makes a_R1 subnormal: c = xi2/(2 a_R1) and C_R2/(2C_R1)
+        # overflow, which raised DomainError after an overflow warning in R1's reply
+        params = default_market_params(gamma_R1=1e-310)
+        assert reaction_xi1(0.5, params, 0.0) == pytest.approx(0.11127704642462324,
+                                                               rel=1e-15, abs=0.0)
+        scalar, grid = (constrained_equilibrium(params, t) for t in (0.0, np.array([0.0])))
+        assert scalar.regime is Regime.INTERIOR and grid.regime == (Regime.INTERIOR,)
+        for got in ((scalar.xi1_star, scalar.xi2_star), (grid.xi1_star[0], grid.xi2_star[0])):
+            assert got == pytest.approx((0.11127704642462324, 0.3338311392738701),
+                                        rel=1e-15, abs=0.0)
 
     def test_gamma_scan_matches_scalar(self):
         # gamma_R1 x gamma_R2 over 1e-300..1e300 at t = 0: where C_R1 is tiny, R1's
         # ratio falls by orders of magnitude within an ulp of the root, and xi1 read
-        # as a_R1/r(d) was off by up to 133 orders at 45 of these points
+        # as a_R1/r(d) was off by up to 133 orders at 45 of these points; where
+        # C_R2/(2C_R1) overflows (55 points), both paths take the root's limit
         solved = 0
         gammas = [10.0 ** k for k in range(-300, 301, 30)]
         for gamma_r1 in gammas:
@@ -504,17 +529,13 @@ class TestArrayPath:
                     scalar = constrained_equilibrium(params, 0.0)
                 except DomainError:
                     continue
-                if gamma_r2 > 1e300 * gamma_r1:  # C_R2/(2C_R1) overflows: the array raises
-                    with pytest.raises(DomainError, match="not finite"):
-                        constrained_equilibrium(params, np.array([0.0]))
-                    continue
                 grid = constrained_equilibrium(params, np.array([0.0]))
                 got = (grid.xi1_star[0], grid.xi2_star[0], *(u[0] for u in grid.unconstrained))
                 want = (scalar.xi1_star, scalar.xi2_star, *scalar.unconstrained)
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
                 assert grid.regime == (scalar.regime,)
                 solved += 1
-        assert solved == 176
+        assert solved == 231
 
     @pytest.mark.parametrize("index", [1045, 2559])
     def test_steep_read_back_matches_scalar(self, index):

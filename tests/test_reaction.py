@@ -109,6 +109,30 @@ class TestTruncatedMoments:
         law = claim_laws["erlang2_rate2"]
         assert law.cut_survival == pytest.approx(33.0 * math.exp(-32.0), rel=1e-3, abs=0.0)
 
+    @pytest.mark.parametrize("law", ["exponential", "uniform_0_2", "erlang2_rate2"])
+    def test_foc_terms_of_a_float_match_an_array(self, claim_laws, law):
+        # a table law reads a float by ``truncated``, to the array's bits; the
+        # exponential law reads e_fun(beta d) in pure Python, where the array divides
+        # M2 by d^2 S (both about 0 at d = 1e-300, which e_fun puts at 3.3e-301); where
+        # S(d) = 0, e is above 1e307, and inf for the exponential law's float
+        dist = claim_laws[law]
+        ds = [0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0, 1.999, 2.3936, 7.5, 15.9, 16.0, 50.0, 1e200,
+              math.inf]
+        e, m, s = dist.foc_terms(np.array(ds))
+        for i, d in enumerate(ds):
+            got = dist.foc_terms(d)
+            assert all(type(v) is float for v in got)
+            if s[i] == 0.0:
+                assert got[1:] == (m[i], 0.0) and min(got[0], e[i]) > 1e307
+            elif law == "exponential":
+                assert got == pytest.approx((e[i], m[i], s[i]), rel=1e-14, abs=1e-300)
+            else:
+                assert np.array(got).tobytes() == np.array((e[i], m[i], s[i])).tobytes()
+        assert dist.foc_terms(0.0)[0] == 0.0
+        tm = dist.truncated(0.7)
+        assert dist.foc_terms(0.7) == pytest.approx(
+            (tm.m2_below / (0.49 * tm.survival), tm.mean_excess, tm.survival), rel=1e-13)
+
 
 class TestFocResiduals:
     def test_zero_at_equilibrium(self, base_params, base_eq):
@@ -406,6 +430,39 @@ class TestGeneralEquilibrium:
         root2 = reaction_xi2(xi1, base_params, 0.0)
         rewards2 = instantaneous_reward(PremiumPoint(xi1, grid, 0.0), base_params, "R2")
         assert abs(grid[int(np.argmax(rewards2))] - root2) <= 1e-4
+
+
+class TestGeneralLawScalarPath:
+    """A scalar time solves any claim law, as one element of an array does."""
+
+    @pytest.mark.parametrize("law", ["erlang2_rate2", "uniform_0_2"])
+    def test_scalar_equilibrium_matches_the_array_path(self, base_params, claim_laws, law):
+        params = dataclasses.replace(base_params, claims=claim_laws[law])
+        ts = [0.0, 0.5 * params.T, params.T]
+        grid = constrained_equilibrium(params, np.array(ts))
+        for i, t in enumerate(ts):
+            scalar = constrained_equilibrium(params, t)
+            assert scalar.regime is grid.regime[i]
+            got = (scalar.xi1_star, scalar.xi2_star, *scalar.unconstrained,
+                   scalar.response.q, scalar.response.d)
+            want = (grid.xi1_star[i], grid.xi2_star[i], grid.unconstrained[0][i],
+                    grid.unconstrained[1][i], grid.response.q[i], grid.response.d[i])
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("law,values", [
+        ("erlang2_rate2", [(0.27348273300735587, 0.23787541729396156),
+                           (0.18332095817944322, 0.15945266067123523),
+                           (0.12288371312614188, 0.10688431484164755)]),
+        ("uniform_0_2", [(0.24700236477937224, 0.1689629727813479),
+                         (0.16557063652982057, 0.11325926769311159),
+                         (0.11098531670081942, 0.07591995753400936)])])
+    def test_general_equilibrium_keeps_the_one_element_array_values(self, base_params,
+                                                                    claim_laws, law, values):
+        # the values general_equilibrium gave as a one-element array solve
+        params = dataclasses.replace(base_params, claims=claim_laws[law])
+        for t, want in zip((0.0, 0.5 * params.T, params.T), values):
+            point = general_equilibrium(params, t)
+            assert (point.xi1, point.xi2) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestGeneralLawGrid:

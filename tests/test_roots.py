@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from reinsgame import expo, reaction, roots
+from reinsgame import reaction, roots
 from reinsgame.errors import DomainError
 from reinsgame.expo import Regime, constrained_equilibrium
-from reinsgame.market import GenericClaims
+from reinsgame.market import GenericClaims, admissible_box
 from reinsgame.roots import bisect, chandrupatla, chandrupatla_scalar
 from reinsgame.roots import chandrupatla as bisect_array  # the array root finder
 from tests.test_expo import flat_rate_params
@@ -339,14 +339,21 @@ class TestChandrupatlaScalar:
             chandrupatla(lambda x: np.where(x > 0.5, np.nan, 0.75 - x), 0.0, 1.0)
 
     def test_evaluations_on_the_sweep_box_draw(self, monkeypatch):
-        # the fixed point at each point, and R1's reply where a clamp binds, that is
-        # outside the Interior regime; bisection took a median of 48 residual
-        # evaluations per solve, at most 56
+        # the fixed point at each point, R2's reply on the floor and cap branches, a
+        # bracket of zero width for exponential claims and so one evaluation, and R1's
+        # reply where a clamp binds, that is outside the Interior regime; bisection
+        # took a median of 48 residual evaluations per solve, at most 56
         counts = []
 
         def spy(f, lo, hi):
             return chandrupatla_scalar(counted_scalar(f, counts), lo, hi)
-        monkeypatch.setattr(expo, "chandrupatla_scalar", spy)
-        regimes = [constrained_equilibrium(params, t).regime for params, t in sweep_box_draw()]
-        assert len(counts) == 2000 + sum(r is not Regime.INTERIOR for r in regimes)
+        monkeypatch.setattr(reaction, "chandrupatla_scalar", spy)
+        edge = interior = 0
+        for params, t in sweep_box_draw():
+            eq = constrained_equilibrium(params, t)
+            (lo, hi), _ = admissible_box(params)
+            edge += not lo <= eq.unconstrained[0] <= hi
+            interior += eq.regime is Regime.INTERIOR
+        assert len(counts) == 2000 + edge + 2000 - interior
+        assert counts.count(1) == edge == 789
         assert max(counts) <= 16
