@@ -49,12 +49,12 @@ def _emit(columns: list[str], rows: list[list], fmt: str, out: str | None) -> No
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, n = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(n))
+        start, stop, n = float(start), float(stop), int(n)
     except ValueError as exc:
         raise ConfigError(f"--grid expects start:stop:n, got {spec!r}") from exc
-    if grid.size < 1:
-        raise ConfigError("--grid needs at least one point")
-    return grid
+    if not (np.isfinite([start, stop]).all() and n >= 1):
+        raise ConfigError(f"--grid needs finite ends and at least one point, got {spec!r}")
+    return np.linspace(start, stop, n)
 
 
 def _equilibrium_row(params: MarketParams, t: float) -> list:

@@ -54,7 +54,7 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _curve(value, horizon: float, key: str) -> RateCurve:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return RateCurve.flat(float(value), horizon)
     try:
         return RateCurve(tuple((float(t), float(r)) for t, r in value), horizon)

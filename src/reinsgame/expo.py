@@ -109,14 +109,17 @@ def g_range(c_r1: float) -> tuple[float, float]:
 def G_fun(x: float, c_r1: float) -> float:
     """g_fun composed with e_fun; continuously decreasing on (0, inf).
 
-    Computed as G(inf) + delta(e(x)) (``reaction._r1_ratio``), which stays
-    accurate where e(x) is huge (the composed form overflows there) and is
-    G(inf) once e(x) overflows.
+    Computed as 2C rho(e(x)), R1's reply in the insurer's ratio rho
+    (``reaction._r1_ratio``), which stays accurate where e(x) is huge (the
+    composed form overflows there) and is G(inf) once e(x) overflows.
     """
     if not c_r1 > 0:
         raise DomainError("G_fun requires c_r1 > 0")
-    g_inf, delta = _r1_ratio(c_r1)
-    return g_inf + delta(e_fun(x))
+    rho_lo, delta = _r1_ratio(c_r1)
+    e = e_fun(x)
+    g = 2.0 * c_r1 * (rho_lo + delta(e))
+    # rho overflows only where C is subnormal and e < 1, where the composed form is exact
+    return g if g < math.inf else g_fun(e, c_r1)
 
 
 def G_inv(y: float, c_r1: float) -> float:
@@ -142,15 +145,15 @@ def _beta(params: MarketParams) -> float:
 def h1(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 1's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
-    a_i, a_r1, _, c1, _ = _gamma_profiles(params, t)
-    x = G_inv(a_r1 / xi1, c1)
+    a_i, c1, _ = _gamma_profiles(params, t)
+    x = G_inv(c1 * a_i / xi1, c1)
     return a_i * x / (beta * (a_i / (2.0 * xi1) + 1.0))
 
 
 def h2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
     """Reinsurer 2's reaction curve: the xi2 solving its FOC at this xi1."""
     beta = _beta(params)
-    a_i, _, _, _, c2 = _gamma_profiles(params, t)
+    a_i, _, c2 = _gamma_profiles(params, t)
     # 1 - a_i/(a_i + 2 xi1) written as 2 xi1/(a_i + 2 xi1): no cancellation
     # when a_i >> xi1
     return (a_i / beta) * (c2 + 2.0 * xi1 / (a_i + 2.0 * xi1))

@@ -249,8 +249,8 @@ class Exponential(ClaimDistribution):
         scalar = np.isscalar(d) or np.ndim(d) == 0
         if scalar:
             d = float(d)
-            if d < 0:
-                raise DomainError("deductible must be non-negative")
+        if not (d >= 0.0 if scalar else np.all(d >= 0.0)):  # False for NaN
+            raise DomainError("deductible must be a non-negative number")
         bd = b * d
         s = np.exp(-bd)
         # where S(d) = 0 the moments below d are their limits 2/beta^2 and 1/beta,
@@ -518,19 +518,6 @@ def gamma_accumulations(params: MarketParams, t) -> tuple:
                 params.rho_R2.integral(t, params.T)])
     a_i, a_r1, a_r2 = a if isinstance(t, np.ndarray) else a.tolist()
     return params.gamma_I * a_i, params.gamma_R1 * a_r1, params.gamma_R2 * a_r2
-
-
-def coefficients(a_i, a_r1, a_r2, t):
-    """(a_I, a_R1, a_R2, C_R1, C_R2), C_Rk = a_Rk/a_I, at time(s) ``t``; DomainError where a C
-    is not positive and finite, or R1's reply interval (a_R1, a_R1 + a_I/2) is empty."""
-    c1, c2 = a_r1 / a_i, a_r2 / a_i
-    ok = ((0.0 < c1) & (c1 < math.inf) & (0.0 < c2) & (c2 < math.inf)
-          & (a_r1 + 0.5 * a_i > a_r1))
-    if ok is True or np.all(ok):  # a Python bool skips np.all, about 4 us
-        return a_i, a_r1, a_r2, c1, c2
-    c1, c2, t = (np.ravel(v)[np.argmin(np.ravel(ok))] for v in np.broadcast_arrays(c1, c2, t))
-    raise DomainError(f"C_R1 = {c1:g} and C_R2 = {c2:g} at t = {t:g}: both must be "
-                      f"positive and finite, C_R1 below about 1e16")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Reinsurers' first-order conditions and best responses for arbitrary claims.
 
 Both reduced FOCs are free of the claim intensity and close in the insurer's
-deductible d, through the law's ``foc_terms``: at a fixed d, R1's FOC has one
-root r(d) = a_R1/xi1 (``_r1_ratio``) and R2's reads k m(d) = d, m the mean
-excess.  So every solve is one root of d = f(d) on [f_lo, f_hi], f's bounds,
-with end signs known for every claim law (``_deductible_root``): R1's reply,
-f = ret + c r(d); R2's, f = k m(d); the fixed point, f = k(d) m(d) with k(d)
-read from r(d).  Each is written once, for a float time (``chandrupatla_scalar``,
-with no numpy call per evaluation) or an array of times (``chandrupatla``).  The two that read m(d) raise
-IntegrationError where a table law's tail cut leaves it unresolved at the
-root.  Times outside [0, T] raise DomainError.  For exponential claims they
+deductible d = w(1 + rho), w = xi2/a_I, rho = a_I/(2 xi1), a_k = gamma_k A_k(t),
+through the law's ``foc_terms``: at a fixed d, R1's FOC has one root rho(d)
+(``_r1_ratio``) and R2's reads k m(d) = d, k = 1 + C_R2(1 + rho), m the mean
+excess.  So every solve reads (a_I, C_R1, C_R2) and is one root of d = f(d)
+(``_deductible_root``): R1's reply, f = w(1 + rho(d)); R2's, f = k m(d); the
+fixed point, f = k(d) m(d).  Each is written once, for a float time
+(``chandrupatla_scalar``, no numpy call per evaluation) or an array of times
+(``chandrupatla``).  The two that read m(d) raise IntegrationError where a table
+law's tail cut leaves it unresolved at the root.  Times outside [0, T] raise
+DomainError.  For exponential claims they
 equal the closed forms of :mod:`reinsgame.expo`; for other laws the fixed
 point is a candidate, one of several if the residual in d changes sign more
 than once.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegeneratePremiumError, DomainError, IntegrationError
 from .market import (_CUT_RESOLUTION, PARTIES, MarketParams, PremiumPoint, TruncatedMoments,
-                     coefficients, gamma_accumulations, ledger, running_reward)
+                     gamma_accumulations, ledger, running_reward)
 from .response import layered_response, response
 from .roots import chandrupatla, chandrupatla_scalar
 
@@ -96,19 +97,20 @@ def instantaneous_reward(point: PremiumPoint, params: MarketParams, which: str) 
 def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
     """Open xi1 interval (a_R1, a_R1 + a_I/2), a = gamma*A, of R1's reaction curve for
     every claim law, where its FOC is int_0^d y^2 dF/(2C+1) >= 0 at the lower end and
-    -d^2 S(d)/(2C+1) <= 0 at the upper end.  In r = a_R1/xi1 it is (2C/(2C+1), 1), whose
-    closure is the range of R1's reply to a deductible (``_r1_ratio``)."""
+    -d^2 S(d)/(2C+1) <= 0 at the upper end.  In rho = a_I/(2 xi1) it is (1/(2C+1), 1/(2C)),
+    whose closure is the range of R1's reply to a deductible (``_r1_ratio``)."""
     a_i, a_r1, _ = gamma_accumulations(params, t)
     return a_r1, a_r1 + 0.5 * a_i
 
 
-# numpy's sqrt, isfinite, where, clip and errstate for the Python floats of a scalar
-# solve, which make no numpy call: float arithmetic gives inf on overflow and raises
+# numpy's sqrt, isfinite, where, minimum, clip and errstate for the Python floats of a
+# scalar solve, which make no numpy call: float arithmetic gives inf on overflow and raises
 # only on a division by zero, and this where evaluates both its branches, as numpy's does
 _FLOATS = SimpleNamespace(sqrt=math.sqrt, isfinite=math.isfinite,
-                          where=lambda cond, a, b: a if cond else b,
+                          where=lambda cond, a, b: a if cond else b, minimum=min,
                           clip=lambda x, lo, hi: max(lo, min(x, hi)),
                           errstate=lambda _none=contextlib.nullcontext(), **_: _none)
+_BIG = float(np.finfo(float).max)
 
 
 def _kind(t):  # the arithmetic of a solve at time(s) t
@@ -116,14 +118,22 @@ def _kind(t):  # the arithmetic of a solve at time(s) t
 
 
 def _gamma_profiles(params: MarketParams, t):
-    # (a_I, a_R1, a_R2, C_R1, C_R2), a_k = gamma_k*A_k, at a float time or an array of
-    # times in [0, T], the checks every solve passes through
+    # (a_I, C_R1, C_R2), a_k = gamma_k*A_k and C_Rk = a_Rk/a_I, at a float time or an
+    # array of times in [0, T], the checks every solve passes through: DomainError where
+    # a C is not positive and finite, or R1's reply interval (a_R1, a_R1 + a_I/2) is empty
     inside = (t >= 0.0) & (t <= params.T)  # False for NaN
     if inside is not True and not np.all(inside):
         bad = np.ravel(t)[np.argmin(np.ravel(inside))]
         raise DomainError(f"t = {bad:g} outside [0, T = {params.T:g}]")
-    with _kind(t).errstate(over="ignore"):  # coefficients names an overflowed ratio
-        return coefficients(*gamma_accumulations(params, t), t)
+    a_i, a_r1, a_r2 = gamma_accumulations(params, t)
+    with _kind(t).errstate(over="ignore"):  # an overflowed ratio is named below
+        c1, c2 = a_r1 / a_i, a_r2 / a_i
+    ok = (0.0 < c1) & (c1 < math.inf) & (0.0 < c2) & (c2 < math.inf) & (a_r1 + 0.5 * a_i > a_r1)
+    if ok is True or np.all(ok):  # a Python bool skips np.all, about 4 us
+        return a_i, c1, c2
+    c1, c2, t = (np.ravel(v)[np.argmin(np.ravel(ok))] for v in np.broadcast_arrays(c1, c2, t))
+    raise DomainError(f"C_R1 = {c1:g} and C_R2 = {c2:g} at t = {t:g}: both must be "
+                      f"positive and finite, C_R1 below about 1e16")
 
 
 def _check_resolved(d, m, s, claims) -> None:
@@ -137,35 +147,33 @@ def _check_resolved(d, m, s, claims) -> None:
 
 
 def _r1_ratio(c_r1, xp=_FLOATS):
-    """(G(inf), delta): R1's reply r = a_R1/xi1 to d is ``expo.g_fun`` at e(d), G(inf) + delta(e),
-    from 1 at e = 0 to G(inf) = 2C/(2C+1) at e = inf; delta, the positive root of D^2 + s D - K,
-    s = 2G(inf) + 2C - 1 + e(2C+1), K = 4C(C+1)/(2C+1)^2, does not cancel near G(inf)."""
-    g_inf = 2.0 * c_r1 / (2.0 * c_r1 + 1.0)
-    k4 = 16.0 * c_r1 * (c_r1 + 1.0) / (2.0 * c_r1 + 1.0) ** 2  # 4K
-    s0, slope, sqrt, where = 2.0 * g_inf + 2.0 * c_r1 - 1.0, 2.0 * c_r1 + 1.0, xp.sqrt, xp.where
+    """(rho_lo, delta): R1's reply rho = a_I/(2 xi1) to d is ``expo.g_fun`` at e(d) over 2C,
+    rho_lo + delta(e), from 1/(2C) at e = 0 to rho_lo = 1/(2C+1) at e = inf; 2C delta, the
+    positive root of D^2 + s D - K, s = 4C/(2C+1) + 2C - 1 + e(2C+1), K = 4C(C+1)/(2C+1)^2,
+    does not cancel near rho_lo, and delta is inf only where 1/(4C) overflows."""
+    p, c4 = 2.0 * c_r1 + 1.0, 4.0 * c_r1
+    k_c = 4.0 * (c_r1 + 1.0) / (p * p)  # K/C
+    k4, s0, sqrt, where = c4 * k_c, c4 / p + 2.0 * c_r1 - 1.0, xp.sqrt, xp.where
 
     def delta(e):
-        s = s0 + e * slope
+        s = s0 + e * p
         q = abs(s) + sqrt(s * s + k4)  # the larger of |s| +- sqrt(s^2 + 4K), > 0
-        return where(s > 0.0, 0.5 * k4 / q, 0.5 * q)
-    return g_inf, delta
+        return where(s > 0.0, k_c / q, q / c4)
+    return 1.0 / p, delta
 
 
 def _deductible_root(residual, lo, hi, claims, ratio=None, identity=None, reads_m=True):
-    """m(d) at the root d of residual(d) = f(d) - d on [lo, hi], f's bounds (``_check_resolved``
-    where f ``reads_m``), and given R1's ``ratio`` r(e), r: ratio(e(d)), or identity(d, m(d))
-    where the residual falls by over 2 per unit of d across the final bracket, where r(d) is
-    steep; where hi overflows, the root sits where S(d) = 0: d = inf, r = G(inf)."""
+    """m(d) at the root d of residual(d) = f(d) - d on [lo, hi], f's bounds, each capped at
+    the largest float (``_check_resolved`` where f ``reads_m``), and given R1's ``ratio``
+    rho(e), rho: ratio(e(d)), or identity(d, m(d)) where the residual falls by over 2 per
+    unit of d across the final bracket, where rho(d) is steep."""
     xp = _kind(hi)
-    over = hi == math.inf
     with xp.errstate(all="ignore"):  # np.where computes both forms
-        # an overflowed bracket is solved on [0, 0], in one evaluation, and read at inf
-        lo, hi = xp.where(over, 0.0, lo), xp.where(over, 0.0, hi)
+        lo, hi = xp.minimum(lo, _BIG), xp.minimum(hi, _BIG)
         d, f_d, y, f_y = (chandrupatla(residual, lo, hi) if xp is np
                           else chandrupatla_scalar(residual, lo, hi))
         # the secant (f_d - f_y)/(d - y) below -2, with no division by d - y = 0
         steep = xp.isfinite(f_y) & ((f_d - f_y + 2.0 * (d - y)) * (d - y) < 0.0)
-        d = xp.where(over, math.inf, d)
         e, m, s = claims.foc_terms(d)
         if reads_m:
             _check_resolved(d, m, s, claims)
@@ -175,52 +183,57 @@ def _deductible_root(residual, lo, hi, claims, ratio=None, identity=None, reads_
 
 
 def _r1_reply(xi2, params: MarketParams, t, coefs=None):
-    """R1's best-response xi1 = a_R1/r to xi2 at time(s) t (``coefs``: their ``_gamma_profiles``,
-    if read): the root of d = ret + c r(d) = lo + c delta(e(d)) on [lo, ret + c], ret = xi2/a_I,
-    c = xi2/(2 a_R1), lo = ret + c G(inf), where the insurer's d = ret + c r meets r = r(d)."""
+    """R1's best-response xi1 = a_I/(2 rho) to xi2 at time(s) t (``coefs``: their
+    ``_gamma_profiles``, if read): the root of d = w(1 + rho(d)), w = xi2/a_I, on
+    [w(1 + rho_lo), w(1 + 1/(2C_R1))], where the insurer's d meets R1's reply rho(d)."""
     xp, read = _kind(t), params.claims.foc_terms
-    a_i, a_r1, _, c1, _ = coefs or _gamma_profiles(params, t)
-    g_inf, delta = _r1_ratio(c1, xp)
-    with xp.errstate(over="ignore"):  # c overflows where a_R1 is subnormal
-        ret, c = xi2 / a_i, xi2 / (2.0 * a_r1)
-        lo = ret + c * g_inf
-        _, r = _deductible_root(lambda d: lo + c * delta(read(d)[0]) - d, lo, ret + c,
-                                params.claims, lambda e: g_inf + delta(e),
-                                lambda d, m: (d - ret) / c, reads_m=False)
-    return a_r1 / r
+    a_i, c1, _ = coefs or _gamma_profiles(params, t)
+    rho_lo, delta = _r1_ratio(c1, xp)
+    with xp.errstate(over="ignore"):  # 1/(2C_R1) overflows where C_R1 is subnormal
+        w = xi2 / a_i
+        lo = w + w * rho_lo
+        _, rho = _deductible_root(lambda d: lo + w * delta(read(d)[0]) - d, lo, w + w * (0.5 / c1),
+                                  params.claims, lambda e: rho_lo + delta(e),
+                                  lambda d, m: (d - w) / w, reads_m=False)
+    return 0.5 * a_i / rho
+
+
+def _r2_xi2(a_i, c2, rho, m):
+    # R2's reply xi2 = a_I k m/(1 + rho) to rho = a_I/(2 xi1), at the root of d = k m(d),
+    # k = 1 + C_R2 (1 + rho)
+    return a_i * (1.0 + c2 * (1.0 + rho)) * m / (1.0 + rho)
 
 
 def _r2_reply(xi1, params: MarketParams, t, coefs=None):
-    """R2's best-response xi2 = d/(1/a_I + 1/(2 xi1)) to xi1 at time(s) t (``coefs`` as for
-    ``_r1_reply``), at the root d on [k m_lo, k m_hi], of zero width for exponential claims,
-    of its FOC over S(d), k m(d) - d, k = 1 + C_R2 + a_R2/(2 xi1); d is read as k m(d)."""
-    a_i, _, a_r2, _, c2 = coefs or _gamma_profiles(params, t)
-    k = 1.0 + c2 + a_r2 / (2.0 * xi1)
+    """R2's best-response xi2 = a_I k m(d)/(1 + rho) to xi1 at time(s) t (``coefs`` as
+    for ``_r1_reply``), rho = a_I/(2 xi1), at the root d on [k m_lo, k m_hi], of zero
+    width for exponential claims, of its FOC over S(d), k m(d) - d, k = 1 + C_R2(1 + rho)."""
+    a_i, _, c2 = coefs or _gamma_profiles(params, t)
+    rho = 0.5 * a_i / xi1
+    k = 1.0 + c2 * (1.0 + rho)
     read, (m_lo, m_hi) = params.claims.foc_terms, params.claims.mean_excess_bounds
     m, _ = _deductible_root(lambda d: k * read(d)[1] - d, k * m_lo, k * m_hi, params.claims)
-    return k * m / (1.0 / a_i + 0.5 / xi1)
+    return _r2_xi2(a_i, c2, rho, m)
 
 
 def _fixed_point(params: MarketParams, t, coefs=None):
     """Unconstrained (xi1, xi2) at time(s) t (``coefs`` as for ``_r1_reply``): the root in
     d that ``general_equilibrium`` describes, without its closing check."""
     xp = _kind(t)
-    a_i, a_r1, a_r2, c1, c2 = coefs or _gamma_profiles(params, t)
-    g_inf, delta = _r1_ratio(c1, xp)
+    a_i, c1, c2 = coefs or _gamma_profiles(params, t)
+    rho_lo, delta = _r1_ratio(c1, xp)
     read, (m_lo, m_hi) = params.claims.foc_terms, params.claims.mean_excess_bounds
+    k_lo = 1.0 + c2 * (1.0 + rho_lo)
 
-    def residual(d):  # k(d) m(d) - d, k(d) = k_lo + u delta(e(d))
+    def residual(d):  # k(d) m(d) - d, k(d) = k_lo + C_R2 delta(e(d))
         e, m, _ = read(d)
-        return (k_lo + u * delta(e)) * m - d
-    # u = C_R2/(2C_R1) overflows where C_R2/C_R1 exceeds the largest float, and
-    # k_lo m_lo with it where m_lo = 0: the bracket's end is then inf
-    with xp.errstate(over="ignore", invalid="ignore"):
-        k0, u = 1.0 + c2, a_r2 / (2.0 * a_r1)
-        k_lo = k0 + u * g_inf
-        m, r = _deductible_root(residual, k_lo * m_lo, (k0 + u) * m_hi, params.claims,
-                                lambda e: g_inf + delta(e), lambda d, m: (d / m - k0) / u)
-    xi1 = a_r1 / r  # xi2 is R2's reply to xi1, whose k stays finite where u overflows
-    return xi1, (k0 + a_r2 / (2.0 * xi1)) * m / (1.0 / a_i + 0.5 / xi1)
+        return (k_lo + c2 * delta(e)) * m - d
+    # the upper end overflows where C_R1 is subnormal or C_R2/C_R1 exceeds the largest float
+    with xp.errstate(over="ignore"):
+        m, rho = _deductible_root(residual, k_lo * m_lo, (1.0 + c2 * (1.0 + 0.5 / c1)) * m_hi,
+                                  params.claims, lambda e: rho_lo + delta(e),
+                                  lambda d, m: (d / m - 1.0 - c2) / c2)
+    return 0.5 * a_i / rho, _r2_xi2(a_i, c2, rho, m)
 
 
 def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0) -> float:
@@ -240,13 +253,11 @@ def reaction_xi2(xi1: float, params: MarketParams, t: float = 0.0) -> float:
 def general_equilibrium(params: MarketParams, t: float = 0.0) -> PremiumPoint:
     """Candidate premium equilibrium: one root in the deductible d (``_fixed_point``).
 
-    At a fixed d, R1's FOC is a quadratic in r = a_R1/xi1 with one root r(d) in
-    [2C_R1/(2C_R1+1), 1] (``_r1_ratio``), and R2's is k(d) m(d) = d with k(d) = 1 + C_R2 +
-    (C_R2/(2C_R1)) r(d), between k_lo = 1 + C_R2 + C_R2/(2C_R1+1) and k_hi = 1 + C_R2 +
-    C_R2/(2C_R1): the bracket is [k_lo m_lo, k_hi m_hi] (``_deductible_root``), of zero
-    width for exponential claims where C_R2 is below rounding.  Then xi1 = a_R1/r and
-    xi2 = k m(d)/(1/a_I + 1/(2 xi1)), R2's reply, neither divided by a_R2.
-    Raises ConvergenceError unless both FOCs hold at the result (``_check_fixed_point``).
+    At a fixed d, R1's FOC has one root rho(d) in [1/(2C_R1+1), 1/(2C_R1)] (``_r1_ratio``),
+    and R2's is k(d) m(d) = d, k(d) = 1 + C_R2(1 + rho(d)): the bracket is [k_lo m_lo,
+    k_hi m_hi], k at rho's ends (``_deductible_root``).  Then xi1 = a_I/(2 rho) and xi2 =
+    a_I k m(d)/(1 + rho), R2's reply.  Raises ConvergenceError unless both FOCs hold at the
+    result (``_check_fixed_point``).
     """
     point = PremiumPoint(*_fixed_point(params, float(t)), t)
     _check_fixed_point(point, params)

@@ -13,7 +13,7 @@ noise; both return the root and the final bracket's other end, each with its
 residual.  ``bisect`` stays as a plain reference for the tests; no solve calls
 it.  The equilibrium xi1's invariance under claim-size rescaling (acceptance
 criterion 5) holds to rounding: the fixed point in d scales as 1/beta, and
-e(d) = e_fun(beta d), R1's ratio r(d) and xi1 = a_R1/r at the root do not.
+e(d) = e_fun(beta d), R1's reply rho(d) and xi1 = a_I/(2 rho) at the root do not.
 """
 from __future__ import annotations
 

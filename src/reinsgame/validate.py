@@ -13,6 +13,7 @@ import numpy as np
 
 from . import expo, reaction
 from .config import default_market_params
+from .errors import DomainError
 from .market import PARTIES, Exponential, MarketParams, PremiumPoint, admissible_box
 from .response import indemnity, response
 from .simulate import SimConfig, estimate_objectives, simulate
@@ -178,7 +179,7 @@ def run_checks(params: MarketParams | None = None, t: float = 0.0) -> list[Check
     """Run the full invariant suite."""
     params = params or default_market_params()
     if not isinstance(params.claims, Exponential):
-        raise ValueError("the validation suite assumes exponential claims")
+        raise DomainError(f"validate needs exponential claims, got {type(params.claims).__name__}")
     results = []
     for check in _CHECKS:
         start = time.perf_counter()

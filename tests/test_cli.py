@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -110,10 +111,13 @@ class TestConfigErrors:
         (("--command", "sweep", "--param", "mu", "--grid", "0:4:3"), ("mu", "got 0")),
         (("--command", "sweep", "--param", "beta", "--grid=-1:1:3"), ("beta", "got -1")),
         (("--command", "trajectory", "--grid", "0:9:3"), ("--grid", "0:9:3")),
+        (("--command", "trajectory", "--grid", "0:nan:3"), ("--grid", "finite", "0:nan:3")),
+        (("--command", "trajectory", "--grid", "0:inf:3"), ("--grid", "finite", "0:inf:3")),
         (("--command", "simulate", "--paths", "0"), ("--paths 0", "at least one path")),
         (("--command", "simulate", "--paths", "-3"), ("--paths -3", "at least one path")),
         (("--command", "simulate", "--seed", "-1"), ("--seed -1", "64-bit")),
-    ], ids=["mu_zero", "beta_negative", "trajectory_past_horizon", "simulate_zero_paths",
+    ], ids=["mu_zero", "beta_negative", "trajectory_past_horizon", "trajectory_nan_grid_end",
+            "trajectory_infinite_grid_end", "simulate_zero_paths",
             "simulate_negative_paths", "simulate_negative_seed"])
     def test_value_outside_domain(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
@@ -341,6 +345,16 @@ class TestValidateCommand:
         for check in json.loads(out)["checks"]:
             assert isinstance(check["seconds"], float), check["name"]
             assert check["seconds"] >= 0.0, check["name"]
+
+    def test_a_non_exponential_law_raises_domain_error(self, base_params):
+        # the suite's closed forms need exponential claims; this was a bare ValueError
+        from reinsgame import GenericClaims
+        from reinsgame.errors import DomainError
+        from reinsgame.validate import run_checks
+        params = dataclasses.replace(base_params, claims=GenericClaims(
+            lambda y: min(max(y / 2.0, 0.0), 1.0)))
+        with pytest.raises(DomainError, match="exponential claims, got GenericClaims"):
+            run_checks(params, 0.0)
 
     def test_foc_cross_check_catches_an_off_reply(self, base_params, monkeypatch):
         # R1's reply mapped back through the closed-form h1: a reply off by 1e-4

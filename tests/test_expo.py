@@ -11,6 +11,7 @@ from reinsgame.expo import (G_fun, G_inv, Regime, constrained_equilibrium, e_fun
                             g_fun, g_range, h1, h1_domain, h1_inv, h2,
                             unconstrained_fixed_point)
 from reinsgame.market import Exponential, MarketParams, RateCurve, admissible_box
+from reinsgame import reaction
 from reinsgame.reaction import reaction_xi1, reaction_xi2
 from tests.conftest import with_beta
 from tests.test_broad_box import broad_box_point
@@ -102,6 +103,13 @@ class TestGComposition:
         for c in (1e5, 1e6):
             assert G_fun(709.0, c) == pytest.approx(g_range(c)[0], rel=1e-12)
         assert G_fun(710.0, 1.0) == pytest.approx(g_range(1.0)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-320])
+    def test_subnormal_c_matches_the_composed_form(self, c):
+        # rho = G/(2C) overflows here for e < 1, and G read as 2C rho was inf
+        for x in (0.1, 1.0):
+            assert G_fun(x, c) == pytest.approx(g_fun(e_fun(x), c), rel=1e-14, abs=0.0)
+        assert 0.0 < G_fun(3.0, c) < 1e-300
 
     def test_e_beyond_exp_range(self):
         # e(x) ~ 2 e^x / x^2 stays finite past math.exp's overflow at 709.78
@@ -243,8 +251,8 @@ class TestUnconstrainedFixedPoint:
 
     @pytest.mark.parametrize("gamma_r2", [1e30, 1e300])
     def test_overflowing_slope_takes_the_root_at_infinity(self, gamma_r2):
-        # C_R2/(2C_R1) overflows, so a + b is inf: the root's limit x -> inf
-        # gives G(inf), where a solve on the bracket would raise
+        # C_R2/C_R1 exceeds the largest float, so the bracket's upper end overflows;
+        # capped there, it holds the root d ~ 1e30, where S(d) = 0 and rho = rho_lo
         params = default_market_params(gamma_R1=1e-300, gamma_R2=gamma_r2)
         eq = constrained_equilibrium(params, 0.0)
         assert eq.regime is Regime.XI2_CAP_ONLY
@@ -480,15 +488,14 @@ class TestArrayPath:
         assert grid.regime == (scalar.regime,)
 
     def test_overflowing_bracket_takes_the_limit_on_both_paths(self):
-        # C_R2/(2C_R1) overflows, and so does the fixed point's bracket: its root sits
-        # where S(d) = 0, and both paths read R1's ratio there as G(inf)
+        # C_R2/C_R1 exceeds the largest float, and so does the fixed point's upper end:
+        # both paths cap it and find the root d ~ 1e30, where S(d) = 0
         params = default_market_params(gamma_R1=1e-300, gamma_R2=1e300)
         assert_array_path_matches_scalar(params, np.array([0.0, 4.0]))
 
     def test_overflowing_bracket_agrees_with_the_scalar_limit(self):
         # the array path raised DomainError here, naming C_R1 = 1e-299, C_R2 = 1e+31
-        # and t = 4; both paths now give the scalar path's boxed point and xi2 from
-        # R2's k = 1 + C_R2 + a_R2/(2 xi1), which stays finite
+        # and t = 4; both paths now give the scalar path's boxed point
         params = default_market_params(gamma_R1=1e-300, gamma_R2=1e30)
         grid = constrained_equilibrium(params, np.array([4.0, 0.0]))
         for i, t in ((1, 0.0), (0, 4.0)):
@@ -503,23 +510,28 @@ class TestArrayPath:
         assert (grid.unconstrained[0][1], grid.unconstrained[1][1]) == pytest.approx(
             (0.1112770464246234, 2.2255409284924678e30), rel=1e-15, abs=0.0)
 
-    def test_subnormal_a_r1_takes_the_overflow_limit_on_both_paths(self):
-        # gamma_R1 = 1e-310 makes a_R1 subnormal: c = xi2/(2 a_R1) and C_R2/(2C_R1)
-        # overflow, which raised DomainError after an overflow warning in R1's reply
-        params = default_market_params(gamma_R1=1e-310)
-        assert reaction_xi1(0.5, params, 0.0) == pytest.approx(0.11127704642462324,
-                                                               rel=1e-15, abs=0.0)
-        scalar, grid = (constrained_equilibrium(params, t) for t in (0.0, np.array([0.0])))
-        assert scalar.regime is Regime.INTERIOR and grid.regime == (Regime.INTERIOR,)
-        for got in ((scalar.xi1_star, scalar.xi2_star), (grid.xi1_star[0], grid.xi2_star[0])):
-            assert got == pytest.approx((0.11127704642462324, 0.3338311392738701),
-                                        rel=1e-15, abs=0.0)
+    def test_subnormal_a_r1_keeps_the_root_on_both_paths(self):
+        # from gamma_R1 = 1e-310 on a_R1 is subnormal and 1/(2C_R1) overflows, so the
+        # brackets' upper ends are capped; the root d ~ 3 stays where S(d) is far from
+        # 0 (xi1 and reaction_xi1(0.5) jumped to 0.1112770, the top of h1_domain, when
+        # a solve in r = a_R1/xi1 read an overflowed bracket as the root at d = inf)
+        def solved(gamma_r1):
+            params = default_market_params(gamma_R1=gamma_r1)
+            grid = constrained_equilibrium(params, np.array([0.0]))
+            r1 = reaction._r1_reply(np.array([0.5]), params, np.array([0.0]))
+            return (*unconstrained_fixed_point(params, 0.0), reaction_xi1(0.5, params, 0.0),
+                    grid.unconstrained[0][0], grid.unconstrained[1][0], r1[0])
+        want = solved(1e-290)
+        assert want == pytest.approx((0.0674455027, 0.3065405442, 0.0914849845) * 2,
+                                     rel=1e-9, abs=0.0)
+        for gamma_r1 in (1e-309, 1e-310, 1e-315, 1e-320):
+            assert solved(gamma_r1) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_gamma_scan_matches_scalar(self):
         # gamma_R1 x gamma_R2 over 1e-300..1e300 at t = 0: where C_R1 is tiny, R1's
         # ratio falls by orders of magnitude within an ulp of the root, and xi1 read
         # as a_R1/r(d) was off by up to 133 orders at 45 of these points; where
-        # C_R2/(2C_R1) overflows (55 points), both paths take the root's limit
+        # C_R2/C_R1 overflows (55 points), both paths cap the bracket's upper end
         solved = 0
         gammas = [10.0 ** k for k in range(-300, 301, 30)]
         for gamma_r1 in gammas:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from reinsgame.config import default_market_params
 from reinsgame.errors import ConfigError, DomainError, IntegrationError
 from reinsgame.market import (_TABLE_NODES, Exponential, GenericClaims,
                               PremiumPoint, RateCurve, accumulation, admissible_box,
@@ -155,6 +156,18 @@ class TestExponentialMomentsBelow:
                                        tm.excess_sq, tm.mean_excess]))
             assert np.atleast_1d(tm.m2_below)[-1] == 2.0 / beta**2
             assert np.atleast_1d(tm.m1_below)[-1] == 1.0 / beta
+
+    @pytest.mark.parametrize("law", [Exponential(0.8),
+                                     GenericClaims(lambda y: min(max(y / 2.0, 0.0), 1.0))],
+                             ids=["exponential", "uniform_0_2"])
+    @pytest.mark.parametrize("d", [-1.0, math.nan, np.array([-1.0, 1.0]),
+                                   np.array([1.0, math.nan])],
+                             ids=["negative", "nan", "negative_in_array", "nan_in_array"])
+    def test_negative_or_nan_deductible_raises(self, law, d):
+        # Exponential read the array [-1, 1] as S = e and m2_below = 1 - e, and NaN
+        # as NaN moments
+        with pytest.raises(DomainError, match="deductible must be a non-negative number"):
+            law.truncated(d)
 
     def test_array_equals_scalar(self):
         law = Exponential(0.8)
@@ -386,6 +399,12 @@ class TestMarketParams:
     def test_rejects_non_finite_value(self, base_params, name, value):
         with pytest.raises(ConfigError, match=name):
             dataclasses.replace(base_params, **{name: value})
+
+    @pytest.mark.parametrize("key", ["rho_I", "gamma_I"])
+    def test_rejects_a_bool_rate_or_gamma(self, key):
+        # rho_I=True built a flat curve at rate 1.0
+        with pytest.raises(ConfigError, match=key):
+            default_market_params(**{key: True})
 
     def test_lambda_zero_allowed(self, base_params):
         assert dataclasses.replace(base_params, lam=0.0).lam == 0.0

@@ -376,6 +376,16 @@ class TestGeneralEquilibrium:
         _fixed_point(params, np.array([t]))
         assert [c.size for c in solves] == [1] and int(solves[0][0]) <= 32
 
+    def test_subnormal_a_r1_with_a_table_law(self, claim_laws):
+        # gamma_R1 = 1e-310: 1/(2C_R1) overflows, and a solve that read the overflowed
+        # bracket as the root at d = inf raised IntegrationError (m(d) unresolved)
+        law = claim_laws["erlang2_rate2"]
+        want, got = (general_equilibrium(dataclasses.replace(
+            default_market_params(gamma_R1=gamma_r1), claims=law), 0.0)
+            for gamma_r1 in (1e-290, 1e-310))
+        assert (want.xi1, want.xi2) == pytest.approx((0.0596687, 0.1771179), abs=5e-8)
+        assert (got.xi1, got.xi2) == pytest.approx((want.xi1, want.xi2), rel=1e-14, abs=0.0)
+
     def test_uniform_claims_candidate(self, base_params):
         params = dataclasses.replace(base_params, claims=uniform_claims())
         point = general_equilibrium(params, 0.0)
