@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,14 +70,12 @@ class RateCurve:
     ``segments`` is an ordered list of (t_start, rate) pairs; the first
     segment must start at 0 and each rate applies until the next start (the
     last until ``horizon``).  Integrals are computed exactly segment by
-    segment, so the accumulation factor exp(int_t^T rho) carries no
-    quadrature error.
+    segment, so the accumulation factor exp(int_t^T rho) (``accumulation``)
+    carries no quadrature error.
     """
 
     segments: tuple[tuple[float, float], ...]
     horizon: float
-    _knots: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple((float(t), float(r)) for t, r in self.segments)
@@ -96,10 +94,6 @@ class RateCurve:
         for _, r in segs:
             if not math.isfinite(r) or r < 0.0:
                 raise DomainError(f"rates must be finite and non-negative, got {r}")
-        knots = np.array(starts + [self.horizon])
-        cum = np.cumsum(np.array([r for _, r in segs]) * np.diff(knots))
-        object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_cum", np.concatenate(([0.0], cum)))
 
     @classmethod
     def flat(cls, rate: float, horizon: float) -> "RateCurve":
@@ -107,24 +101,24 @@ class RateCurve:
 
     def integral(self, t0, t1: float):
         """Exact int_{t0}^{t1} rho(s) ds, 0 <= t0 <= t1 <= horizon; elementwise for an array t0."""
-        fmax = np.maximum if isinstance(t0, np.ndarray) else max
-        if not (np.all((0.0 <= t0) & (t0 <= t1)) if fmax is np.maximum else 0.0 <= t0 <= t1) \
-                or not t1 <= self.horizon + 1e-12:
-            raise DomainError(f"integration bounds [{t0}, {t1}] outside [0, {self.horizon}]")
+        array = isinstance(t0, np.ndarray)
+        ok = (0.0 <= t0) & (t0 <= t1)  # False for NaN
+        if not (np.all(ok) if array else ok) or not t1 <= self.horizon + 1e-12:
+            bad = np.ravel(t0)[np.argmin(np.ravel(ok))]  # the first t0 out of order
+            raise DomainError(f"integration bounds [{bad:g}, {t1:g}] outside [0, {self.horizon:g}]")
+        fmax = np.maximum if array else max
         total = 0.0
         for i, (start, rate) in enumerate(self.segments):
             end = self.segments[i + 1][0] if i + 1 < len(self.segments) else self.horizon
             total = total + rate * fmax(min(t1, end) - fmax(t0, start), 0.0)
         return total
 
-    def cumulative(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized int_0^s rho, exact (the cumulative is piecewise linear)."""
-        return np.interp(np.asarray(s, dtype=float), self._knots, self._cum)
 
-
-def accumulation(curve: RateCurve, t: float, T: float) -> float:
-    """Accumulation factor exp(int_t^T rho(s) ds)."""
-    return math.exp(curve.integral(t, T))
+def accumulation(curve: RateCurve, t, T: float):
+    """Accumulation factor exp(int_t^T rho(s) ds), np.exp of ``RateCurve.integral``: a float
+    for a float t, elementwise for an array, and a float gets the bits of an array's element."""
+    a = np.exp(curve.integral(t, T))
+    return a if isinstance(t, np.ndarray) else float(a)
 
 
 @dataclass(frozen=True)
@@ -500,23 +494,28 @@ class MarketParams:
     def x0(self, party: str) -> float:
         return {"I": self.x0_I, "R1": self.x0_R1, "R2": self.x0_R2}[party]
 
-    def accum(self, party: str, t: float) -> float:
-        """A_k(t) = exp(int_t^T rho_k)."""
+    def accum(self, party: str, t):
+        """A_k(t) = exp(int_t^T rho_k) at a float time or an array of times (``accumulation``)."""
         return accumulation(self.rho(party), t, self.T)
 
 
-def accum_profile(params: MarketParams, party: str, s: np.ndarray) -> np.ndarray:
-    """A_k(s) = exp(int_s^T rho_k), exact for piecewise-constant rates; vectorized in s."""
-    curve = params.rho(party)
-    return np.exp(curve.cumulative(params.T) - curve.cumulative(s))
+def accumulations(params: MarketParams, t) -> tuple:
+    """(A_I, A_R1, A_R2) at a float time or an array of times, ``accumulation``'s formula: one
+    np.exp over the three integrals for a float, for an array one per distinct rate curve."""
+    curves, T = (params.rho_I, params.rho_R1, params.rho_R2), params.T
+    if not isinstance(t, np.ndarray):
+        return tuple(np.exp([curves[0].integral(t, T), curves[1].integral(t, T),
+                             curves[2].integral(t, T)]).tolist())
+    factors = []
+    for k, curve in enumerate(curves):
+        same = curves.index(curve)  # equal curves are equal values, not one object
+        factors.append(factors[same] if same < k else accumulation(curve, t, T))
+    return tuple(factors)
 
 
 def gamma_accumulations(params: MarketParams, t) -> tuple:
-    """(gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at time(s) t, A_k by ``RateCurve.integral``
-    and np.exp for a float too, so that it gives the bits of an array's element."""
-    a = np.exp([params.rho_I.integral(t, params.T), params.rho_R1.integral(t, params.T),
-                params.rho_R2.integral(t, params.T)])
-    a_i, a_r1, a_r2 = a if isinstance(t, np.ndarray) else a.tolist()
+    """(gamma_I*A_I, gamma_R1*A_R1, gamma_R2*A_R2) at time(s) t (``accumulations``)."""
+    a_i, a_r1, a_r2 = accumulations(params, t)
     return params.gamma_I * a_i, params.gamma_R1 * a_r1, params.gamma_R2 * a_r2
 
 

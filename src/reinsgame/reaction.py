@@ -120,11 +120,8 @@ def _kind(t):  # the arithmetic of a solve at time(s) t
 def _gamma_profiles(params: MarketParams, t):
     # (a_I, C_R1, C_R2), a_k = gamma_k*A_k and C_Rk = a_Rk/a_I, at a float time or an
     # array of times in [0, T], the checks every solve passes through: DomainError where
-    # a C is not positive and finite, or R1's reply interval (a_R1, a_R1 + a_I/2) is empty
-    inside = (t >= 0.0) & (t <= params.T)  # False for NaN
-    if inside is not True and not np.all(inside):
-        bad = np.ravel(t)[np.argmin(np.ravel(inside))]
-        raise DomainError(f"t = {bad:g} outside [0, T = {params.T:g}]")
+    # a time is outside [0, T] (from RateCurve.integral), where a C is not positive and
+    # finite, or where R1's reply interval (a_R1, a_R1 + a_I/2) is empty
     a_i, a_r1, a_r2 = gamma_accumulations(params, t)
     with _kind(t).errstate(over="ignore"):  # an overflowed ratio is named below
         c1, c2 = a_r1 / a_i, a_r2 / a_i

@@ -12,9 +12,9 @@ which the tests use as a cross-module check.
 Every one of these integrals runs from t to the horizon, so one reverse
 cumulative Simpson from T (``market._tail_integral``, the rule of the claim
 laws' moment tables) gives it at every time at once: ``_tail_integrals``
-evaluates the path on one node grid aligned with its linear pieces and serves
-the objectives, B_k and the premium drift of ``simulate``, for a scalar or an
-array of times.
+evaluates the path's ledger and accumulation factors (``path_profile``) on one
+node grid aligned with its linear pieces and serves the objectives, B_k and the
+premium drift of ``simulate``, for a scalar or an array of times.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expo import constrained_equilibrium
-from .market import (PARTIES, Ledger, MarketParams, _tail_integral, accum_profile, ledger,
+from .market import (PARTIES, Ledger, MarketParams, _tail_integral, accumulations, ledger,
                      running_reward)
 from .response import ResponseStrategy, layered_response, no_reinsurance
 
@@ -68,8 +68,9 @@ class StrategyPath:
         return np.interp(t, self.grid, self._xi2)
 
     def response(self, t) -> ResponseStrategy:
-        """Insurer's contract at time(s) ``t``; array-valued fields for an array ``t``."""
-        return self._contract(t, *self._loadings(t), accum_profile(self.params, "I", t))
+        """Insurer's contract at a float time, or at an array of times in fields of its shape."""
+        t = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+        return self._contract(t, *self._loadings(t), self.params.accum("I", t))
 
     def _loadings(self, t):
         # (xi1(t), xi2(t)).  np.interp searches from the index it found last, so
@@ -78,7 +79,6 @@ class StrategyPath:
         # the 801-point grid.  Equal times get equal values, so any sort will do.
         if np.ndim(t) == 0:
             return self.xi1(t), self.xi2(t)
-        t = np.asarray(t, dtype=float)
         order = np.argsort(t, axis=None)
         ts = t.ravel()[order]
         xi1, xi2 = np.empty(t.size), np.empty(t.size)
@@ -120,18 +120,21 @@ def no_reinsurance_path(params: MarketParams) -> StrategyPath:
 
 @dataclass(frozen=True)
 class PathProfile:
-    """A path's ``ledger`` on a time grid (scalars for a fixed contract)."""
+    """A path's ``ledger`` on a time grid (scalars for a fixed contract) and the accumulation
+    factors (A_I, A_R1, A_R2) there, one row per party of ``PARTIES``."""
 
     s: np.ndarray
     ledger: Ledger
+    accum: tuple
 
 
 def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> PathProfile:
-    """Evaluate a path's ledger on grid ``s``."""
+    """A path's ledger and the accumulations (``market.accumulations``) on grid ``s``."""
     s = np.asarray(s, dtype=float)
     xi1, xi2 = np.atleast_1d(path.xi1(s)), np.atleast_1d(path.xi2(s))
-    contract = path._contract(s, xi1, xi2, accum_profile(params, "I", s))
-    return PathProfile(s, ledger(contract, xi1, xi2, params))
+    accum = accumulations(params, s)
+    contract = path._contract(s, xi1, xi2, accum[0])
+    return PathProfile(s, ledger(contract, xi1, xi2, params), accum)
 
 
 def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
@@ -193,7 +196,7 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
         return ObjectiveValue(party, x, 0.0, x)
 
     def integrands(profile):
-        a_s, led = accum_profile(params, party, profile.s), profile.ledger
+        a_s, led = profile.accum[k], profile.ledger
         return np.stack([a_s * (led.income[k] - led.payout[k]), a_s * a_s * led.payout_sq[k]])
 
     drift, variance = _tail_integrals(path, params, t, panels, integrands)
@@ -208,8 +211,7 @@ def value_intercepts(path: StrategyPath, params: MarketParams, t) -> np.ndarray:
     B_k, the intercept of V_k(t, x) = A_k(t) x + B_k(t), accumulates party k's
     optimized running reward from t to the horizon and vanishes at t = T."""
     def integrands(profile):
-        a_s = [accum_profile(params, party, profile.s) for party in PARTIES]
         return np.stack([a * running_reward(profile.ledger, params, party, a)
-                         for party, a in zip(PARTIES, a_s)])
+                         for party, a in zip(PARTIES, profile.accum)])
 
     return _tail_integrals(path, params, t, _DEFAULT_PANELS, integrands)

@@ -68,14 +68,28 @@ class TestAccumulation:
         with pytest.raises(DomainError):
             RateCurve(((0.0, 0.1), (9.0, 0.2)), 8.0)  # start beyond horizon
 
-    def test_cumulative_matches_integral(self):
+    def test_float_is_an_array_element_bit_for_bit(self, base_params):
+        # one formula for a float time and an array of times: a float is no
+        # more and no less exact than the same time in an array
         curve = RateCurve(((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), 8.0)
-        ts = np.linspace(0.0, 8.0, 17)
-        cum = curve.cumulative(ts)
-        for t, c in zip(ts, cum):
-            assert c == pytest.approx(curve.integral(0.0, t), abs=1e-14)
+        params = dataclasses.replace(base_params, rho_I=curve, rho_R1=RateCurve.flat(0.1, 8.0))
+        ts = np.concatenate([np.linspace(0.0, 8.0, 801),
+                             np.random.default_rng(23).uniform(0.0, 8.0, 2000)])
+        whole = accumulation(curve, ts, 8.0)
+        assert [accumulation(curve, t, 8.0) for t in ts.tolist()] == whole.tolist()
+        for party in ("I", "R1", "R2"):
+            whole = params.accum(party, ts)
+            assert [params.accum(party, t) for t in ts.tolist()] == whole.tolist(), party
+            assert type(params.accum(party, 1.0)) is float
 
-    def test_cached_cumulative_leaves_equality_and_hash(self):
+    @pytest.mark.parametrize("t", [9.0, -3.0, math.nan])
+    def test_out_of_range_time_is_named(self, t):
+        curve = RateCurve(((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), 8.0)
+        for times in (t, np.array([[0.0, 1.0], [t, 8.0]])):
+            with pytest.raises(DomainError, match=rf"bounds \[{t:g}, 8\] outside \[0, 8\]$"):
+                accumulation(curve, times, 8.0)
+
+    def test_equality_and_hash_by_value(self):
         curve = RateCurve(((0.0, 0.12), (1.5, 0.03)), 8.0)
         twin = RateCurve(((0, 0.12), (1.5, 0.03)), 8.0)
         assert curve == twin and hash(curve) == hash(twin)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reinsgame.errors import DomainError
-from reinsgame.market import GenericClaims, RateCurve, accum_profile, insurer_premium_rate
+from reinsgame.market import GenericClaims, RateCurve, accumulations, insurer_premium_rate
 from reinsgame.simulate import SimConfig, estimate_objectives, simulate
 from reinsgame.valuation import (PARTIES, _tail_integrals, closed_form_objective,
                                  constant_path, equilibrium_path, no_reinsurance_path)
@@ -82,7 +82,7 @@ class TestSimulate:
         def premium_flows(profile):
             c = insurer_premium_rate(params)
             _, p1, p2 = profile.ledger.income
-            return np.stack([accum_profile(params, party, profile.s) * flow for party, flow
+            return np.stack([params.accum(party, profile.s) * flow for party, flow
                              in zip(PARTIES, (c - p1 - p2, p1, p2))])
 
         premiums = _tail_integrals(eq_path, params, 0.0, 64000, premium_flows)
@@ -119,22 +119,23 @@ class TestSimulate:
                                                              monkeypatch, rates, distinct):
         # each block computes A_k at its event times once per distinct rate curve
         # (equal curves are equal values, not one object): two more blocks add
-        # that many calls
+        # that many factors
         params = dataclasses.replace(base_params, **{
             f"rho_{party}": RateCurve.flat(rate, base_params.T)
             for party, rate in zip(PARTIES, rates)})
         module = importlib.import_module("reinsgame.simulate")
-        calls = []
+        factors = []
 
         def counted(*args):
-            calls.append(args[1])
-            return accum_profile(*args)
-        monkeypatch.setattr(module, "accum_profile", counted)
+            result = accumulations(*args)
+            factors.append(len({id(a) for a in result}))
+            return result
+        monkeypatch.setattr(module, "accumulations", counted)
         counts = []
         for paths in (1024, 3072):
-            calls.clear()
+            factors.clear()
             simulate(eq_path, params, SimConfig(paths=paths, seed=5))
-            counts.append(len(calls))
+            counts.append(sum(factors))
         assert counts[1] - counts[0] == 2 * distinct
 
     def test_general_law_mean_and_accounting(self, base_params):
@@ -149,6 +150,17 @@ class TestSimulate:
     def test_invalid_config(self):
         with pytest.raises(DomainError):
             SimConfig(paths=0)
+
+    @pytest.mark.parametrize("field,value", [("paths", 2.5), ("paths", 50.0), ("paths", True),
+                                             ("seed", 1.5), ("seed", False), ("seed", "1")])
+    def test_paths_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SimConfig(**{"paths": 50, field: value})
+
+    def test_numpy_integers_are_integers(self, base_params, eq_path):
+        numpy_ints = simulate(eq_path, base_params, SimConfig(np.int32(50), np.int64(1)))
+        assert np.array_equal(numpy_ints.x_i,
+                              simulate(eq_path, base_params, SimConfig(50, 1)).x_i)
 
 
 class TestEstimateObjectives:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reinsgame.errors import DomainError
-from reinsgame.market import (GenericClaims, RateCurve, accum_profile, insurer_premium_rate,
+from reinsgame.market import (GenericClaims, RateCurve, insurer_premium_rate,
                               ledger, running_reward)
 from reinsgame.response import no_reinsurance
 from reinsgame.valuation import (PARTIES, closed_form_objective,
@@ -82,7 +82,7 @@ class TestValueIntercept:
         if t >= params.T:
             return 0.0
         s = np.linspace(t, params.T, panels + 1)
-        a_s = accum_profile(params, party, s)
+        a_s = params.accum(party, s)
         reward = running_reward(path_profile(path, params, s).ledger, params, party, a_s)
         return float(integrate.simpson(a_s * reward, x=s))
 
@@ -213,10 +213,49 @@ class TestStrategyPaths:
         got = path.response(t)
         want = path._contract(t, np.interp(t, path.grid, path._xi1),
                               np.interp(t, path.grid, path._xi2),
-                              accum_profile(base_params, "I", t))
+                              base_params.accum("I", t))
         for field in dataclasses.fields(got):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
                 field.name
+
+
+class TestOneContractPerTime:
+    """The path's contract, the boxed equilibrium's and ``response`` read one A_I(t),
+    so at a time they share they give the same contract, bit for bit."""
+
+    @pytest.fixture(params=["reference", "piecewise_rates"])
+    def params(self, request, base_params):
+        if request.param == "reference":
+            return base_params
+        return dataclasses.replace(
+            base_params, rho_I=RateCurve(((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), 8.0),
+            rho_R1=RateCurve(((0.0, 0.02), (4.0, 0.15)), 8.0))
+
+    def test_path_contract_is_the_equilibrium_contract(self, params):
+        from reinsgame.expo import constrained_equilibrium
+        path = equilibrium_path(params)
+        want = constrained_equilibrium(params, path.grid).response
+        for got in (path.response(path.grid), path.response(path.grid.tolist())):
+            for field in ("q", "d", "cap", "retention_limit"):
+                assert getattr(got, field).tolist() == getattr(want, field).tolist(), field
+
+    def test_response_at_the_point_is_the_equilibrium_contract(self, params):
+        from reinsgame.expo import constrained_equilibrium
+        from reinsgame.response import response
+        for t in np.linspace(0.0, params.T, 81).tolist():
+            eq = constrained_equilibrium(params, t)
+            assert response(eq.point(), params) == eq.response, t
+
+    @pytest.mark.parametrize("t", [9.0, -3.0, math.nan])
+    def test_time_outside_horizon_is_named(self, base_params, eq_path, t):
+        name = rf"bounds \[{t:g}, 8\]"
+        for times in (t, np.array([0.0, 4.0, t, 8.0])):
+            with pytest.raises(DomainError, match=name):
+                eq_path.response(times)
+            with pytest.raises(DomainError, match=name):
+                path_profile(eq_path, base_params, times)
+        with pytest.raises(DomainError, match=name):
+            path_profile(no_reinsurance_path(base_params), base_params, np.array([1.0, t]))
 
 
 class TestLedger:
