@@ -15,16 +15,17 @@ order does not matter, so each path's claim term is one array sum.
 Paths are drawn in blocks of ``_BLOCK``.  Each block has its own
 counter-based Philox stream keyed on (seed, block index) and draws, in this
 order, the claim counts of all its paths, the event times and the claim
-sizes.  A full block is always drawn and the last one is truncated, so runs
-are reproducible bit for bit and ``simulate`` with n paths returns exactly
-the first n paths of any longer run with the same seed.
+sizes.  One bit generator is reset to each block's key with counter 0.  A
+full block is always drawn and the last one is truncated, so runs are
+reproducible bit for bit and ``simulate`` with n paths returns exactly the
+first n paths of any longer run with the same seed.
 
-A block costs about what its draws cost: on the reference config (about 8200
-events a block; 2-vCPU Xeon, numpy 2.4) the draws take 0.55 ms, the loadings
-at the event times 0.45 ms, interpolated in sorted order as in
-``StrategyPath.response``, and all the rest about 0.6 ms.  Of that, the
-accumulation factors at the event times (``market.accumulations``, one
-np.exp per distinct rate curve, one on the reference config) take about 40 us.
+On the reference config (about 8200 events a block; 2-vCPU Xeon, numpy 2.4) a
+block takes about 0.85 ms: the draws 0.2 ms, the loadings at the event times
+0.29 ms, interpolated in grid-cell order as in ``StrategyPath.response``, and
+all the rest about 0.35 ms.  Of that, the accumulation factors at the event
+times (``market.accumulations``, one np.exp per distinct rate curve, one on the
+reference config) take about 35 us.
 """
 from __future__ import annotations
 
@@ -92,10 +93,15 @@ def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> Ter
     out = np.empty((3, config.paths))
     total_claims = 0.0
     total_jumps = np.zeros(3)
+    # reset for each block to the state Philox(key=[seed, block]) starts in
+    # (counter 0, empty buffer): about 1.4 us, where a new Generator(Philox(...))
+    # takes about 18 us
+    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bitgen), bitgen.state
     for block, first in enumerate(range(0, config.paths, _BLOCK)):
         keep = min(_BLOCK, config.paths - first)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.seed, block], dtype=np.uint64)))
+        fresh["state"]["key"][1] = block
+        bitgen.state = fresh
         counts = rng.poisson(params.lam * T, _BLOCK)
         times = rng.uniform(0.0, T, counts.sum())
         sizes = params.claims.ppf(rng.random(counts.sum()))

@@ -31,7 +31,6 @@ from .response import ResponseStrategy, layered_response, no_reinsurance
 
 _DEFAULT_PANELS = 2000
 _DEFAULT_PATH_GRID = 801
-_PROFILE_BLOCK = 1024  # nodes per path_profile call in _tail_integrals
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,11 @@ class ObjectiveValue:
 class StrategyPath:
     """Deterministic loadings and insurer response over [0, T].
 
-    Loadings are stored on a uniform grid and interpolated linearly; the
-    response is recomputed from the interpolated loadings, except for paths
-    built around a fixed custom contract (e.g. no reinsurance), which pin the
-    response and pay no reinsurance premiums.
+    Loadings are stored on a time grid, 1-D, finite and strictly increasing
+    (one point is a constant path), and interpolated linearly; the response is
+    recomputed from the interpolated loadings, except for paths built around a
+    fixed custom contract (e.g. no reinsurance), which pin the response and pay
+    no reinsurance premiums.
     """
 
     def __init__(self, params: MarketParams, grid: np.ndarray, xi1: np.ndarray,
@@ -60,6 +60,12 @@ class StrategyPath:
         self._xi1 = np.asarray(xi1, dtype=float)
         self._xi2 = np.asarray(xi2, dtype=float)
         self.fixed_response = fixed_response
+        grid = self.grid
+        if not (grid.ndim == 1 and grid.size and self._xi1.shape == self._xi2.shape == grid.shape
+                and np.isfinite(np.concatenate([grid, self._xi1, self._xi2])).all()
+                and (grid[1:] > grid[:-1]).all()):
+            raise DomainError("a path needs a 1-D, finite, strictly increasing grid and "
+                              "finite loadings xi1 and xi2, one of each per node")
 
     def xi1(self, t):
         return np.interp(t, self.grid, self._xi1)
@@ -73,14 +79,23 @@ class StrategyPath:
         return self._contract(t, *self._loadings(t), self.params.accum("I", t))
 
     def _loadings(self, t):
-        # (xi1(t), xi2(t)).  np.interp searches from the index it found last, so
-        # times in random order, such as Monte Carlo event times, are interpolated
-        # in sorted order and scattered back: the same values, about 5x faster on
-        # the 801-point grid.  Equal times get equal values, so any sort will do.
-        if np.ndim(t) == 0:
+        # (xi1(t), xi2(t)).  np.interp searches from the index it found last, so an
+        # array of times in random order, such as Monte Carlo event times, is
+        # interpolated in order of grid cell and scattered back.  np.interp computes
+        # each value from its own time alone, so any order gives the same values and
+        # the order only shortens the searches.  The key is a time's cell on the
+        # uniform grid with the path's ends and node count, in the smallest unsigned
+        # type that holds n - 1, which numpy's stable sort orders by radix in linear
+        # time; NaN and times off the grid are keyed to an end cell, with no warning.
+        n, start, end = self.grid.size, self.grid[0], self.grid[-1]
+        if np.ndim(t) == 0 or n == 1:
             return self.xi1(t), self.xi2(t)
-        order = np.argsort(t, axis=None)
-        ts = t.ravel()[order]
+        flat = t.ravel()
+        key = np.fmin(np.fmax(flat, start), end)  # NaN -> start
+        key -= start
+        key *= (n - 1) / (end - start)
+        order = np.argsort(key.astype(np.min_scalar_type(n - 1)), kind="stable")
+        ts = flat[order]
         xi1, xi2 = np.empty(t.size), np.empty(t.size)
         xi1[order] = np.interp(ts, self.grid, self._xi1)
         xi2[order] = np.interp(ts, self.grid, self._xi2)
@@ -161,10 +176,7 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     cells = max(path.grid.size - 1, 1)
     n_panels = cells * 2 * -(-panels // (2 * cells))
     nodes = np.linspace(0.0, params.T, n_panels + 1)
-    # In blocks: one path_profile of all 3201 nodes of the default path raised
-    # the trajectory command's peak RSS by about 0.5 MB.
-    y_nodes = np.concatenate([integrand_at(nodes[first:first + _PROFILE_BLOCK])
-                              for first in range(0, nodes.size, _PROFILE_BLOCK)], axis=-1)
+    y_nodes = integrand_at(nodes)
     tail = _tail_integral(y_nodes, params.T / n_panels)
 
     flat = t.ravel()

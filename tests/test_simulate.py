@@ -6,6 +6,7 @@ import pytest
 
 from reinsgame.errors import DomainError
 from reinsgame.market import GenericClaims, RateCurve, accumulations, insurer_premium_rate
+from reinsgame.response import indemnity
 from reinsgame.simulate import SimConfig, estimate_objectives, simulate
 from reinsgame.valuation import (PARTIES, _tail_integrals, closed_form_objective,
                                  constant_path, equilibrium_path, no_reinsurance_path)
@@ -161,6 +162,61 @@ class TestSimulate:
         numpy_ints = simulate(eq_path, base_params, SimConfig(np.int32(50), np.int64(1)))
         assert np.array_equal(numpy_ints.x_i,
                               simulate(eq_path, base_params, SimConfig(50, 1)).x_i)
+
+
+def simple_simulate(path, params, paths, seed):
+    # simulate written plainly: a new generator per block of 1024 paths, and the
+    # loadings by np.interp at the event times in the order they were drawn
+    def premium_flows(profile):
+        return np.stack([a * flow for a, flow in zip(profile.accum, profile.ledger.income)])
+    premiums = _tail_integrals(path, params, 0.0, 2000, premium_flows)
+    out = np.empty((3, paths))
+    total_claims, total_jumps = 0.0, np.zeros(3)
+    for block, first in enumerate(range(0, paths, 1024)):
+        keep = min(1024, paths - first)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+        counts = rng.poisson(params.lam * params.T, 1024)
+        times = rng.uniform(0.0, params.T, counts.sum())
+        sizes = params.claims.ppf(rng.random(counts.sum()))
+        events = counts[:keep].sum()
+        times, sizes = times[:events], sizes[:events]
+        accum = accumulations(params, times)
+        contract = path._contract(times, np.interp(times, path.grid, path._xi1),
+                                  np.interp(times, path.grid, path._xi2), accum[0])
+        l1, l2, retained = indemnity(sizes, contract)
+        owner = np.repeat(np.arange(keep), counts[:keep])
+        for k, (party, paid) in enumerate(zip(PARTIES, (retained, l1, l2))):
+            drift = params.accum(party, 0.0) * params.x0(party) + premiums[k]
+            out[k, first:first + keep] = drift - np.bincount(owner, weights=accum[k] * paid,
+                                                             minlength=keep)
+            total_jumps[k] += paid.sum()
+        total_claims += float(sizes.sum())
+    return out, total_claims, tuple(float(v) for v in total_jumps)
+
+
+class TestSimpleLoop:
+    @pytest.fixture(scope="class", params=["reference", "piecewise_rates", "uniform_0_2"])
+    def market(self, request, base_params, eq_path):
+        if request.param == "reference":
+            return base_params, eq_path
+        if request.param == "piecewise_rates":
+            params = dataclasses.replace(
+                base_params, rho_I=RateCurve(((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), 8.0),
+                rho_R1=RateCurve(((0.0, 0.02), (4.0, 0.15)), 8.0))
+        else:
+            params = dataclasses.replace(base_params, claims=GenericClaims(
+                lambda y: min(max(y / 2.0, 0.0), 1.0)))
+        return params, equilibrium_path(params)
+
+    @pytest.mark.parametrize("paths", [1, 1023, 1024, 1025, 3001])
+    def test_simulate_is_the_simple_loop_bit_for_bit(self, market, paths):
+        params, path = market
+        samples = simulate(path, params, SimConfig(paths=paths, seed=2024))
+        out, total_claims, total_jumps = simple_simulate(path, params, paths, 2024)
+        for k, party in enumerate(PARTIES):
+            assert np.array_equal(samples.by_party(party), out[k]), party
+        assert samples.total_claims == total_claims
+        assert samples.total_jumps == total_jumps
 
 
 class TestEstimateObjectives:

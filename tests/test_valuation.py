@@ -8,7 +8,7 @@ from reinsgame.errors import DomainError
 from reinsgame.market import (GenericClaims, RateCurve, insurer_premium_rate,
                               ledger, running_reward)
 from reinsgame.response import no_reinsurance
-from reinsgame.valuation import (PARTIES, closed_form_objective,
+from reinsgame.valuation import (PARTIES, StrategyPath, closed_form_objective,
                                  constant_path, equilibrium_path, no_reinsurance_path,
                                  path_profile, value_intercepts)
 
@@ -214,6 +214,73 @@ class TestStrategyPaths:
         want = path._contract(t, np.interp(t, path.grid, path._xi1),
                               np.interp(t, path.grid, path._xi2),
                               base_params.accum("I", t))
+        for field in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+                field.name
+
+
+class TestPathGrid:
+    """A path is built on a 1-D, finite, strictly increasing grid with one finite loading
+    per node; an array of times is interpolated in grid-cell order, which must give
+    ``np.interp`` at the times in their given order on any grid."""
+
+    @pytest.mark.parametrize("grid,xi1,xi2", [
+        ([8.0, 0.0], [0.3, 0.3], [0.15, 0.15]),
+        ([0.0, 4.0, 4.0, 8.0], [0.3] * 4, [0.15] * 4),
+        ([[0.0, 8.0]], [[0.3, 0.3]], [[0.15, 0.15]]),
+        ([], [], []),
+        ([0.0, math.nan], [0.3, 0.3], [0.15, 0.15]),
+        ([0.0, math.inf], [0.3, 0.3], [0.15, 0.15]),
+        ([0.0, 8.0], [0.3], [0.15, 0.15]),
+        ([0.0, 8.0], [0.3, 0.3], [0.15, 0.15, 0.15]),
+        ([0.0, 8.0], [0.3, math.nan], [0.15, 0.15]),
+        ([0.0, 8.0], [0.3, 0.3], [0.15, -math.inf]),
+    ])
+    def test_rejects_a_bad_grid_or_loadings(self, base_params, grid, xi1, xi2):
+        with pytest.raises(DomainError, match="strictly increasing grid"):
+            StrategyPath(base_params, grid, xi1, xi2)
+
+    def test_one_point_is_a_constant_path(self, base_params):
+        one = StrategyPath(base_params, [4.0], [0.3], [0.15])
+        two = constant_path(base_params, 0.3, 0.15)
+        t = np.linspace(0.0, base_params.T, 17)
+        for field in ("q", "d", "cap", "retention_limit"):
+            assert getattr(one.response(t), field).tolist() == \
+                getattr(two.response(t), field).tolist(), field
+        for party in PARTIES:
+            assert closed_form_objective(party, one, base_params, 1.0, 2.0) == \
+                closed_form_objective(party, two, base_params, 1.0, 2.0)
+
+    @pytest.mark.parametrize("kind", ["non_uniform", "inside_the_horizon", "one_point",
+                                      "two_points", "40001_points", "70001_points"])
+    def test_response_is_interp_in_the_given_order(self, base_params, eq_path, kind,
+                                                   monkeypatch):
+        # the 40001- and 70001-point grids need keys of 16 and 32 bits
+        rng = np.random.default_rng(24)
+        grid = {"non_uniform": 8.0 * np.linspace(0.0, 1.0, 300) ** 3,
+                "inside_the_horizon": np.sort(rng.uniform(1.0, 6.5, 50)),
+                "one_point": np.array([3.0]),
+                "two_points": np.array([0.0, base_params.T]),
+                "40001_points": np.linspace(0.0, base_params.T, 40001),
+                "70001_points": np.linspace(0.0, base_params.T, 70001)}[kind]
+        path = StrategyPath(base_params, grid, eq_path.xi1(grid), eq_path.xi2(grid))
+        t = np.concatenate([grid, [0.0, base_params.T], rng.uniform(0.0, base_params.T, 4000)])
+        t = rng.permutation(np.concatenate([t, t[::7], t[-100:]]))  # repeated times
+        xi1, xi2 = np.interp(t, grid, path._xi1), np.interp(t, grid, path._xi2)
+        interp, asked = np.interp, []
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "interp", lambda x, *args: asked.append(x) or interp(x, *args))
+            loadings = path._loadings(t)
+        for got, want in zip(loadings, (xi1, xi2)):
+            assert np.array_equal(got, want)
+        if grid.size > 1:
+            # the times reach np.interp in the order of their cells of [grid[0], grid[-1]]
+            # cut into grid.size - 1 equal parts, which a wrapped key would break
+            scale = (grid.size - 1) / (grid[-1] - grid[0])
+            cells = np.floor((np.clip(asked[0], grid[0], grid[-1]) - grid[0]) * scale)
+            assert np.all(np.diff(cells) >= 0)
+        got = path.response(t)
+        want = path._contract(t, xi1, xi2, base_params.accum("I", t))
         for field in dataclasses.fields(got):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
                 field.name
