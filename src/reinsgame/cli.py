@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -168,6 +169,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process, which main reads on every call and nothing changes
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reinsgame",

@@ -14,7 +14,11 @@ cumulative Simpson from T (``market._tail_integral``, the rule of the claim
 laws' moment tables) gives it at every time at once: ``_tail_integrals``
 evaluates the path's ledger and accumulation factors (``path_profile``) on one
 node grid aligned with its linear pieces and serves the objectives, B_k and the
-premium drift of ``simulate``, for a scalar or an array of times.
+premium drift of ``simulate``, for a scalar or an array of times.  The node
+profile is shared: each ``StrategyPath`` keeps the last one in a single slot
+keyed by ``(params, n_panels)``, so the three parties' objectives, B_k and the
+Monte Carlo premiums of one path and market profile its nodes once, and a
+different market or node count replaces the slot.
 """
 from __future__ import annotations
 
@@ -50,7 +54,8 @@ class StrategyPath:
     (one point is a constant path), and interpolated linearly; the response is
     recomputed from the interpolated loadings, except for paths built around a
     fixed custom contract (e.g. no reinsurance), which pin the response and pay
-    no reinsurance premiums.
+    no reinsurance premiums.  A path is not changed after it is built: it keeps
+    the ``path_profile`` of ``_tail_integrals``' last node grid.
     """
 
     def __init__(self, params: MarketParams, grid: np.ndarray, xi1: np.ndarray,
@@ -60,6 +65,7 @@ class StrategyPath:
         self._xi1 = np.asarray(xi1, dtype=float)
         self._xi2 = np.asarray(xi2, dtype=float)
         self.fixed_response = fixed_response
+        self._node_profile = None  # ((params, n_panels), PathProfile) of _tail_integrals
         grid = self.grid
         if not (grid.ndim == 1 and grid.size and self._xi1.shape == self._xi2.shape == grid.shape
                 and np.isfinite(np.concatenate([grid, self._xi1, self._xi2])).all()
@@ -158,25 +164,32 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
 
     One reverse cumulative Simpson from T over one node grid on [0, T] gives
     the integrals at every node.  Each cell of the path's uniform grid is split
-    into an even number of panels, at least ``panels`` in all, so every Simpson
-    pair lies inside one linear piece of the path.  A time between two nodes adds
-    one Simpson panel of its own, from it to the node above; it stays out of
-    the cumulative chain, so the integral at one time does not depend on which
+    into an even number of panels, at least ``panels`` (an integer >= 1) in all,
+    so every Simpson pair lies inside one linear piece of the path.  The nodes'
+    ``path_profile`` is shared: the path keeps it in one slot keyed by
+    ``(params, n_panels)`` and profiles the nodes again only when the slot
+    holds another key, so ``integrands`` reads the profile and must not write
+    to it.  A time between two nodes adds one Simpson panel of its own, from
+    it to the node above, profiled on each call; it stays out of the
+    cumulative chain, so the integral at one time does not depend on which
     other times are asked for.  The result has shape ``integrand rows +
     t.shape`` and is exactly 0 at t = T.
     """
+    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
+        raise DomainError(f"panels must be an integer of at least 1, got {panels!r}")
     t = np.asarray(t, dtype=float)
     inside = (t >= 0.0) & (t <= params.T)  # False for NaN
     if not np.all(inside):
         raise DomainError(f"t = {t[~inside].flat[0]:g} outside [0, T = {params.T:g}]")
 
-    def integrand_at(s):
-        return integrands(path_profile(path, params, s))
-
     cells = max(path.grid.size - 1, 1)
     n_panels = cells * 2 * -(-panels // (2 * cells))
-    nodes = np.linspace(0.0, params.T, n_panels + 1)
-    y_nodes = integrand_at(nodes)
+    key = (params, n_panels)
+    if path._node_profile is None or path._node_profile[0] != key:
+        path._node_profile = key, path_profile(path, params,
+                                               np.linspace(0.0, params.T, n_panels + 1))
+    profile = path._node_profile[1]
+    nodes, y_nodes = profile.s, integrands(profile)
     tail = _tail_integral(y_nodes, params.T / n_panels)
 
     flat = t.ravel()
@@ -186,7 +199,7 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     if np.any(between):
         # Simpson on [t, node above] for each time between nodes
         lo, hi = flat[between], nodes[above[between]]
-        y = integrand_at(np.concatenate([lo, 0.5 * (lo + hi)]))
+        y = integrands(path_profile(path, params, np.concatenate([lo, 0.5 * (lo + hi)])))
         result[..., between] += (hi - lo) / 6.0 * (y[..., :lo.size] + 4.0 * y[..., lo.size:]
                                                    + y_nodes[..., above[between]])
     return result.reshape(result.shape[:-1] + t.shape)
@@ -198,7 +211,9 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
     """Objective J = E[X(T)] - (gamma/2) Var(X(T)) under a deterministic path.
 
     The mean and variance integrals over [t, T] come from ``_tail_integrals``
-    with ``panels`` panels at least; at t = T the objective is the surplus itself.
+    with ``panels`` panels at least, so the objectives of all three parties on
+    one path, market and ``panels`` read one shared node profile; at t = T the
+    objective is the surplus itself.
     """
     if party not in PARTIES:
         raise DomainError(f"unknown party {party!r}")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from reinsgame import valuation
 from reinsgame.errors import DomainError
 from reinsgame.market import (GenericClaims, RateCurve, insurer_premium_rate,
                               ledger, running_reward)
@@ -68,6 +69,16 @@ class TestClosedFormObjective:
     def test_unknown_party_raises(self, base_params, eq_path, t):
         with pytest.raises(DomainError, match="unknown party 'X'"):
             closed_form_objective("X", eq_path, base_params, t, 1.0)
+
+    @pytest.mark.parametrize("panels", [0, -4, 2.5, True, False, 2000.0, "2000", None])
+    def test_panels_must_be_a_positive_integer(self, base_params, eq_path, panels):
+        # was ZeroDivisionError (0, -4), TypeError (2.5) or a 1-panel run (True)
+        with pytest.raises(DomainError, match="panels must be an integer of at least 1"):
+            closed_form_objective("I", eq_path, base_params, 0.0, 1.0, panels=panels)
+
+    def test_numpy_integer_panels(self, base_params, eq_path):
+        assert (closed_form_objective("R1", eq_path, base_params, 0.0, 1.0, panels=np.int64(50))
+                == closed_form_objective("R1", eq_path, base_params, 0.0, 1.0, panels=50))
 
 
 class TestValueIntercept:
@@ -362,3 +373,65 @@ class TestLedger:
         self.assert_identities(led, base_params)
         assert led.income[1:] == led.payout[1:] == led.margin[1:] == (0.0, 0.0)
         assert led.payout[0] == pytest.approx(base_params.lam * base_params.claims.mean)
+
+
+class TestSharedNodeProfile:
+    """``_tail_integrals`` profiles a path's Simpson nodes once per (params, n_panels)
+    key and keeps one such profile per path."""
+
+    @pytest.fixture
+    def node_calls(self, monkeypatch):
+        # the sizes of the grids path_profile is called on; node grids have
+        # n_panels + 1 points, the own panels of off-node times far fewer
+        sizes, profile = [], valuation.path_profile
+
+        def spy(path, params, s):
+            sizes.append(np.size(s))
+            return profile(path, params, s)
+        monkeypatch.setattr(valuation, "path_profile", spy)
+        return sizes
+
+    @staticmethod
+    def fresh(path):
+        return StrategyPath(path.params, path.grid, path.xi1(path.grid), path.xi2(path.grid))
+
+    @staticmethod
+    def bits(objectives):
+        return np.array([(v.mean, v.variance, v.j) for v in objectives]).tobytes()
+
+    def objectives(self, path, params, panels=2000):
+        return [closed_form_objective(party, path, params, 0.0, params.x0(party) + 1.0,
+                                      panels=panels) for party in PARTIES]
+
+    def test_three_objectives_profile_the_nodes_once(self, base_params, eq_path, node_calls):
+        shared = self.objectives(self.fresh(eq_path), base_params)
+        assert node_calls == [3201]
+        separate = [closed_form_objective(party, self.fresh(eq_path), base_params, 0.0,
+                                          base_params.x0(party) + 1.0) for party in PARTIES]
+        assert self.bits(shared) == self.bits(separate)
+
+    def test_intercepts_then_objective_share_the_profile(self, base_params, eq_path,
+                                                         node_calls):
+        path, times = self.fresh(eq_path), np.linspace(0.0, base_params.T, 81)
+        b = value_intercepts(path, base_params, times)
+        j = closed_form_objective("R2", path, base_params, 0.0, 1.0)
+        assert node_calls.count(3201) == 1
+        assert b.tobytes() == value_intercepts(self.fresh(eq_path), base_params, times).tobytes()
+        assert j == closed_form_objective("R2", self.fresh(eq_path), base_params, 0.0, 1.0)
+
+    @pytest.mark.parametrize("change", ["params", "panels"])
+    def test_another_key_recomputes(self, base_params, eq_path, node_calls, change):
+        path = self.fresh(eq_path)
+        self.objectives(path, base_params)
+        params = dataclasses.replace(base_params, lam=0.0) if change == "params" else base_params
+        panels = 400 if change == "panels" else 2000
+        again = self.objectives(path, params, panels)
+        assert node_calls == [3201, 3201 if change == "params" else 1601]  # 2 panels a cell
+        assert self.bits(again) == self.bits(self.objectives(self.fresh(eq_path), params, panels))
+
+    def test_one_slot(self, base_params, eq_path, node_calls):
+        # keys A, B, A: the second A finds B in the slot, so the path holds one profile
+        path, other = self.fresh(eq_path), dataclasses.replace(base_params, lam=0.0)
+        for params in (base_params, other, base_params):
+            closed_form_objective("I", path, params, 0.0, 1.0)
+        assert node_calls == [3201] * 3
