@@ -272,11 +272,37 @@ def _tolerance(value):
 
 def _tail_integral(f, h: float) -> np.ndarray:
     """int_y^y_end of each row of f on uniform nodes with spacing h along the last
-    axis: one cumulative Simpson from the last node, 0 there."""
-    # scipy is imported where it is used: it adds about 50 MB to the resident
-    # size of a process that never integrates numerically
-    from scipy import integrate
-    return integrate.cumulative_simpson(f[..., ::-1], dx=h, initial=0.0)[..., ::-1]
+    axis, 3 nodes at least: one cumulative Simpson from the last node, 0 there, in
+    the arithmetic of ``scipy.integrate.cumulative_simpson``, bit for bit."""
+    y = f[..., ::-1]
+    out = np.zeros(y.shape)
+    steps = out[..., 1:]  # the integral over each interval
+    # h/3 (5 f1/4 + 2 f2 - f3/4) integrates the parabola through f1, f2, f3 from f1 to f2
+    # (Cartwright, J. Math. Sci. Math. Educ. 12(2), eq. 10): each triple from an even
+    # node gives its two intervals, and the last triple the last interval
+    f1, f2, f3 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    steps[..., :-1:2] = h / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    steps[..., 1::2] = h / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    steps[..., -1] = h / 3 * (5 * y[..., -1] / 4 + 2 * y[..., -2] - y[..., -3] / 4)
+    return np.cumsum(out, axis=-1, out=out)[..., ::-1]
+
+
+def _pchip(x, y) -> tuple:
+    """Power-form coefficients (c0, c1, c2, c3), c0 of s^3, per cell of the monotone cubic
+    through strictly increasing x and y, 3 points at least: SciPy's ``PchipInterpolator``,
+    bit for bit, whose sign cases do not arise for increasing data.  The slopes are
+    Fritsch and Carlson's (SIAM J. Numer. Anal. 17(2), 1980): a weighted harmonic mean
+    inside, and at each end a one-sided three-point estimate floored at 0."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.empty(x.size)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    for i, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[i] = end if end > 0.0 else 0.0
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
 
 
 def _hermite(f0, f1, m0, m1, t):
@@ -311,7 +337,8 @@ class GenericClaims(ClaimDistribution):
     ``cdf`` may be a scalar function: it is called once on the whole node
     array, and once per node if that raises TypeError or ValueError or
     returns the wrong shape.  Sampling inverts a monotone (PCHIP) spline
-    through every 4th node of the table.
+    through every 4th node of the table, ``_pchip``: SciPy's
+    ``PchipInterpolator``, computed in numpy bit for bit.
     """
 
     def __init__(self, cdf: Callable[[float], float]):
@@ -396,10 +423,15 @@ class GenericClaims(ClaimDistribution):
 
     def ppf(self, u):
         if self._ppf_spline is None:
-            from scipy import interpolate
             fvals, idx = np.unique(self._layer_table()[0][::4], return_index=True)
-            self._ppf_spline = interpolate.PchipInterpolator(fvals, self._nodes()[::4][idx])
-        return self._ppf_spline(np.clip(u, 0.0, self.cdf(self._ymax)))
+            self._ppf_spline = fvals, _pchip(fvals, self._nodes()[::4][idx])
+        x, (c0, c1, c2, c3) = self._ppf_spline
+        u = np.clip(u, 0.0, self.cdf(self._ymax))
+        j = np.searchsorted(x[1:-1], u, "right")  # u's cell, the end cells extended
+        s = u - x[j]
+        s2 = s * s
+        # the power sum in this order, as scipy's PPoly evaluates it
+        return c3[j] + c2[j] * s + c1[j] * s2 + c0[j] * (s2 * s)
 
     def truncated(self, d) -> TruncatedMoments:
         """Layer moments at a scalar or an array of deductibles, read from the table."""

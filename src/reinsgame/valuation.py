@@ -212,15 +212,13 @@ def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
 
     The mean and variance integrals over [t, T] come from ``_tail_integrals``
     with ``panels`` panels at least, so the objectives of all three parties on
-    one path, market and ``panels`` read one shared node profile; at t = T the
-    objective is the surplus itself.
+    one path, market and ``panels`` read one shared node profile; at t = T both
+    integrals are exactly 0 and A(T) = 1, so the objective is the surplus itself.
     """
     if party not in PARTIES:
         raise DomainError(f"unknown party {party!r}")
     k, gamma = PARTIES.index(party), params.gamma(party)
     a_t = params.accum(party, t)
-    if t >= params.T:
-        return ObjectiveValue(party, x, 0.0, x)
 
     def integrands(profile):
         a_s, led = profile.accum[k], profile.ledger

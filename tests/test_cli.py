@@ -364,3 +364,14 @@ class TestValidateCommand:
         solve = reaction.reaction_xi1
         monkeypatch.setattr(reaction, "reaction_xi1", lambda *a: solve(*a) * (1.0 + 1e-4))
         assert not validate.check_foc_cross(base_params, 0.0).passed
+
+
+class TestRuntimeDependencies:
+    def test_no_scipy_module_is_loaded(self):
+        # in a fresh interpreter: this one has scipy loaded as the tests' reference
+        script = Path(__file__).with_name("no_scipy_check.py")
+        env = dict(os.environ, PYTHONPATH=str(Path(reinsgame.__file__).parents[1]))
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "no scipy module loaded\n"

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, interpolate
 
 from reinsgame.config import default_market_params
 from reinsgame.errors import ConfigError, DomainError, IntegrationError
 from reinsgame.market import (_TABLE_NODES, Exponential, GenericClaims,
-                              PremiumPoint, RateCurve, accumulation, admissible_box,
-                              insurer_premium_rate, premium_rates)
+                              PremiumPoint, RateCurve, _tail_integral, accumulation,
+                              admissible_box, insurer_premium_rate, premium_rates)
 from reinsgame.response import full_cession_to_r2, no_reinsurance, response
 
 
@@ -338,6 +338,36 @@ class TestGenericClaimsTable:
         law = GenericClaims(lambda y: np.where(y > 0.0, 1.0 - np.exp(-y), math.nan))
         with pytest.raises(DomainError, match="not finite at y = 0$"):
             law.second_moment
+
+
+class TestNumpyRulesMatchScipy:
+    """The reverse cumulative Simpson rule and the ppf's PCHIP, SciPy's bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 201), (2, 3201),
+                                       (3, 2001), (16385,)])
+    def test_tail_integral_is_reversed_cumulative_simpson(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        for _ in range(20):
+            f, h = rng.normal(size=shape) * rng.uniform(0.1, 10.0), rng.uniform(1e-4, 2.0)
+            reference = integrate.cumulative_simpson(f[..., ::-1], dx=h, initial=0.0)[..., ::-1]
+            got = _tail_integral(f, h)
+            assert got.shape == reference.shape
+            assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("cdf", [
+        lambda y: min(max(y / 2.0, 0.0), 1.0),
+        erlang2_cdf,
+        lambda y: 0.0 if y <= 0.0 else 1.0 - (1.0 + y) ** -8,  # Lomax(8, 1)
+    ], ids=["uniform_0_2", "erlang2_rate2", "lomax8"])
+    def test_ppf_is_pchip_interpolator(self, cdf):
+        law = GenericClaims(cdf)
+        fvals, idx = np.unique(law._layer_table()[0][::4], return_index=True)
+        spline = interpolate.PchipInterpolator(fvals, law._nodes()[::4][idx])
+        top = law.cdf(law.tail_cut())
+        # seeded draws, every spline node, and both clip ends from either side
+        u = np.concatenate([np.random.default_rng(11).random(200_000), fvals,
+                            [-0.5, 0.0, top, 1.5]])
+        assert law.ppf(u).tobytes() == spline(np.clip(u, 0.0, top)).tobytes()
 
 
 class TestAdmissibleBox:

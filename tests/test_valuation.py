@@ -73,8 +73,9 @@ class TestClosedFormObjective:
     @pytest.mark.parametrize("panels", [0, -4, 2.5, True, False, 2000.0, "2000", None])
     def test_panels_must_be_a_positive_integer(self, base_params, eq_path, panels):
         # was ZeroDivisionError (0, -4), TypeError (2.5) or a 1-panel run (True)
-        with pytest.raises(DomainError, match="panels must be an integer of at least 1"):
-            closed_form_objective("I", eq_path, base_params, 0.0, 1.0, panels=panels)
+        for t in (0.0, base_params.T):
+            with pytest.raises(DomainError, match="panels must be an integer of at least 1"):
+                closed_form_objective("I", eq_path, base_params, t, 1.0, panels=panels)
 
     def test_numpy_integer_panels(self, base_params, eq_path):
         assert (closed_form_objective("R1", eq_path, base_params, 0.0, 1.0, panels=np.int64(50))
