@@ -221,10 +221,14 @@ def _r1_reply(xi2, params: MarketParams, t, coefs=None):
 
 def _r2_xi2(a_i, c2, rho, m):
     # R2's reply xi2 = a_I k m/(1 + rho) to rho = a_I/(2 xi1), at the root of d = k m(d),
-    # k = 1 + C_R2 (1 + rho); a_I k overflows to inf where a_I is huge, as at rates of
-    # 50 over a horizon of 8, and the box clamps that to the cap
-    with _kind(a_i).errstate(over="ignore"):
-        return a_i * (1.0 + c2 * (1.0 + rho)) * m / (1.0 + rho)
+    # k = 1 + C_R2 (1 + rho).  Where a_I is huge, as at rates of 50 over a horizon of 8,
+    # that form overflows, or reads inf/inf once rho does too, so there it is re-formed
+    # as a_I m (C_R2 + 1/(1 + rho)), which is inf only where the reply is; the box
+    # clamps an inf to the cap
+    xp = _kind(a_i)
+    with xp.errstate(over="ignore", invalid="ignore"):
+        xi2 = a_i * (1.0 + c2 * (1.0 + rho)) * m / (1.0 + rho)
+        return xp.where(xi2 < math.inf, xi2, a_i * (m * (c2 + 1.0 / (1.0 + rho))))
 
 
 def _r2_reply(xi1, params: MarketParams, t, coefs=None):

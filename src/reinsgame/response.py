@@ -45,15 +45,20 @@ def layered_response(xi1, xi2, a_i, t) -> ResponseStrategy:
     d = retention + cap.  Arguments may be arrays of one shape, which gives
     array-valued fields.
     """
-    zero, negative = xi1 == 0.0, (xi1 < 0.0) | (xi2 < 0.0)  # Python bools for floats
-    if isinstance(zero, np.ndarray) or isinstance(negative, np.ndarray):
-        zero, negative = np.any(zero), np.any(negative)
-    if zero:
-        raise DegeneratePremiumError("xi1 = 0: proportional layer is unpriced")
-    if negative:
-        raise DomainError("loadings must be non-negative")
-    q = a_i / (2.0 * xi1 + a_i)
-    cap = xi2 / (2.0 * xi1)
+    array = isinstance(xi1, np.ndarray) or isinstance(xi2, np.ndarray)
+    low1, low2 = ((np.min(xi1, initial=math.inf), np.min(xi2, initial=math.inf)) if array
+                  else (xi1, xi2))
+    if not (low1 > 0.0 and low2 >= 0.0):  # the full checks run only where one could fail
+        zero, negative = xi1 == 0.0, (xi1 < 0.0) | (xi2 < 0.0)  # Python bools for floats
+        if array:
+            zero, negative = np.any(zero), np.any(negative)
+        if zero:
+            raise DegeneratePremiumError("xi1 = 0: proportional layer is unpriced")
+        if negative:
+            raise DomainError("loadings must be non-negative")
+    two_xi1 = 2.0 * xi1
+    q = a_i / (two_xi1 + a_i)
+    cap = xi2 / two_xi1
     retention = xi2 / a_i
     return ResponseStrategy(q=q, d=retention + cap, cap=cap,
                             retention_limit=retention, t=t)
@@ -67,11 +72,11 @@ def indemnity(y, resp: ResponseStrategy):
     assigned to the proportional branch; the split is continuous there, so
     the choice only fixes determinism.
     """
-    if np.any(np.less(y, 0)):
+    if not np.min(y, initial=math.inf) >= 0.0 and np.any(np.less(y, 0)):
         raise DomainError("claim size must be non-negative")
     below = np.less_equal(y, resp.d)
     split = (np.where(below, resp.q * y, resp.cap),
-             np.where(below, 0.0, y - resp.d),
+             np.maximum(y - resp.d, 0.0),  # y - d <= 0 exactly where y <= d
              np.where(below, (1.0 - resp.q) * y, resp.retention_limit))
     if np.ndim(split[0]) == 0:
         return tuple(float(v) for v in split)

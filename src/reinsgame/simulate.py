@@ -21,11 +21,12 @@ reproducible bit for bit and ``simulate`` with n paths returns exactly the
 first n paths of any longer run with the same seed.
 
 On the reference config (about 8200 events a block; 2-vCPU Xeon, numpy 2.4) a
-block takes about 0.85 ms: the draws 0.2 ms, the loadings at the event times
-0.29 ms, interpolated in grid-cell order as in ``StrategyPath.response``, and
-all the rest about 0.35 ms.  Of that, the accumulation factors at the event
+block takes about 0.63 ms, best of several runs: the draws 0.2 ms, the loadings
+at the event times 0.07 ms, read by cell arithmetic on the path's uniform grid
+as in ``StrategyPath.response``, the contract and the claim split 0.075 ms, the
+per-path discounted sums 0.07 ms, and the accumulation factors at the event
 times (``market.accumulations``, one np.exp per distinct rate curve, one on the
-reference config) take about 35 us.
+reference config) about 30 us.  A path with a fixed contract reads no loadings.
 """
 from __future__ import annotations
 
@@ -90,6 +91,7 @@ def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> Ter
     deterministic = [a * params.x0(party) + premium
                      for party, a, premium in zip(PARTIES, accumulations(params, 0.0), premiums)]
 
+    fixed = path.fixed_response  # a fixed contract reads no loadings
     out = np.empty((3, config.paths))
     total_claims = 0.0
     total_jumps = np.zeros(3)
@@ -109,8 +111,8 @@ def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> Ter
         times, sizes = times[:events], sizes[:events]
         owner = np.repeat(np.arange(keep), counts[:keep])
         accum = accumulations(params, times)
-        l1, l2, retained = indemnity(sizes, path._contract(times, *path._loadings(times),
-                                                           accum[0]))
+        l1, l2, retained = indemnity(sizes, fixed if fixed is not None else
+                                     path._contract(times, *path._loadings(times), accum[0]))
         for k, paid in enumerate((retained, l1, l2)):
             discounted = accum[k] * paid
             out[k, first:first + keep] = deterministic[k] - np.bincount(
@@ -149,10 +151,10 @@ def estimate_objectives(samples: TerminalSamples,
         xs = samples.by_party(party)
         gamma = params.gamma(party)
         mean = float(np.mean(xs))
-        var = float(np.var(xs, ddof=1))
         centered = xs - mean
         # products, not centered**3 and **4: float pow is about 30x slower
         sq = centered * centered
+        var = float(sq.sum() / (n - 1))  # np.var(xs, ddof=1) bit for bit
         m3 = float(np.mean(sq * centered))
         m4 = float(np.mean(sq * sq))
         var_of_var = max((m4 - (n - 3) / (n - 1) * var * var) / n, 0.0)

@@ -55,7 +55,8 @@ class StrategyPath:
     recomputed from the interpolated loadings, except for paths built around a
     fixed custom contract (e.g. no reinsurance), which pin the response and pay
     no reinsurance premiums.  A path is not changed after it is built: it keeps
-    the ``path_profile`` of ``_tail_integrals``' last node grid.
+    the ``path_profile`` of ``_tail_integrals``' last node grid and the cells
+    ``_loadings`` reads on a uniform grid.
     """
 
     def __init__(self, params: MarketParams, grid: np.ndarray, xi1: np.ndarray,
@@ -66,6 +67,7 @@ class StrategyPath:
         self._xi2 = np.asarray(xi2, dtype=float)
         self.fixed_response = fixed_response
         self._node_profile = None  # ((params, n_panels), PathProfile) of _tail_integrals
+        self._cells = None  # _uniform_cells of the grid, () where it has none
         grid = self.grid
         if not (grid.ndim == 1 and grid.size and self._xi1.shape == self._xi2.shape == grid.shape
                 and np.isfinite(np.concatenate([grid, self._xi1, self._xi2])).all()
@@ -85,17 +87,26 @@ class StrategyPath:
         return self._contract(t, *self._loadings(t), self.params.accum("I", t))
 
     def _loadings(self, t):
-        # (xi1(t), xi2(t)).  np.interp searches from the index it found last, so an
-        # array of times in random order, such as Monte Carlo event times, is
-        # interpolated in order of grid cell and scattered back.  np.interp computes
-        # each value from its own time alone, so any order gives the same values and
-        # the order only shortens the searches.  The key is a time's cell on the
-        # uniform grid with the path's ends and node count, in the smallest unsigned
-        # type that holds n - 1, which numpy's stable sort orders by radix in linear
-        # time; NaN and times off the grid are keyed to an end cell, with no warning.
+        # (xi1(t), xi2(t)) with np.interp's bits, at a float or at an array of times in
+        # any order, such as Monte Carlo event times.  Two kinds of grid:
+        # - uniform, one equal to np.linspace(grid[0], grid[-1], n), as every path the
+        #   library builds has: each time's cell is found by arithmetic and its value is
+        #   np.interp's formula there (``_read_cells``), from per-cell slopes built on the
+        #   first array call and kept on the path;
+        # - any other, or one whose slopes overflow: np.interp searches from the index it
+        #   found last, so the times reach it in order of grid cell and are scattered back;
+        #   it computes each value from its own time alone, so the order only shortens the
+        #   searches.  The key is a time's cell on the uniform grid with the path's ends
+        #   and node count, in the smallest unsigned type that holds n - 1, which numpy's
+        #   stable sort orders by radix in linear time; NaN and times off the grid are
+        #   keyed to an end cell, with no warning.
         n, start, end = self.grid.size, self.grid[0], self.grid[-1]
         if np.ndim(t) == 0 or n == 1:
             return self.xi1(t), self.xi2(t)
+        if self._cells is None:
+            self._cells = _uniform_cells(self.grid, self._xi1, self._xi2)
+        if self._cells:
+            return _read_cells(self._cells, t)
         flat = t.ravel()
         key = np.fmin(np.fmax(flat, start), end)  # NaN -> start
         key -= start
@@ -113,6 +124,51 @@ class StrategyPath:
         if self.fixed_response is not None:
             return dataclasses.replace(self.fixed_response, t=t)
         return layered_response(xi1, xi2, self.params.gamma_I * accum_i, t)
+
+
+def _uniform_cells(grid: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple:
+    """(g, g[j + 1], ((slope1, xi1), (slope2, xi2))) over the nodes j of a uniform grid of
+    two nodes or more, or () for another grid or where a slope overflows.
+
+    The slopes are np.interp's, (xi[j + 1] - xi[j]) / (g[j + 1] - g[j]); the last node
+    has slope 0 and g[j + 1] = inf, so that a time on it reads xi there."""
+    if not np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size)):
+        return ()
+    with np.errstate(over="ignore"):
+        slopes = [np.append(np.diff(xi) / np.diff(grid), 0.0) for xi in (xi1, xi2)]
+    if not np.isfinite(slopes).all():
+        return ()
+    return grid, np.append(grid[1:], np.inf), ((slopes[0], xi1), (slopes[1], xi2))
+
+
+def _read_cells(cells: tuple, t: np.ndarray) -> tuple:
+    """np.interp of each loading at the times ``t`` from its ``_uniform_cells``.
+
+    A time clipped to the grid, x, finds its cell j = trunc((x - g0)(n - 1)/(gN - g0)),
+    moved by one where rounding misses g[j] <= x < g[j + 1], and reads np.interp's
+    slope[j] (x - g[j]) + xi[j]: xi[j] on a node, as the slopes are finite, and an end's
+    loading off the grid.  NaN clips to NaN and reads NaN in the last cell."""
+    grid, above, lines = cells
+    n, start, end = grid.size, grid[0], grid[-1]
+    x = np.clip(t, start, end)
+    cell = x - start
+    cell *= (n - 1) / (end - start)
+    np.fmin(cell, n - 1, out=cell)  # NaN -> n - 1
+    j = cell.astype(np.intp)
+    node = grid.take(j)
+    low, high = x < node, x >= above.take(j)
+    if low.any() or high.any():
+        j += high
+        j -= low
+        node = grid.take(j)
+    x -= node
+    loadings = []
+    for slope, xi in lines:  # in place, about 10% faster than slope[j] * x + xi[j]
+        value = slope.take(j)
+        value *= x
+        value += xi.take(j)
+        loadings.append(value)
+    return tuple(loadings)
 
 
 def equilibrium_path(params: MarketParams, n_grid: int = _DEFAULT_PATH_GRID) -> StrategyPath:

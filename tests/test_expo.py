@@ -645,6 +645,29 @@ class TestOverflowingAccumulation:
         for t in (0.0, ts):
             assert np.all(np.isfinite(reaction._fixed_point(params, t)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.2, 0.35])
+    def test_rate_88_7_is_boxed_on_both_paths(self, beta):
+        # A_I(0) = exp(709.6) is near the largest float, so R2's reply to its cap
+        # reads rho = a_I/(2 xi1) = inf too, where a_I k/(1 + rho) was inf/inf = NaN:
+        # the array path raised DomainError and the float path clamped NaN to the floor
+        curve = [(0.0, 88.7)]
+        params = default_market_params(rho_I=curve, rho_R1=curve, rho_R2=curve, gamma_I=1.0,
+                                       gamma_R1=0.01, gamma_R2=5.0, beta=beta)
+        ts = np.linspace(0.0, params.T, 801)
+        assert_array_path_matches_scalar(params, ts)
+        eq, (_, hi2) = constrained_equilibrium(params, 0.0), admissible_box(params)[1]
+        assert (eq.xi2_star, eq.regime) == (hi2, Regime.UPPER_RIGHT)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_50_reply_of_r2_is_finite(self):
+        # a_I k overflows at rates of 50 though R2's reply, h2's 5.22e172, does not
+        params = self.equal_rates(50.0)
+        reply = reaction_xi2(0.9, params, 0.0)
+        assert math.isfinite(reply)
+        assert reply == pytest.approx(h2(0.9, params, 0.0), rel=1e-14)
+        assert reaction._r2_reply(np.array([0.9]), params, np.array([0.0])).tolist() == [reply]
+
 
 class TestUnresolvableCoefficients:
     # C_R1 = 0 by underflow, C_R1 = 1e301 (R1's reply interval empty in floats) and

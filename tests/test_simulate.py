@@ -8,7 +8,7 @@ from reinsgame.errors import DomainError
 from reinsgame.market import GenericClaims, RateCurve, accumulations, insurer_premium_rate
 from reinsgame.response import indemnity
 from reinsgame.simulate import SimConfig, estimate_objectives, simulate
-from reinsgame.valuation import (PARTIES, _tail_integrals, closed_form_objective,
+from reinsgame.valuation import (PARTIES, StrategyPath, _tail_integrals, closed_form_objective,
                                  constant_path, equilibrium_path, no_reinsurance_path)
 
 
@@ -195,10 +195,17 @@ def simple_simulate(path, params, paths, seed):
 
 
 class TestSimpleLoop:
-    @pytest.fixture(scope="class", params=["reference", "piecewise_rates", "uniform_0_2"])
+    @pytest.fixture(scope="class", params=["reference", "piecewise_rates", "uniform_0_2",
+                                           "no_reinsurance", "cubed_grid"])
     def market(self, request, base_params, eq_path):
         if request.param == "reference":
             return base_params, eq_path
+        if request.param == "no_reinsurance":
+            return base_params, no_reinsurance_path(base_params)
+        if request.param == "cubed_grid":  # 300 nodes 8 u^3, read by np.interp
+            grid = 8.0 * np.linspace(0.0, 1.0, 300) ** 3
+            return base_params, StrategyPath(base_params, grid, eq_path.xi1(grid),
+                                             eq_path.xi2(grid))
         if request.param == "piecewise_rates":
             params = dataclasses.replace(
                 base_params, rho_I=RateCurve(((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), 8.0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reinsgame import valuation
+from reinsgame.config import default_market_params
 from reinsgame.errors import DomainError
 from reinsgame.market import (GenericClaims, RateCurve, insurer_premium_rate,
                               ledger, running_reward)
@@ -263,36 +264,53 @@ class TestPathGrid:
             assert closed_form_objective(party, one, base_params, 1.0, 2.0) == \
                 closed_form_objective(party, two, base_params, 1.0, 2.0)
 
-    @pytest.mark.parametrize("kind", ["non_uniform", "inside_the_horizon", "one_point",
-                                      "two_points", "40001_points", "70001_points"])
-    def test_response_is_interp_in_the_given_order(self, base_params, eq_path, kind,
-                                                   monkeypatch):
-        # the 40001- and 70001-point grids need keys of 16 and 32 bits
+    # (T, grid) by kind: grids that np.interp serves in cell order, the 70001-node one
+    # with keys of 32 bits, a one-point grid, and uniform grids read by cell arithmetic,
+    # on [0, T] or inside the horizon
+    SORTED = {"non_uniform": (8.0, 8.0 * np.linspace(0.0, 1.0, 300) ** 3),
+              "inside_the_horizon": (8.0, np.sort(np.random.default_rng(24).uniform(1, 6.5, 50))),
+              "70001_points_non_uniform": (8.0, 8.0 * np.linspace(0.0, 1.0, 70001) ** 3)}
+    GRIDS = {**SORTED,
+             "one_point": (8.0, np.array([3.0])),
+             "two_points": (8.0, np.array([0.0, 8.0])),
+             "uniform_inside_the_horizon": (8.0, np.linspace(1.0, 6.5, 50)),
+             "40001_points": (8.0, np.linspace(0.0, 8.0, 40001)),
+             "70001_points": (8.0, np.linspace(0.0, 8.0, 70001)),
+             **{f"{n}_points_T_{T:g}": (T, np.linspace(0.0, T, n))
+                for n in (2, 3, 801, 4001) for T in (1.0, 3.7, 10.0)}}
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_response_is_interp_in_the_given_order(self, eq_path, kind, monkeypatch):
+        T, grid = self.GRIDS[kind]
+        params = default_market_params(T=T)
         rng = np.random.default_rng(24)
-        grid = {"non_uniform": 8.0 * np.linspace(0.0, 1.0, 300) ** 3,
-                "inside_the_horizon": np.sort(rng.uniform(1.0, 6.5, 50)),
-                "one_point": np.array([3.0]),
-                "two_points": np.array([0.0, base_params.T]),
-                "40001_points": np.linspace(0.0, base_params.T, 40001),
-                "70001_points": np.linspace(0.0, base_params.T, 70001)}[kind]
-        path = StrategyPath(base_params, grid, eq_path.xi1(grid), eq_path.xi2(grid))
-        t = np.concatenate([grid, [0.0, base_params.T], rng.uniform(0.0, base_params.T, 4000)])
-        t = rng.permutation(np.concatenate([t, t[::7], t[-100:]]))  # repeated times
+        path = StrategyPath(params, grid, eq_path.xi1(grid * 8.0 / T), eq_path.xi2(grid * 8.0 / T))
+        # every node and one ulp either side of it, the ends of [0, T] and random times
+        inside = np.concatenate([grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf),
+                                 [0.0, T], rng.uniform(0.0, T, 4000)])
+        inside = inside[(inside >= 0.0) & (inside <= T)]
+        inside = rng.permutation(np.concatenate([inside, inside[::7], inside[-100:]]))  # repeats
+        off = [math.nan, -1.0, T + 1.0, -math.inf, math.inf]  # NaN and times off the grid
+        t = rng.permutation(np.concatenate([inside, off]))
         xi1, xi2 = np.interp(t, grid, path._xi1), np.interp(t, grid, path._xi2)
         interp, asked = np.interp, []
         with monkeypatch.context() as patch:
             patch.setattr(np, "interp", lambda x, *args: asked.append(x) or interp(x, *args))
             loadings = path._loadings(t)
         for got, want in zip(loadings, (xi1, xi2)):
-            assert np.array_equal(got, want)
-        if grid.size > 1:
+            assert np.array_equal(got, want, equal_nan=True)
+        if kind in self.SORTED:
             # the times reach np.interp in the order of their cells of [grid[0], grid[-1]]
-            # cut into grid.size - 1 equal parts, which a wrapped key would break
+            # cut into grid.size - 1 equal parts, NaN in the first
             scale = (grid.size - 1) / (grid[-1] - grid[0])
-            cells = np.floor((np.clip(asked[0], grid[0], grid[-1]) - grid[0]) * scale)
+            clipped = np.fmin(np.fmax(asked[0], grid[0]), grid[-1])
+            cells = np.floor((clipped - grid[0]) * scale)
             assert np.all(np.diff(cells) >= 0)
-        got = path.response(t)
-        want = path._contract(t, xi1, xi2, base_params.accum("I", t))
+        elif grid.size > 1:
+            assert not asked  # a uniform grid's cells are read by arithmetic
+        got = path.response(inside)
+        want = path._contract(inside, np.interp(inside, grid, path._xi1),
+                              np.interp(inside, grid, path._xi2), params.accum("I", inside))
         for field in dataclasses.fields(got):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
                 field.name
