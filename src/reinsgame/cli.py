@@ -19,8 +19,9 @@ import numpy as np
 from .config import DEFAULTS, build_market_params, parse_config_file
 from .errors import ConfigError, DomainError, ReinsGameError
 from .expo import constrained_equilibrium
-from .market import Exponential, MarketParams, RateCurve, premium_rates
+from .market import Exponential, MarketParams, PremiumPoint, RateCurve, premium_rates
 from .reaction import foc_residual_r1, foc_residual_r2
+from .response import ResponseStrategy
 from .simulate import SimConfig, estimate_objectives, simulate
 from .validate import run_checks
 from .valuation import _DEFAULT_PATH_GRID, StrategyPath, equilibrium_path, value_intercepts
@@ -29,16 +30,13 @@ SWEEP_PARAMS = ("beta", "mu", "gamma_I", "gamma_R1", "gamma_R2",
                 "rho_I", "rho_R1", "rho_R2")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _emit(columns: list[str], rows: list[list], fmt: str, out: str | None) -> None:
+    """Write ``rows``, one or more, under ``columns`` as CSV or JSON to stdout and to
+    ``out``.  Every column holds one type, so the CSV row format is read from the first
+    row: 9 significant digits for a float (``np.float64`` too), ``str`` for the rest."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        line = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines = [",".join(columns)] + [line % tuple(row) for row in rows]
         payload = "\n".join(lines) + "\n"
     else:
         payload = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
@@ -83,10 +81,13 @@ def cmd_trajectory(params: MarketParams, t: float, args) -> int:
     eq = constrained_equilibrium(params, times)
     path = StrategyPath(params, times[:n], eq.xi1_star[:n], eq.xi2_star[:n])
     intercepts = value_intercepts(path, params, grid)
-    solved = [eq.xi1_star, eq.xi2_star, eq.response.q, eq.response.d, eq.response.cap,
-              *premium_rates(eq.point(), eq.response, params)]
-    solved = np.column_stack([grid, *(v[n:] for v in solved), *intercepts])
-    rows = [[float(v) for v in row] for row in solved]
+    # premium_rates is elementwise, so read at the printed rows alone it keeps their bits
+    resp = eq.response
+    xi1, xi2, q, d, cap, ret = (v[n:] for v in (eq.xi1_star, eq.xi2_star, resp.q, resp.d,
+                                                resp.cap, resp.retention_limit))
+    rates = premium_rates(PremiumPoint(xi1, xi2, grid), ResponseStrategy(q, d, cap, ret, grid),
+                          params)
+    rows = np.column_stack([grid, xi1, xi2, q, d, cap, *rates, *intercepts]).tolist()
     columns = ["t", "xi1", "xi2", "q", "d", "cap", "p1", "p2", "B_I", "B_R1", "B_R2"]
     _emit(columns, rows, args.format, args.out)
     return 0
@@ -138,10 +139,9 @@ def cmd_simulate(params: MarketParams, t: float, args) -> int:
             for e in estimates.values()]
     _emit(columns, rows, args.format, args.out)
     if args.samples_out:
+        x = [v.tolist() for v in (samples.x_i, samples.x_r1, samples.x_r2)]
         lines = ["path,x_I,x_R1,x_R2"]
-        lines += [f"{i},{_fmt(a)},{_fmt(b)},{_fmt(c)}"
-                  for i, (a, b, c) in enumerate(zip(samples.x_i, samples.x_r1,
-                                                    samples.x_r2))]
+        lines += ["%d,%.9g,%.9g,%.9g" % row for row in zip(range(len(x[0])), *x)]
         Path(args.samples_out).write_text("\n".join(lines) + "\n")
     return 0
 

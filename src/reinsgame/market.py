@@ -279,10 +279,12 @@ def _tail_integral(f, h: float) -> np.ndarray:
     steps = out[..., 1:]  # the integral over each interval
     # h/3 (5 f1/4 + 2 f2 - f3/4) integrates the parabola through f1, f2, f3 from f1 to f2
     # (Cartwright, J. Math. Sci. Math. Educ. 12(2), eq. 10): each triple from an even
-    # node gives its two intervals, and the last triple the last interval
-    f1, f2, f3 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
-    steps[..., :-1:2] = h / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-    steps[..., 1::2] = h / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    # node gives its two intervals, and the last triple the last interval; each node's
+    # terms, 5 f/4 and f/4 at an even node and 2 f at an odd one, are formed once
+    even = y[..., ::2]
+    five, quarter, two = 5 * even / 4, even / 4, 2 * y[..., 1:-1:2]
+    steps[..., :-1:2] = h / 3 * (five[..., :-1] + two - quarter[..., 1:])
+    steps[..., 1::2] = h / 3 * (five[..., 1:] + two - quarter[..., :-1])
     steps[..., -1] = h / 3 * (5 * y[..., -1] / 4 + 2 * y[..., -2] - y[..., -3] / 4)
     return np.cumsum(out, axis=-1, out=out)[..., ::-1]
 

@@ -106,10 +106,12 @@ def h1_domain(params: MarketParams, t: float) -> tuple[float, float]:
 
 # numpy's sqrt, isfinite, where, minimum, clip and errstate for the Python floats of a
 # scalar solve, which make no numpy call: float arithmetic gives inf on overflow and raises
-# only on a division by zero, and this where evaluates both its branches, as numpy's does
+# only on a division by zero, and this where evaluates both its branches, as numpy's does;
+# max and min return their first argument unless the second compares past it, so this clip
+# keeps NaN, as np.clip does
 _FLOATS = SimpleNamespace(sqrt=math.sqrt, isfinite=math.isfinite,
                           where=lambda cond, a, b: a if cond else b, minimum=min,
-                          clip=lambda x, lo, hi: max(lo, min(x, hi)),
+                          clip=lambda x, lo, hi: min(max(x, lo), hi),
                           errstate=lambda _none=contextlib.nullcontext(), **_: _none)
 _BIG = float(np.finfo(float).max)
 _LOG_MAX = math.log(_BIG)  # np.exp overflows above it

@@ -18,7 +18,9 @@ premium drift of ``simulate``, for a scalar or an array of times.  The node
 profile is shared: each ``StrategyPath`` keeps the last one in a single slot
 keyed by ``(params, n_panels)``, so the three parties' objectives, B_k and the
 Monte Carlo premiums of one path and market profile its nodes once, and a
-different market or node count replaces the slot.
+different market or node count replaces the slot.  A time between nodes adds a
+Simpson panel of its own; the call that fills the slot profiles those panels
+with the nodes, so B_k at the CLI's rows makes one ``path_profile`` call.
 """
 from __future__ import annotations
 
@@ -221,15 +223,19 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     One reverse cumulative Simpson from T over one node grid on [0, T] gives
     the integrals at every node.  Each cell of the path's uniform grid is split
     into an even number of panels, at least ``panels`` (an integer >= 1) in all,
-    so every Simpson pair lies inside one linear piece of the path.  The nodes'
-    ``path_profile`` is shared: the path keeps it in one slot keyed by
-    ``(params, n_panels)`` and profiles the nodes again only when the slot
-    holds another key, so ``integrands`` reads the profile and must not write
-    to it.  A time between two nodes adds one Simpson panel of its own, from
-    it to the node above, profiled on each call; it stays out of the
-    cumulative chain, so the integral at one time does not depend on which
-    other times are asked for.  The result has shape ``integrand rows +
-    t.shape`` and is exactly 0 at t = T.
+    so every Simpson pair lies inside one linear piece of the path.  A time
+    between two nodes adds one Simpson panel of its own, from it to the node
+    above; it stays out of the cumulative chain, so the integral at one time
+    does not depend on which other times are asked for.  ``integrands`` acts
+    point by point: each column of its rows is the integrands at one point of
+    the profile, so one profile can serve the nodes and the panels, split by
+    slicing.  The nodes' ``path_profile`` is shared: the path keeps it in one
+    slot keyed by ``(params, n_panels)``, and ``integrands`` reads it and must
+    not write to it.  When the slot is empty or holds another key, the nodes
+    are profiled again together with this call's off-node panels, and the
+    slot keeps that profile, whose first ``n_panels + 1`` points are the
+    nodes; a later call profiles its own off-node panels apart.  The result
+    has shape ``integrand rows + t.shape`` and is exactly 0 at t = T.
     """
     if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
         raise DomainError(f"panels must be an integer of at least 1, got {panels!r}")
@@ -241,21 +247,30 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     cells = max(path.grid.size - 1, 1)
     n_panels = cells * 2 * -(-panels // (2 * cells))
     key = (params, n_panels)
-    if path._node_profile is None or path._node_profile[0] != key:
-        path._node_profile = key, path_profile(path, params,
-                                               np.linspace(0.0, params.T, n_panels + 1))
-    profile = path._node_profile[1]
-    nodes, y_nodes = profile.s, integrands(profile)
-    tail = _tail_integral(y_nodes, params.T / n_panels)
-
+    slot = path._node_profile
+    fresh = slot is None or slot[0] != key
+    # the profile in the slot starts with the nodes
+    nodes = np.linspace(0.0, params.T, n_panels + 1) if fresh else slot[1].s[:n_panels + 1]
     flat = t.ravel()
     above = np.searchsorted(nodes, flat)  # index of the first node >= t
     between = nodes[above] > flat
-    result = tail[..., above]
-    if np.any(between):
-        # Simpson on [t, node above] for each time between nodes
+    off_node = np.any(between)
+    if off_node:  # each such time's Simpson panel, from it to the node above
         lo, hi = flat[between], nodes[above[between]]
-        y = integrands(path_profile(path, params, np.concatenate([lo, 0.5 * (lo + hi)])))
+        panel = np.concatenate([lo, 0.5 * (lo + hi)])
+    if fresh:
+        slot = path._node_profile = key, path_profile(
+            path, params, np.concatenate([nodes, panel]) if off_node else nodes)
+        y = integrands(slot[1])
+        y_nodes, y = y[..., :nodes.size], y[..., nodes.size:]
+    else:
+        y_nodes = integrands(slot[1])[..., :nodes.size]
+        if off_node:
+            y = integrands(path_profile(path, params, panel))
+    tail = _tail_integral(y_nodes, params.T / n_panels)
+
+    result = tail[..., above]
+    if off_node:
         result[..., between] += (hi - lo) / 6.0 * (y[..., :lo.size] + 4.0 * y[..., lo.size:]
                                                    + y_nodes[..., above[between]])
     return result.reshape(result.shape[:-1] + t.shape)

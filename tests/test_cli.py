@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import reinsgame
-from reinsgame.cli import main
+from reinsgame.cli import _emit, main
+from reinsgame.expo import constrained_equilibrium
+from reinsgame.simulate import SimConfig, simulate
+from reinsgame.valuation import equilibrium_path
 
 
 def run_cli(capsys, *argv):
@@ -214,16 +217,32 @@ class TestTrajectoryCommand:
         assert all(0.2 <= v <= 0.35 for v in p1)
 
     def test_intercepts_equal_scalar_calls(self, capsys, base_params, eq_path):
-        # --grid 0:8:7 puts rows between the path's nodes; the one array call
-        # per party must print what one scalar call per row gives
+        # 16 of the 81 default rows and every row of --grid 0:8:7 lie between the
+        # Simpson nodes; the one array call, which profiles their panels with the
+        # nodes, must print what one scalar call per row gives, bit for bit
         from reinsgame.valuation import PARTIES, value_intercepts
-        code, out, _ = run_cli(capsys, "--command", "trajectory", "--grid", "0:8:7",
-                               "--format", "json")
+        for grid, n_rows in (((), 81), (("--grid", "0:8:7"), 7)):
+            code, out, _ = run_cli(capsys, "--command", "trajectory", *grid, "--format", "json")
+            assert code == 0
+            rows = json.loads(out)
+            assert len(rows) == n_rows
+            scalar = np.array([value_intercepts(eq_path, base_params, r["t"]) for r in rows])
+            printed = np.array([[r[f"B_{party}"] for party in PARTIES] for r in rows])
+            assert printed.tobytes() == scalar.tobytes()
+
+    def test_premium_rates_equal_the_full_solve(self, capsys, base_params):
+        # the CLI reads premium_rates at the printed rows alone; they must equal the
+        # rates of the whole 882-time solve, sliced to those rows
+        from reinsgame.market import premium_rates
+        code, out, _ = run_cli(capsys, "--command", "trajectory", "--format", "json")
         assert code == 0
         rows = json.loads(out)
-        scalar = [value_intercepts(eq_path, base_params, r["t"]).tolist() for r in rows]
-        for k, party in enumerate(PARTIES):
-            assert [r[f"B_{party}"] for r in rows] == [b[k] for b in scalar]
+        times = np.linspace(0.0, base_params.T, 801)
+        times = np.concatenate([times, np.linspace(0.0, base_params.T, 81)])
+        eq = constrained_equilibrium(base_params, times)
+        p1, p2 = premium_rates(eq.point(), eq.response, base_params)
+        printed = np.array([[r["p1"], r["p2"]] for r in rows])
+        assert printed.tobytes() == np.column_stack([p1[801:], p2[801:]]).tobytes()
 
 
 class TestSweepCommand:
@@ -275,7 +294,25 @@ class TestSweepCommand:
         assert code == 2
 
 
+def _fmt(value) -> str:  # the CSV cell format of earlier versions, one call per value
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
 class TestOutputContract:
+    @pytest.mark.parametrize("rows", [
+        [[v] for v in (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0, -7.25)],
+        [[np.float64(v), np.float64(-v)] for v in (np.nan, np.inf, 0.0, 5e-324, 1e300, 0.1)],
+        [["I", 0.1, 3, np.float64(2.5)], ["R1", -0.0, -4, np.float64(np.nan)],
+         ["LowerLeft", 1e300, 0, np.float64(5e-324)]],
+    ], ids=["floats", "float64", "mixed"])
+    def test_csv_rows_equal_the_per_value_format(self, capsys, rows):
+        columns = [f"c{i}" for i in range(len(rows[0]))]
+        _emit(columns, rows, "csv", None)
+        expected = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
     def test_csv_nine_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "--command", "equilibrium")
         _, rows = parse_csv(out)
@@ -305,6 +342,10 @@ class TestSimulateCommand:
         lines = dump.read_text().splitlines()
         assert lines[0] == "path,x_I,x_R1,x_R2"
         assert len(lines) == 201
+        samples = simulate(equilibrium_path(reinsgame.default_market_params()),
+                           reinsgame.default_market_params(), SimConfig(paths=200, seed=42))
+        assert lines[1:] == [f"{i},{_fmt(a)},{_fmt(b)},{_fmt(c)}" for i, (a, b, c)
+                             in enumerate(zip(samples.x_i, samples.x_r1, samples.x_r2))]
 
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(capsys, "--command", "simulate", "--paths", "100",

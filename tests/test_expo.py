@@ -669,6 +669,18 @@ class TestOverflowingAccumulation:
         assert reaction._r2_reply(np.array([0.9]), params, np.array([0.0])).tolist() == [reply]
 
 
+class TestNanReply:
+    @pytest.mark.parametrize("t", [0.0, np.array([0.0, 4.0, 8.0])], ids=["scalar", "array"])
+    def test_a_nan_reply_is_not_clamped_into_the_box(self, monkeypatch, t):
+        # at beta = 0.2 the unconstrained xi1 is above its box, so xi2* is R2's reply to
+        # the cap; a NaN reply must reach R1's solve on both paths, as np.clip keeps NaN,
+        # not come out of the float clamp as the floor of the xi2 box
+        from reinsgame import expo
+        monkeypatch.setattr(expo, "_r2_reply", lambda xi1, params, t, coefs=None: xi1 * math.nan)
+        with pytest.raises(DomainError, match=r"bracket \[nan, nan\] not finite"):
+            constrained_equilibrium(with_beta(default_market_params(), 0.2), t)
+
+
 class TestUnresolvableCoefficients:
     # C_R1 = 0 by underflow, C_R1 = 1e301 (R1's reply interval empty in floats) and
     # C_R2 = inf by overflow: unchecked, a scalar solve divides by zero or overflows

@@ -431,10 +431,16 @@ class TestSharedNodeProfile:
 
     def test_intercepts_then_objective_share_the_profile(self, base_params, eq_path,
                                                          node_calls):
+        # B profiles the nodes with two points (the time and its panel's midpoint) per row
+        # between nodes in one call, and J reads that profile without rebuilding it
         path, times = self.fresh(eq_path), np.linspace(0.0, base_params.T, 81)
+        off_node = np.isin(times, np.linspace(0.0, base_params.T, 3201), invert=True).sum()
+        assert off_node == 16
         b = value_intercepts(path, base_params, times)
+        profile = path._node_profile[1]
         j = closed_form_objective("R2", path, base_params, 0.0, 1.0)
-        assert node_calls.count(3201) == 1
+        assert node_calls == [3201 + 2 * off_node]
+        assert path._node_profile[1] is profile
         assert b.tobytes() == value_intercepts(self.fresh(eq_path), base_params, times).tobytes()
         assert j == closed_form_objective("R2", self.fresh(eq_path), base_params, 0.0, 1.0)
 
