@@ -42,7 +42,16 @@ def _emit(columns: list[str], rows: list[list], fmt: str, out: str | None) -> No
         payload = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     sys.stdout.write(payload)
     if out:
-        Path(out).write_text(payload)
+        _write("--out", out, payload)
+
+
+def _write(flag: str, path: str, text: str) -> None:
+    """Write ``text`` to the file named by option ``flag``; a path that cannot be written
+    is a bad setting, a ConfigError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -142,7 +151,7 @@ def cmd_simulate(params: MarketParams, t: float, args) -> int:
         x = [v.tolist() for v in (samples.x_i, samples.x_r1, samples.x_r2)]
         lines = ["path,x_I,x_R1,x_R2"]
         lines += ["%d,%.9g,%.9g,%.9g" % row for row in zip(range(len(x[0])), *x)]
-        Path(args.samples_out).write_text("\n".join(lines) + "\n")
+        _write("--samples-out", args.samples_out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -156,7 +165,7 @@ def cmd_validate(params: MarketParams, t: float, args) -> int:
     payload = json.dumps(summary, indent=2) + "\n"
     sys.stdout.write(payload)
     if args.out:
-        Path(args.out).write_text(payload)
+        _write("--out", args.out, payload)
     return 0 if summary["passed"] else 1
 
 

@@ -325,7 +325,9 @@ class GenericClaims(ClaimDistribution):
     reverse cumulative Simpson of S from y_max and ESQ by one of 2 EM; the
     mean and second moment are EM(0) and ESQ(0).  A deductible between nodes
     reads them by cubic Hermite interpolation with the exact slopes EM' = -S
-    and ESQ' = -2 EM; S(d) itself is F's own value.
+    and ESQ' = -2 EM; S(d) itself is F's own value.  ``truncated`` and
+    ``foc_terms`` read a float deductible in [0, y_max), an ``np.float64`` too,
+    in pure Python (``_read_float``), to the bits of an array's element.
 
     Error bound: EM and ESQ, the mean and second moment included, are within
     max(1e-8, 1e-8 |value|) of the integrals.  The build checks this against
@@ -436,7 +438,13 @@ class GenericClaims(ClaimDistribution):
         return c3[j] + c2[j] * s + c1[j] * s2 + c0[j] * (s2 * s)
 
     def truncated(self, d) -> TruncatedMoments:
-        """Layer moments at a scalar or an array of deductibles, read from the table."""
+        """Layer moments at a scalar or an array of deductibles, read from the table; a
+        float in [0, y_max) is read in pure Python (``_read_float``), to an array's bits."""
+        read = self._read_float(d)
+        if read is not None:
+            d, (s, em, esq, m2) = float(d), read
+            return TruncatedMoments(d, m2, em, s, self._rows[1][0] - em - d * s, esq,
+                                    em / s if s > 0.0 else 0.0)
         d_arr = np.asarray(d, dtype=float)
         if not np.all(d_arr >= 0.0):
             raise DomainError("deductible must be a non-negative number")
@@ -464,18 +472,27 @@ class GenericClaims(ClaimDistribution):
 
     def foc_terms(self, d):
         """``ClaimDistribution.foc_terms``; a float is read in pure Python, to an array's bits."""
-        # a float outside the table, or a negative one, reads as an array does; the
-        # condition's last term builds the table, and so the rows read below
-        if not (isinstance(d, float) and 0.0 <= d < self._ymax and self._layer_table()):
+        read = self._read_float(d)
+        if read is None:
             return super().foc_terms(d)
+        s, em, _, m2 = read
+        return max(0.0, m2) / max(_TINY, d * (d * s)), em / s if s > 0.0 else 0.0, s
+
+    def _read_float(self, d):
+        """(S, EM, ESQ, M2) at a float d in [0, y_max), the array read's arithmetic on the
+        table's rows as Python floats, so each has the bits of an array's element; None
+        for any other d, which reads as an array does: an array, d >= y_max, inf, a
+        negative d or NaN.  The condition's last term builds the table, and so the rows."""
+        if not (isinstance(d, float) and 0.0 <= d < self._ymax and self._layer_table()):
+            return None
+        d = float(d)  # an np.float64 too, so that every result is a Python float
         (f, em_nodes, esq_nodes), h = self._rows, self._ymax / (_TABLE_NODES - 1)
         j = min(int(d / h), _TABLE_NODES - 2)
         t, s = d / h - j, 1.0 - min(max(float(self._cdf(d)), 0.0), 1.0)
         em0, em1 = em_nodes[j], em_nodes[j + 1]
         em = _hermite(em0, em1, h * (f[j] - 1.0), h * (f[j + 1] - 1.0), t)
         esq = _hermite(esq_nodes[j], esq_nodes[j + 1], -2.0 * h * em0, -2.0 * h * em1, t)
-        m2 = esq_nodes[0] - esq - 2.0 * d * em - d * d * s
-        return max(0.0, m2) / max(_TINY, d * (d * s)), em / s if s > 0.0 else 0.0, s
+        return s, em, esq, esq_nodes[0] - esq - 2.0 * d * em - d * d * s
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,14 @@ premium drift of ``simulate``, for a scalar or an array of times.  The node
 profile is shared: each ``StrategyPath`` keeps the last one in a single slot
 keyed by ``(params, n_panels)``, so the three parties' objectives, B_k and the
 Monte Carlo premiums of one path and market profile its nodes once, and a
-different market or node count replaces the slot.  A time between nodes adds a
-Simpson panel of its own; the call that fills the slot profiles those panels
-with the nodes, so B_k at the CLI's rows makes one ``path_profile`` call.
+different market or node count replaces the slot.  The slot also keeps the
+last integrand integrated on those nodes, with its node values and its node
+tail, so the three objectives, whose integrand is one function of six rows
+(``_objective_rows``), evaluate it and run the Simpson once between them; an
+integrand must be a pure function of the profile that does not write to it.
+A time between nodes adds a Simpson panel of its own; the call that fills the
+slot profiles those panels with the nodes, so B_k at the CLI's rows makes one
+``path_profile`` call.
 """
 from __future__ import annotations
 
@@ -57,8 +62,9 @@ class StrategyPath:
     recomputed from the interpolated loadings, except for paths built around a
     fixed custom contract (e.g. no reinsurance), which pin the response and pay
     no reinsurance premiums.  A path is not changed after it is built: it keeps
-    the ``path_profile`` of ``_tail_integrals``' last node grid and the cells
-    ``_loadings`` reads on a uniform grid.
+    the ``path_profile`` of ``_tail_integrals``' last node grid, with the last
+    integrand's node tail there, and the cells ``_loadings`` reads on a
+    uniform grid.
     """
 
     def __init__(self, params: MarketParams, grid: np.ndarray, xi1: np.ndarray,
@@ -68,7 +74,7 @@ class StrategyPath:
         self._xi1 = np.asarray(xi1, dtype=float)
         self._xi2 = np.asarray(xi2, dtype=float)
         self.fixed_response = fixed_response
-        self._node_profile = None  # ((params, n_panels), PathProfile) of _tail_integrals
+        self._node_profile = None  # ((params, n_panels), PathProfile, kept) of _tail_integrals
         self._cells = None  # _uniform_cells of the grid, () where it has none
         grid = self.grid
         if not (grid.ndim == 1 and grid.size and self._xi1.shape == self._xi2.shape == grid.shape
@@ -230,12 +236,17 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     point by point: each column of its rows is the integrands at one point of
     the profile, so one profile can serve the nodes and the panels, split by
     slicing.  The nodes' ``path_profile`` is shared: the path keeps it in one
-    slot keyed by ``(params, n_panels)``, and ``integrands`` reads it and must
-    not write to it.  When the slot is empty or holds another key, the nodes
-    are profiled again together with this call's off-node panels, and the
-    slot keeps that profile, whose first ``n_panels + 1`` points are the
-    nodes; a later call profiles its own off-node panels apart.  The result
-    has shape ``integrand rows + t.shape`` and is exactly 0 at t = T.
+    slot keyed by ``(params, n_panels)``.  When the slot is empty or holds
+    another key, the nodes are profiled again together with this call's
+    off-node panels, and the slot keeps that profile, whose first
+    ``n_panels + 1`` points are the nodes; a later call profiles its own
+    off-node panels apart.  The slot, ``(key, profile, kept)``, also keeps the
+    last ``integrands`` object evaluated on the nodes, with its node values
+    and its node tail: a call with the same object reuses them, another
+    integrand replaces them, and a new key replaces the whole slot, so a path
+    holds one profile and one tail.  ``integrands`` must therefore be a pure
+    function of the profile, and must not write to it.  The result has shape
+    ``integrand rows + t.shape`` and is exactly 0 at t = T.
     """
     if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
         raise DomainError(f"panels must be an integer of at least 1, got {panels!r}")
@@ -258,16 +269,22 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     if off_node:  # each such time's Simpson panel, from it to the node above
         lo, hi = flat[between], nodes[above[between]]
         panel = np.concatenate([lo, 0.5 * (lo + hi)])
+    h = params.T / n_panels
     if fresh:
-        slot = path._node_profile = key, path_profile(
-            path, params, np.concatenate([nodes, panel]) if off_node else nodes)
-        y = integrands(slot[1])
+        profile = path_profile(path, params,
+                               np.concatenate([nodes, panel]) if off_node else nodes)
+        y = integrands(profile)
         y_nodes, y = y[..., :nodes.size], y[..., nodes.size:]
+        kept = integrands, _tail_integral(y_nodes, h), y_nodes
     else:
-        y_nodes = integrands(slot[1])[..., :nodes.size]
+        _, profile, kept = slot
+        if kept[0] is not integrands:
+            y_nodes = integrands(profile)[..., :nodes.size]
+            kept = integrands, _tail_integral(y_nodes, h), y_nodes
         if off_node:
             y = integrands(path_profile(path, params, panel))
-    tail = _tail_integral(y_nodes, params.T / n_panels)
+    path._node_profile = key, profile, kept
+    _, tail, y_nodes = kept
 
     result = tail[..., above]
     if off_node:
@@ -276,26 +293,32 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     return result.reshape(result.shape[:-1] + t.shape)
 
 
+def _objective_rows(profile) -> np.ndarray:
+    """The objectives' integrands, party k's drift A_k (income - payout) and variance
+    A_k^2 lam E[paid^2] in rows 2k and 2k + 1, for the parties of ``PARTIES`` in order."""
+    led, rows = profile.ledger, []
+    for k, a_s in enumerate(profile.accum):
+        rows += [a_s * (led.income[k] - led.payout[k]), a_s * a_s * led.payout_sq[k]]
+    return np.stack(rows)
+
+
 def closed_form_objective(party: str, path: StrategyPath, params: MarketParams,
                           t: float, x: float,
                           panels: int = _DEFAULT_PANELS) -> ObjectiveValue:
     """Objective J = E[X(T)] - (gamma/2) Var(X(T)) under a deterministic path.
 
     The mean and variance integrals over [t, T] come from ``_tail_integrals``
-    with ``panels`` panels at least, so the objectives of all three parties on
-    one path, market and ``panels`` read one shared node profile; at t = T both
-    integrals are exactly 0 and A(T) = 1, so the objective is the surplus itself.
+    with ``panels`` panels at least, over the six rows of ``_objective_rows``,
+    so the objectives of all three parties on one path, market and ``panels``
+    read one node profile and one node tail; at t = T both integrals are
+    exactly 0 and A(T) = 1, so the objective is the surplus itself.
     """
     if party not in PARTIES:
         raise DomainError(f"unknown party {party!r}")
     k, gamma = PARTIES.index(party), params.gamma(party)
     a_t = params.accum(party, t)
 
-    def integrands(profile):
-        a_s, led = profile.accum[k], profile.ledger
-        return np.stack([a_s * (led.income[k] - led.payout[k]), a_s * a_s * led.payout_sq[k]])
-
-    drift, variance = _tail_integrals(path, params, t, panels, integrands)
+    drift, variance = _tail_integrals(path, params, t, panels, _objective_rows)[2 * k:2 * k + 2]
     mean = a_t * x + drift
     return ObjectiveValue(party, float(mean), float(variance),
                           float(mean - 0.5 * gamma * variance))

@@ -138,6 +138,18 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("config error:") and named in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--command", "equilibrium", "--out"),
+        ("--command", "simulate", "--paths", "100", "--samples-out"),
+    ], ids=["out", "samples_out"])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        # the results reach stdout first; the file that cannot be written is a bad setting
+        target = str(tmp_path / "missing_dir" / "x.csv")
+        code, out, err = run_cli(capsys, *argv, target)
+        assert code == 2
+        assert err.startswith("config error:") and argv[-1] in err and target in err
+        assert out.startswith("t," if "--out" in argv else "party,")
+
 
 class TestExtremeConfigs:
     """Non-finite and extreme finite parameters end in a typed error in bounded time.

@@ -268,6 +268,25 @@ class TestGenericClaimsTable:
             for name in ("m2_below", "excess_mean", "survival", "m1_below", "excess_sq"):
                 assert getattr(tm, name)[i] == getattr(one, name), (name, d)
 
+    @pytest.mark.parametrize("cdf", [
+        lambda y: min(max(y / 2.0, 0.0), 1.0),
+        erlang2_cdf,
+        lambda y: 0.0 if y <= 0.0 else 1.0 - (1.0 + y) ** -8,  # Lomax(8, 1)
+    ], ids=["uniform_0_2", "erlang2_rate2", "lomax8"])
+    def test_a_float_reads_an_arrays_bits(self, cdf):
+        # a float in [0, y_max), np.float64 too, is read in pure Python; y_max, 2 y_max
+        # and inf take the array path; each field has the bits of a one-element array's
+        law = GenericClaims(cdf)
+        end = law.tail_cut()
+        h = end / (_TABLE_NODES - 1)
+        ds = [0.0, 37 * h, 37.5 * h, np.nextafter(end, 0.0), end, 2.0 * end, math.inf]
+        for d in ds + [np.float64(37.25 * h)]:
+            one, arr = law.truncated(d), law.truncated(np.array([d]))
+            for field in dataclasses.fields(one):
+                got, want = getattr(one, field.name), getattr(arr, field.name)[0]
+                assert type(got) is float, (field.name, d)
+                assert np.float64(got).tobytes() == want.tobytes(), (field.name, d)
+
     def test_atom_raises_and_names_it(self):
         law = GenericClaims(lambda y: 0.7 * min(max(y / 2.0, 0.0), 1.0)
                             + (0.3 if y >= 0.9 else 0.0))

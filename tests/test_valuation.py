@@ -460,3 +460,64 @@ class TestSharedNodeProfile:
         for params in (base_params, other, base_params):
             closed_form_objective("I", path, params, 0.0, 1.0)
         assert node_calls == [3201] * 3
+
+
+class TestKeptNodeTail:
+    """The slot keeps the last integrand integrated on its nodes, with its node tail: the
+    three objectives evaluate ``_objective_rows`` on the nodes and run the Simpson once,
+    and another integrand, market or node count replaces what is kept."""
+
+    fresh = staticmethod(TestSharedNodeProfile.fresh)
+    bits = staticmethod(TestSharedNodeProfile.bits)
+
+    @pytest.fixture
+    def row_calls(self, monkeypatch):
+        # the sizes of the profiles _objective_rows is evaluated on
+        sizes, rows = [], valuation._objective_rows
+
+        def spy(profile):
+            sizes.append(profile.s.size)
+            return rows(profile)
+        monkeypatch.setattr(valuation, "_objective_rows", spy)
+        return sizes
+
+    @staticmethod
+    def objectives(path, params, t=0.0, panels=2000):
+        return [closed_form_objective(party, path, params, t, params.x0(party) + 1.0,
+                                      panels=panels) for party in PARTIES]
+
+    @pytest.mark.parametrize("t", [0.0, 1.2345678])
+    def test_three_objectives_integrate_the_nodes_once(self, base_params, eq_path,
+                                                       row_calls, t):
+        shared = self.objectives(self.fresh(eq_path), base_params, t)
+        # t = 1.2345678 lies between nodes: the first call profiles its panel with the
+        # nodes, and the two later ones evaluate that panel's own two points
+        assert row_calls == ([3201] if t == 0.0 else [3203, 2, 2])
+        separate = [closed_form_objective(party, self.fresh(eq_path), base_params, t,
+                                          base_params.x0(party) + 1.0) for party in PARTIES]
+        assert self.bits(shared) == self.bits(separate)
+
+    def test_intercepts_between_objectives_replace_the_tail(self, base_params, eq_path,
+                                                            row_calls):
+        path, times = self.fresh(eq_path), np.linspace(0.0, base_params.T, 81)
+        first = self.objectives(path, base_params)
+        kept = path._node_profile[2]
+        b = value_intercepts(path, base_params, times)
+        assert path._node_profile[2] is not kept
+        again = self.objectives(path, base_params)
+        assert row_calls == [3201, 3201]
+        want = self.objectives(self.fresh(eq_path), base_params)
+        assert self.bits(first) == self.bits(again) == self.bits(want)
+        assert b.tobytes() == value_intercepts(self.fresh(eq_path), base_params,
+                                               times).tobytes()
+
+    @pytest.mark.parametrize("change", ["params", "panels"])
+    def test_another_key_replaces_the_tail(self, base_params, eq_path, row_calls, change):
+        path = self.fresh(eq_path)
+        self.objectives(path, base_params)
+        params = dataclasses.replace(base_params, lam=0.0) if change == "params" else base_params
+        panels = 400 if change == "panels" else 2000
+        again = self.objectives(path, params, panels=panels)
+        assert row_calls == [3201, 3201 if change == "params" else 1601]
+        assert self.bits(again) == self.bits(
+            self.objectives(self.fresh(eq_path), params, panels=panels))
