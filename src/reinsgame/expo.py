@@ -13,9 +13,12 @@ tagged, for any claim law, at a float time or, in one call, an array of times.
 An array whose (C_R1, C_R2) is one pair at every time, as where the three rate
 curves are equal, solves the fixed point once as a float does, and its
 unconstrained loadings are a_I(t) times that solve's constants.  R2's reply
-runs only on the floor or cap branch, and R1's only where a clamp binds:
-elsewhere the fixed point already solves R1's FOC.  On the reference grid that
-is one solve of 5 residual evaluations for every time.
+runs only on the floor or cap branch, and R1's only where a clamp binds (elsewhere
+the fixed point already solves R1's FOC) and where its reply interval h1_domain
+meets the xi1 box: 8 eps beyond a box edge, the reply is that edge, unsolved.  So
+the reference grid takes one solve of 5 residual evaluations for every time, and
+the sweep_box draw 1.69 solves and 9.0 evaluations a point (1.98 and 10.9 while its
+587 R1 replies beyond the box were solved).
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket
@@ -31,13 +34,17 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .market import Exponential, MarketParams, PremiumPoint, admissible_box, e_fun
-from .reaction import (_fixed_point, _fixed_root, _gamma_profiles, _kind, _r1_ratio, _r1_reply,
-                       _r2_reply, _r2_xi2, h1_domain, reaction_xi1)
+from .reaction import (_fixed_point, _gamma_profiles, _kind, _r1_ratio, _r1_reply, _r2_reply,
+                       h1_domain, reaction_xi1)
 from .response import ResponseStrategy, layered_response
 from .roots import chandrupatla_scalar
 
 _EXP_OVERFLOW = 709.0  # math.exp overflows just above 709.78
 _ENDPOINT_SHRINK = 1e-12
+# a solved R1 reply strays from h1_domain's computed ends by at most 1 eps relative (on
+# the sweep_box and seed-5 broad-box draws, at xi2* and at the unconstrained xi2), so
+# an interval 8 eps clear of the xi1 box cannot reply inside it
+_CLEAR = 8.0 * math.ulp(1.0)  # 8 eps, a Python float: np.finfo.eps would slow every query
 
 
 class Regime(str, Enum):
@@ -70,7 +77,7 @@ class Regime(str, Enum):
     OTHER_BOUNDARY = "OtherBoundary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumResult:
     """Clamped premium equilibrium with its regime and unconstrained anchor.
 
@@ -179,15 +186,25 @@ _REGIMES = (Regime.XI1_FLOOR_ONLY, Regime.LOWER_LEFT, Regime.OTHER_BOUNDARY,
             Regime.OTHER_BOUNDARY, Regime.OTHER_BOUNDARY, Regime.UPPER_RIGHT)
 
 
-def _replies(solve, mask, default, arg, params: MarketParams, t, coefs):
-    # default, with solve(arg, params, t, coefs) where mask holds: a float time's
+def _replies(solve, mask, default, arg, params: MarketParams, t, coefs, *box):
+    # default, with solve(arg, params, t, coefs, *box) where mask holds: a float time's
     # reply runs or not, an array's runs on the times that need it
     if not isinstance(t, np.ndarray):
-        return solve(arg, params, t, coefs) if mask else default
+        return solve(arg, params, t, coefs, *box) if mask else default
     out = default.copy()
     if mask.any():
-        out[mask] = solve(arg[mask], params, t[mask], tuple(c[mask] for c in coefs))
+        out[mask] = solve(arg[mask], params, t[mask], tuple(c[mask] for c in coefs), *box)
     return out
+
+
+def _r1_boxed(xi2, params: MarketParams, t, coefs, lo, hi):
+    # R1's reply to xi2, or the edge of the xi1 box [lo, hi] where its reply interval
+    # h1_domain = (a_I C_R1, a_I (C_R1 + 1/2)) lies wholly beyond that edge, which the
+    # clamp would return from the solve; a NaN xi2 still reaches the solve, and raises
+    a_i, c1, _ = coefs
+    above, below = c1 > hi * (1.0 + _CLEAR) / a_i, c1 + 0.5 < lo * (1.0 - _CLEAR) / a_i
+    solve = (above == below) | (xi2 != xi2)  # never both: h1_domain is not empty
+    return _replies(_r1_reply, solve, _kind(t).where(above, hi, lo), xi2, params, t, coefs)
 
 
 def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
@@ -211,24 +228,22 @@ def constrained_equilibrium(params: MarketParams, t=0.0) -> EquilibriumResult:
         raise DomainError("equilibrium times must be a scalar or a one-dimensional array")
     (xi1_lo, xi1_hi), (xi2_lo, xi2_hi) = admissible_box(params)
     a_i, c1, c2 = coefs = _gamma_profiles(params, t)
-    if xp is np and c1.min() == c1.max() and c2.min() == c2.max():
-        # one (C_R1, C_R2) at every time, as where the three rate curves are equal: one
-        # float solve, and xi1 and xi2 are a_I(t) times its constants, each with the bits
-        # of a float time's solve
-        m, rho = _fixed_root(params.claims, float(c1[0]), float(c2[0]))
-        xi1_bar, xi2_bar = 0.5 * a_i / rho, _r2_xi2(a_i, float(c2[0]), rho, m)
-    else:
-        xi1_bar, xi2_bar = _fixed_point(params, t, coefs)
+    # one (C_R1, C_R2) at every time, as where the three rate curves are equal: one
+    # float solve, and xi1 and xi2 are a_I(t) times its constants, each with the bits
+    # of a float time's solve
+    one = xp is np and c1.min() == c1.max() and c2.min() == c2.max()
+    xi1_bar, xi2_bar = _fixed_point(params, t, (a_i, float(c1[0]), float(c2[0])) if one else coefs)
 
     # the published three-case split on the unconstrained xi1: on the floor or cap
     # branch, R2 replies to that edge of the xi1 box; R1 replies where a clamp binds,
-    # elsewhere the fixed point's pair solves its FOC, so xi1* = xi1_bar there
+    # elsewhere the fixed point's pair solves its FOC, so xi1* = xi1_bar there, and
+    # the box decides R1's reply where h1_domain misses the box (``_r1_boxed``)
     floor, cap = xi1_bar < xi1_lo, xi1_bar > xi1_hi
     xi2_star = _replies(_r2_reply, floor | cap, xi2_bar, xp.where(floor, xi1_lo, xi1_hi),
                         params, t, coefs)
     xi2_star = xp.clip(xi2_star, xi2_lo, xi2_hi)
-    xi1_star = _replies(_r1_reply, floor | cap | (xi2_star != xi2_bar), xi1_bar, xi2_star,
-                        params, t, coefs)
+    xi1_star = _replies(_r1_boxed, floor | cap | (xi2_star != xi2_bar), xi1_bar, xi2_star,
+                        params, t, coefs, xi1_lo, xi1_hi)
     xi1_star = xp.clip(xi1_star, xi1_lo, xi1_hi)
     regime = 3 * (1 - floor + cap) + (xi2_star == xi2_lo) + 2 * (xi2_star == xi2_hi)
     regime = (tuple(map(_REGIMES.__getitem__, regime.tolist())) if xp is np

@@ -190,19 +190,20 @@ def _deductible_root(residual, lo, hi, claims, ratio=None, identity=None, reads_
     the largest float (``_check_resolved`` where f ``reads_m``), and given R1's ``ratio``
     rho(e), rho: ratio(e(d)), or identity(d, m(d)) where the residual falls by over 2 per
     unit of d across the final bracket, where rho(d) is steep."""
+    # an array solves under its caller's np.errstate(all="ignore"): np.where computes
+    # both forms, and the residuals may overflow
     xp = _kind(hi)
-    with xp.errstate(all="ignore"):  # np.where computes both forms
-        lo, hi = xp.minimum(lo, _BIG), xp.minimum(hi, _BIG)
-        d, f_d, y, f_y = (chandrupatla(residual, lo, hi) if xp is np
-                          else chandrupatla_scalar(residual, lo, hi))
-        # the secant (f_d - f_y)/(d - y) below -2, with no division by d - y = 0
-        steep = xp.isfinite(f_y) & ((f_d - f_y + 2.0 * (d - y)) * (d - y) < 0.0)
-        e, m, s = claims.foc_terms(d)
-        if reads_m:
-            _check_resolved(d, m, s, claims)
-        if ratio is None or xp is not np:  # a float's identity may divide by 0 unless steep
-            return m, ratio and (identity(d, m) if steep else ratio(e))
-        return m, np.where(steep, identity(d, m), ratio(e))
+    lo, hi = xp.minimum(lo, _BIG), xp.minimum(hi, _BIG)
+    d, f_d, y, f_y = (chandrupatla(residual, lo, hi) if xp is np
+                      else chandrupatla_scalar(residual, lo, hi))
+    # the secant (f_d - f_y)/(d - y) below -2, with no division by d - y = 0
+    steep = xp.isfinite(f_y) & ((f_d - f_y + 2.0 * (d - y)) * (d - y) < 0.0)
+    e, m, s = claims.foc_terms(d)
+    if reads_m:
+        _check_resolved(d, m, s, claims)
+    if ratio is None or xp is not np:  # a float's identity may divide by 0 unless steep
+        return m, ratio and (identity(d, m) if steep else ratio(e))
+    return m, np.where(steep, identity(d, m), ratio(e))
 
 
 def _r1_reply(xi2, params: MarketParams, t, coefs=None):
@@ -212,7 +213,7 @@ def _r1_reply(xi2, params: MarketParams, t, coefs=None):
     xp, read = _kind(t), params.claims.foc_terms
     a_i, c1, _ = coefs or _gamma_profiles(params, t)
     rho_lo, delta = _r1_ratio(c1, xp)
-    with xp.errstate(over="ignore"):  # 1/(2C_R1) overflows where C_R1 is subnormal
+    with xp.errstate(all="ignore"):  # 1/(2C_R1) overflows where C_R1 is subnormal
         w = xi2 / a_i
         lo = w + w * rho_lo
         _, rho = _deductible_root(lambda d: lo + w * delta(read(d)[0]) - d, lo, w + w * (0.5 / c1),
@@ -226,11 +227,10 @@ def _r2_xi2(a_i, c2, rho, m):
     # k = 1 + C_R2 (1 + rho).  Where a_I is huge, as at rates of 50 over a horizon of 8,
     # that form overflows, or reads inf/inf once rho does too, so there it is re-formed
     # as a_I m (C_R2 + 1/(1 + rho)), which is inf only where the reply is; the box
-    # clamps an inf to the cap
-    xp = _kind(a_i)
-    with xp.errstate(over="ignore", invalid="ignore"):
-        xi2 = a_i * (1.0 + c2 * (1.0 + rho)) * m / (1.0 + rho)
-        return xp.where(xi2 < math.inf, xi2, a_i * (m * (c2 + 1.0 / (1.0 + rho))))
+    # clamps an inf to the cap.  Arrays under the caller's np.errstate, as for
+    # _deductible_root
+    xi2 = a_i * (1.0 + c2 * (1.0 + rho)) * m / (1.0 + rho)
+    return _kind(a_i).where(xi2 < math.inf, xi2, a_i * (m * (c2 + 1.0 / (1.0 + rho))))
 
 
 def _r2_reply(xi1, params: MarketParams, t, coefs=None):
@@ -239,17 +239,16 @@ def _r2_reply(xi1, params: MarketParams, t, coefs=None):
     width for exponential claims, of its FOC over S(d), k m(d) - d, k = 1 + C_R2(1 + rho)."""
     a_i, _, c2 = coefs or _gamma_profiles(params, t)
     read, (m_lo, m_hi) = params.claims.foc_terms, params.claims.mean_excess_bounds
-    with _kind(t).errstate(over="ignore"):  # as in _r2_xi2, where a_I is near the largest float
+    with _kind(t).errstate(all="ignore"):  # as in _r2_xi2, where a_I is near the largest float
         rho = 0.5 * a_i / xi1
         k = 1.0 + c2 * (1.0 + rho)
-        lo, hi = k * m_lo, k * m_hi
-    m, _ = _deductible_root(lambda d: k * read(d)[1] - d, lo, hi, params.claims)
-    return _r2_xi2(a_i, c2, rho, m)
+        m, _ = _deductible_root(lambda d: k * read(d)[1] - d, k * m_lo, k * m_hi, params.claims)
+        return _r2_xi2(a_i, c2, rho, m)
 
 
 def _fixed_root(claims, c1, c2):
     """(m(d), rho(d)) at the fixed point's root d, the root of k(d) m(d) = d, k(d) = k_lo
-    + C_R2 delta(e(d)), for float coefficients (``chandrupatla_scalar``) or arrays."""
+    + C_R2 delta(e(d)), for float coefficients or arrays (under the caller's np.errstate)."""
     xp = _kind(c1)
     rho_lo, delta = _r1_ratio(c1, xp)
     read, (m_lo, m_hi) = claims.foc_terms, claims.mean_excess_bounds
@@ -259,18 +258,18 @@ def _fixed_root(claims, c1, c2):
         e, m, _ = read(d)
         return (k_lo + c2 * delta(e)) * m - d
     # the upper end overflows where C_R1 is subnormal or C_R2/C_R1 exceeds the largest float
-    with xp.errstate(over="ignore"):
-        return _deductible_root(residual, k_lo * m_lo, (1.0 + c2 * (1.0 + 0.5 / c1)) * m_hi,
-                                claims, lambda e: rho_lo + delta(e),
-                                lambda d, m: (d / m - 1.0 - c2) / c2)
+    return _deductible_root(residual, k_lo * m_lo, (1.0 + c2 * (1.0 + 0.5 / c1)) * m_hi,
+                            claims, lambda e: rho_lo + delta(e),
+                            lambda d, m: (d / m - 1.0 - c2) / c2)
 
 
 def _fixed_point(params: MarketParams, t, coefs=None):
     """Unconstrained (xi1, xi2) at time(s) t (``coefs`` as for ``_r1_reply``): the root in
     d that ``general_equilibrium`` describes, without its closing check."""
     a_i, c1, c2 = coefs or _gamma_profiles(params, t)
-    m, rho = _fixed_root(params.claims, c1, c2)
-    return 0.5 * a_i / rho, _r2_xi2(a_i, c2, rho, m)
+    with _kind(a_i).errstate(all="ignore"):  # float coefficients may scale an array a_I
+        m, rho = _fixed_root(params.claims, c1, c2)
+        return 0.5 * a_i / rho, _r2_xi2(a_i, c2, rho, m)
 
 
 def reaction_xi1(xi2: float, params: MarketParams, t: float = 0.0) -> float:

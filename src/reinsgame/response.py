@@ -15,7 +15,7 @@ from .errors import DegeneratePremiumError, DomainError
 from .market import MarketParams, PremiumPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseStrategy:
     """Layered reinsurance contract at time t.
 

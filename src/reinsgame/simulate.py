@@ -80,14 +80,15 @@ class TerminalSamples:
         return {"I": self.x_i, "R1": self.x_r1, "R2": self.x_r2}[party]
 
 
+def _premium_flows(profile):
+    # each party's premium income row of the ledger times its accumulation factor
+    return np.stack([a * flow for a, flow in zip(profile.accum, profile.ledger.income)])
+
+
 def simulate(path: StrategyPath, params: MarketParams, config: SimConfig) -> TerminalSamples:
     """Terminal surplus samples under the given strategy path."""
     T = params.T
-
-    def premium_flows(profile):
-        return np.stack([a * flow for a, flow in zip(profile.accum, profile.ledger.income)])
-
-    premiums = _tail_integrals(path, params, 0.0, _DEFAULT_PANELS, premium_flows)
+    premiums = _tail_integrals(path, params, 0.0, _DEFAULT_PANELS, _premium_flows)
     deterministic = [a * params.x0(party) + premium
                      for party, a, premium in zip(PARTIES, accumulations(params, 0.0), premiums)]
 

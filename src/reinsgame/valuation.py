@@ -23,6 +23,9 @@ last integrand integrated on those nodes, with its node values and its node
 tail, so the three objectives, whose integrand is one function of six rows
 (``_objective_rows``), evaluate it and run the Simpson once between them; an
 integrand must be a pure function of the profile that does not write to it.
+The library's integrands (``_objective_rows``, ``_intercept_rows`` and the premium
+flows of ``simulate``) are module functions that read the market from the profile:
+one called again on a path reuses its tail, and another one replaces it.
 A time between nodes adds a Simpson panel of its own; the call that fills the
 slot profiles those panels with the nodes, so B_k at the CLI's rows makes one
 ``path_profile`` call.
@@ -205,12 +208,13 @@ def no_reinsurance_path(params: MarketParams) -> StrategyPath:
 
 @dataclass(frozen=True)
 class PathProfile:
-    """A path's ``ledger`` on a time grid (scalars for a fixed contract) and the accumulation
-    factors (A_I, A_R1, A_R2) there, one row per party of ``PARTIES``."""
+    """A path's ``ledger`` in market ``params`` on a time grid (scalars for a fixed contract)
+    and the accumulation factors (A_I, A_R1, A_R2) there, one row per party of ``PARTIES``."""
 
     s: np.ndarray
     ledger: Ledger
     accum: tuple
+    params: MarketParams
 
 
 def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> PathProfile:
@@ -219,7 +223,7 @@ def path_profile(path: StrategyPath, params: MarketParams, s: np.ndarray) -> Pat
     xi1, xi2 = np.atleast_1d(path.xi1(s)), np.atleast_1d(path.xi2(s))
     accum = accumulations(params, s)
     contract = path._contract(s, xi1, xi2, accum[0])
-    return PathProfile(s, ledger(contract, xi1, xi2, params), accum)
+    return PathProfile(s, ledger(contract, xi1, xi2, params), accum, params)
 
 
 def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
@@ -329,8 +333,11 @@ def value_intercepts(path: StrategyPath, params: MarketParams, t) -> np.ndarray:
     and ``t``'s shape, from one ``_tail_integrals`` call over the three integrands.
     B_k, the intercept of V_k(t, x) = A_k(t) x + B_k(t), accumulates party k's
     optimized running reward from t to the horizon and vanishes at t = T."""
-    def integrands(profile):
-        return np.stack([a * running_reward(profile.ledger, params, party, a)
-                         for party, a in zip(PARTIES, profile.accum)])
+    return _tail_integrals(path, params, t, _DEFAULT_PANELS, _intercept_rows)
 
-    return _tail_integrals(path, params, t, _DEFAULT_PANELS, integrands)
+
+def _intercept_rows(profile) -> np.ndarray:
+    # the intercepts' integrands: A_k times party k's optimized running reward, one row
+    # per party of PARTIES
+    return np.stack([a * running_reward(profile.ledger, profile.params, party, a)
+                     for party, a in zip(PARTIES, profile.accum)])

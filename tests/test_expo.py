@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from reinsgame.config import default_market_params
-from reinsgame.errors import DomainError, RangeError
+from reinsgame.errors import DomainError, RangeError, ReinsGameError
 from reinsgame.expo import (G_fun, G_inv, Regime, constrained_equilibrium, e_fun,
                             g_fun, g_range, h1, h1_domain, h1_inv, h2,
                             unconstrained_fixed_point)
 from reinsgame.market import Exponential, MarketParams, RateCurve, admissible_box
 from reinsgame import reaction
 from reinsgame.reaction import reaction_xi1, reaction_xi2
+from reinsgame.roots import chandrupatla, chandrupatla_scalar
 from tests.conftest import with_beta
 from tests.test_broad_box import broad_box_point
 
@@ -679,6 +680,63 @@ class TestNanReply:
         monkeypatch.setattr(expo, "_r2_reply", lambda xi1, params, t, coefs=None: xi1 * math.nan)
         with pytest.raises(DomainError, match=r"bracket \[nan, nan\] not finite"):
             constrained_equilibrium(with_beta(default_market_params(), 0.2), t)
+
+
+class TestReplyDecidedByTheBox:
+    """Where R1's reply interval h1_domain lies wholly above the xi1 cap or below its
+    floor, the box gives R1's reply with no solve, as solving and clamping would."""
+
+    @staticmethod
+    def misses_the_box(params, t):
+        (lo, hi), _ = admissible_box(params)
+        reply_lo, reply_hi = h1_domain(params, t)
+        return reply_lo >= hi or reply_hi <= lo
+
+    @pytest.mark.parametrize("draw, misses", [("sweep_box", 587), ("seed5", 3143)])
+    def test_no_r1_solve_where_h1_domain_misses_the_box(self, monkeypatch, draw, misses):
+        from tests.test_roots import sweep_box_draw
+        points = (sweep_box_draw() if draw == "sweep_box" else
+                  (broad_box_point(u.tolist())
+                   for u in np.random.default_rng(5).uniform(size=(4000, 11))))
+        residuals = []
+
+        def spy(f, lo, hi):
+            residuals.append(f.__qualname__)
+            return chandrupatla_scalar(f, lo, hi)
+        monkeypatch.setattr(reaction, "chandrupatla_scalar", spy)
+        decided = 0
+        for params, t in points:
+            if not self.misses_the_box(params, t):
+                continue
+            residuals.clear()
+            try:
+                eq = constrained_equilibrium(params, t)
+            except ReinsGameError:
+                continue
+            assert not any(name.startswith("_r1_reply") for name in residuals)
+            (lo, hi), _ = admissible_box(params)
+            assert eq.xi1_star == np.clip(reaction_xi1(eq.xi2_star, params, t), lo, hi)
+            decided += 1
+        assert decided == misses
+
+    def test_array_path_where_a_r1_falls_through_the_cap(self, monkeypatch):
+        # a_R1(t) falls through the cap 0.9 between t = 5.06 and 5.07: of the 527 times
+        # where R1 replies, the box decides 507, and one array solve takes the other 20
+        params = default_market_params(gamma_R1=0.5, rho_R1=[(0.0, 0.2)])
+        ts = np.linspace(0.0, params.T, 801)
+        sizes = []
+
+        def spy(f, lo, hi):
+            sizes.append((f.__qualname__.split(".")[0], np.size(lo)))
+            return chandrupatla(f, lo, hi)
+        monkeypatch.setattr(reaction, "chandrupatla", spy)
+        regimes = constrained_equilibrium(params, ts).regime
+        monkeypatch.undo()
+        assert sizes == [("_fixed_root", 801), ("_r2_reply", 527), ("_r1_reply", 20)]
+        replies = [t for t, regime in zip(ts.tolist(), regimes) if regime is not Regime.INTERIOR]
+        assert len(replies) == 527
+        assert sum(self.misses_the_box(params, t) for t in replies) == 507
+        assert_array_path_matches_scalar(params, ts)
 
 
 class TestUnresolvableCoefficients:

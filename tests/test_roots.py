@@ -7,7 +7,7 @@ import pytest
 
 from reinsgame import reaction, roots
 from reinsgame.errors import DomainError
-from reinsgame.expo import Regime, constrained_equilibrium
+from reinsgame.expo import Regime, constrained_equilibrium, h1_domain
 from reinsgame.market import GenericClaims, RateCurve, admissible_box
 from reinsgame.roots import bisect, chandrupatla, chandrupatla_scalar
 from reinsgame.roots import chandrupatla as bisect_array  # the array root finder
@@ -377,19 +377,22 @@ class TestChandrupatlaScalar:
     def test_evaluations_on_the_sweep_box_draw(self, monkeypatch):
         # the fixed point at each point, R2's reply on the floor and cap branches, a
         # bracket of zero width for exponential claims and so one evaluation, and R1's
-        # reply where a clamp binds, that is outside the Interior regime; bisection
+        # reply where a clamp binds, that is outside the Interior regime, and where
+        # h1_domain meets the xi1 box, which decides the reply elsewhere; bisection
         # took a median of 48 residual evaluations per solve, at most 56
         counts = []
 
         def spy(f, lo, hi):
             return chandrupatla_scalar(counted_scalar(f, counts), lo, hi)
         monkeypatch.setattr(reaction, "chandrupatla_scalar", spy)
-        edge = interior = 0
+        edge = open_replies = 0
         for params, t in sweep_box_draw():
             eq = constrained_equilibrium(params, t)
             (lo, hi), _ = admissible_box(params)
+            reply_lo, reply_hi = h1_domain(params, t)
             edge += not lo <= eq.unconstrained[0] <= hi
-            interior += eq.regime is Regime.INTERIOR
-        assert len(counts) == 2000 + edge + 2000 - interior
+            open_replies += eq.regime is not Regime.INTERIOR and reply_lo < hi and reply_hi > lo
+        assert open_replies == 591
+        assert len(counts) == 2000 + edge + open_replies
         assert counts.count(1) == edge == 789
         assert max(counts) <= 16

@@ -511,6 +511,23 @@ class TestKeptNodeTail:
         assert b.tobytes() == value_intercepts(self.fresh(eq_path), base_params,
                                                times).tobytes()
 
+    def test_intercepts_again_reuse_the_tail(self, base_params, eq_path, monkeypatch):
+        # value_intercepts' integrand is one module function, so a second call on the
+        # path profiles no node and runs no Simpson, and gives the first call's bits
+        path = self.fresh(eq_path)
+        first = value_intercepts(path, base_params, 0.0)
+        calls = []
+        for name in ("path_profile", "_tail_integral"):
+            def spy(*args, real=getattr(valuation, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(valuation, name, spy)
+        again = value_intercepts(path, base_params, 0.0)
+        assert calls == []
+        assert again.tobytes() == first.tobytes()
+        assert first.tobytes() == value_intercepts(self.fresh(eq_path), base_params,
+                                                   0.0).tobytes()
+
     @pytest.mark.parametrize("change", ["params", "panels"])
     def test_another_key_replaces_the_tail(self, base_params, eq_path, row_calls, change):
         path = self.fresh(eq_path)
