@@ -140,6 +140,8 @@ def cmd_simulate(params: MarketParams, t: float, args) -> int:
         config = SimConfig(paths=args.paths, seed=args.seed)
     except DomainError as exc:
         raise ConfigError(f"--paths {args.paths} --seed {args.seed}: {exc}") from exc
+    if config.paths < 2:  # before the draw: estimate_objectives' variances need two
+        raise ConfigError(f"--paths {args.paths}: objective estimates need at least 2 paths")
     path = equilibrium_path(params)
     samples = simulate(path, params, config)
     estimates = estimate_objectives(samples, params)

@@ -15,10 +15,12 @@ curves are equal, solves the fixed point once as a float does, and its
 unconstrained loadings are a_I(t) times that solve's constants.  R2's reply
 runs only on the floor or cap branch, and R1's only where a clamp binds (elsewhere
 the fixed point already solves R1's FOC) and where its reply interval h1_domain
-meets the xi1 box: 8 eps beyond a box edge, the reply is that edge, unsolved.  So
+meets the xi1 box: 8 eps beyond a box edge, the reply is that edge, unsolved.
+For exponential claims R2's reply is closed-form (``_r2_reply``), unsolved too.  So
 the reference grid takes one solve of 5 residual evaluations for every time, and
-the sweep_box draw 1.69 solves and 9.0 evaluations a point (1.98 and 10.9 while its
-587 R1 replies beyond the box were solved).
+the sweep_box draw 1.30 solves and 8.6 evaluations a point (1.69 and 9.0 while its
+789 R2 replies took a solve of 1 evaluation, 1.98 and 10.9 while its 587 R1
+replies beyond the box were solved too).
 
 Note: contrary to a side remark in the source analysis, h1 is strictly
 *increasing* on its domain (it runs from 0 to +inf between the bracket

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,11 +71,14 @@ class RateCurve:
     segment must start at 0 and each rate applies until the next start (the
     last until ``horizon``).  Integrals are computed exactly segment by
     segment, so the accumulation factor exp(int_t^T rho) (``accumulation``)
-    carries no quadrature error.
+    carries no quadrature error.  The (start, end, rate) pieces are built once;
+    a float t0 inside the bounds is read from them with plain comparisons and
+    no numpy call, to the bits of an array's element.
     """
 
     segments: tuple[tuple[float, float], ...]
     horizon: float
+    _pieces: tuple = field(init=False, repr=False, compare=False)  # (start, end, rate)
 
     def __post_init__(self):
         segs = tuple((float(t), float(r)) for t, r in self.segments)
@@ -94,6 +97,8 @@ class RateCurve:
         for _, r in segs:
             if not math.isfinite(r) or r < 0.0:
                 raise DomainError(f"rates must be finite and non-negative, got {r}")
+        ends = starts[1:] + [self.horizon]
+        object.__setattr__(self, "_pieces", tuple((s, e, r) for (s, r), e in zip(segs, ends)))
 
     @classmethod
     def flat(cls, rate: float, horizon: float) -> "RateCurve":
@@ -101,16 +106,21 @@ class RateCurve:
 
     def integral(self, t0, t1: float):
         """Exact int_{t0}^{t1} rho(s) ds, 0 <= t0 <= t1 <= horizon; elementwise for an array t0."""
-        array = isinstance(t0, np.ndarray)
+        if isinstance(t0, float) and 0.0 <= t0 <= t1 <= self.horizon + 1e-12:
+            total = 0.0  # the pieces that meet [t0, t1], with max and min as comparisons
+            for start, end, rate in self._pieces:
+                if start >= t1:
+                    break
+                if end > t0:
+                    total += rate * ((end if end < t1 else t1) - (start if start > t0 else t0))
+            return total
         ok = (0.0 <= t0) & (t0 <= t1)  # False for NaN
-        if not (np.all(ok) if array else ok) or not t1 <= self.horizon + 1e-12:
+        if not np.all(ok) or not t1 <= self.horizon + 1e-12:
             bad = np.ravel(t0)[np.argmin(np.ravel(ok))]  # the first t0 out of order
             raise DomainError(f"integration bounds [{bad:g}, {t1:g}] outside [0, {self.horizon:g}]")
-        fmax = np.maximum if array else max
         total = 0.0
-        for i, (start, rate) in enumerate(self.segments):
-            end = self.segments[i + 1][0] if i + 1 < len(self.segments) else self.horizon
-            total = total + rate * fmax(min(t1, end) - fmax(t0, start), 0.0)
+        for start, end, rate in self._pieces:
+            total = total + rate * np.maximum(min(t1, end) - np.maximum(t0, start), 0.0)
         return total
 
 

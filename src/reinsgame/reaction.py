@@ -6,8 +6,9 @@ through the law's ``foc_terms``: at a fixed d, R1's FOC has one root rho(d)
 (``_r1_ratio``) and R2's reads k m(d) = d, k = 1 + C_R2(1 + rho), m the mean
 excess.  So every solve reads (a_I, C_R1, C_R2), C_Rk = (gamma_Rk/gamma_I)
 exp(int_t^T rho_Rk - rho_I) (``_gamma_profiles``), and is one root of d = f(d)
-(``_deductible_root``): R1's reply, f = w(1 + rho(d)); R2's, f = k m(d); the
-fixed point, f = k(d) m(d), whose root reads t only through C (``_fixed_root``).
+(``_deductible_root``): R1's reply, f = w(1 + rho(d)); R2's, f = k m(d), with no
+solve where m is one value, as for exponential claims (d = k m); the fixed point,
+f = k(d) m(d), whose root reads t only through C (``_fixed_root``).
 Each is written once, for a float time (``chandrupatla_scalar``, no numpy call
 per evaluation) or an array of times (``chandrupatla``).  The two that read m(d)
 raise IntegrationError where a table law's tail cut leaves it unresolved at the
@@ -235,14 +236,17 @@ def _r2_xi2(a_i, c2, rho, m):
 
 def _r2_reply(xi1, params: MarketParams, t, coefs=None):
     """R2's best-response xi2 = a_I k m(d)/(1 + rho) to xi1 at time(s) t (``coefs`` as
-    for ``_r1_reply``), rho = a_I/(2 xi1), at the root d on [k m_lo, k m_hi], of zero
-    width for exponential claims, of its FOC over S(d), k m(d) - d, k = 1 + C_R2(1 + rho)."""
+    for ``_r1_reply``), rho = a_I/(2 xi1), at the root d on [k m_lo, k m_hi] of its FOC
+    over S(d), k m(d) - d, k = 1 + C_R2(1 + rho).  Where the mean excess is one value,
+    m_lo = m_hi, as for exponential claims, the root is d = k m_lo and m(d) = m_lo: the
+    reply is closed-form, with no solve."""
     a_i, _, c2 = coefs or _gamma_profiles(params, t)
     read, (m_lo, m_hi) = params.claims.foc_terms, params.claims.mean_excess_bounds
     with _kind(t).errstate(all="ignore"):  # as in _r2_xi2, where a_I is near the largest float
         rho = 0.5 * a_i / xi1
         k = 1.0 + c2 * (1.0 + rho)
-        m, _ = _deductible_root(lambda d: k * read(d)[1] - d, k * m_lo, k * m_hi, params.claims)
+        m = m_lo if m_lo == m_hi else _deductible_root(
+            lambda d: k * read(d)[1] - d, k * m_lo, k * m_hi, params.claims)[0]
         return _r2_xi2(a_i, c2, rho, m)
 
 

@@ -6,9 +6,9 @@ bisection (Adv. Eng. Software 28, 1997) on a root in the deductible of
 each, and ``chandrupatla_scalar``, the same rule in pure Python, for a float
 time.  The reference grid's fixed point, one float solve for every time as C
 is constant there, takes 5 residual evaluations, the Erlang-2 path's replies at
-most 11 per time, and the benchmark's sweep_box draw 3380 scalar solves (3967
-before the box decided R1's replies beyond it): 789 of R2 take 1, the others a
-median of 6 and at most 12, where bisection takes about 48-56.  Both solve a
+most 11 per time, and the benchmark's sweep_box draw 2591 scalar solves (3380
+while R2's 789 replies, closed-form for exponential claims, each took a solve of
+1), a median of 6 and at most 12, where bisection takes about 48-56.  Both solve a
 residual known to be >= 0 at the bracket's lower end and <= 0 at its upper end,
 and never evaluate it there, where a computed value can be rounding noise; both
 return the root and the final bracket's other end, each with its residual.

@@ -18,14 +18,14 @@ premium drift of ``simulate``, for a scalar or an array of times.  The node
 profile is shared: each ``StrategyPath`` keeps the last one in a single slot
 keyed by ``(params, n_panels)``, so the three parties' objectives, B_k and the
 Monte Carlo premiums of one path and market profile its nodes once, and a
-different market or node count replaces the slot.  The slot also keeps the
-last integrand integrated on those nodes, with its node values and its node
-tail, so the three objectives, whose integrand is one function of six rows
+different market or node count replaces the slot.  The slot also keeps each
+integrand integrated on those nodes, up to three, with its node values and its
+node tail, so the three objectives, whose integrand is one function of six rows
 (``_objective_rows``), evaluate it and run the Simpson once between them; an
 integrand must be a pure function of the profile that does not write to it.
-The library's integrands (``_objective_rows``, ``_intercept_rows`` and the premium
-flows of ``simulate``) are module functions that read the market from the profile:
-one called again on a path reuses its tail, and another one replaces it.
+The library's three integrands (``_objective_rows``, ``_intercept_rows`` and the
+premium flows of ``simulate``) are module functions that read the market from the
+profile: each called again on a path reuses its tail, in any order of calls.
 A time between nodes adds a Simpson panel of its own; the call that fills the
 slot profiles those panels with the nodes, so B_k at the CLI's rows makes one
 ``path_profile`` call.
@@ -45,6 +45,7 @@ from .response import ResponseStrategy, layered_response, no_reinsurance
 
 _DEFAULT_PANELS = 2000
 _DEFAULT_PATH_GRID = 801
+_KEPT_TAILS = 3  # the library's integrands: _objective_rows, _intercept_rows, premium flows
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ class StrategyPath:
     recomputed from the interpolated loadings, except for paths built around a
     fixed custom contract (e.g. no reinsurance), which pin the response and pay
     no reinsurance premiums.  A path is not changed after it is built: it keeps
-    the ``path_profile`` of ``_tail_integrals``' last node grid, with the last
-    integrand's node tail there, and the cells ``_loadings`` reads on a
-    uniform grid.
+    the ``path_profile`` of ``_tail_integrals``' last node grid, with the node
+    tails there of up to three integrands, and the cells ``_loadings`` reads on
+    a uniform grid.
     """
 
     def __init__(self, params: MarketParams, grid: np.ndarray, xi1: np.ndarray,
@@ -245,12 +246,13 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
     off-node panels, and the slot keeps that profile, whose first
     ``n_panels + 1`` points are the nodes; a later call profiles its own
     off-node panels apart.  The slot, ``(key, profile, kept)``, also keeps the
-    last ``integrands`` object evaluated on the nodes, with its node values
-    and its node tail: a call with the same object reuses them, another
-    integrand replaces them, and a new key replaces the whole slot, so a path
-    holds one profile and one tail.  ``integrands`` must therefore be a pure
-    function of the profile, and must not write to it.  The result has shape
-    ``integrand rows + t.shape`` and is exactly 0 at t = T.
+    node values and node tail of each ``integrands`` object evaluated on the
+    nodes, in ``kept``, a dict by object, at most three, the oldest dropped: a
+    call with a kept object reuses them, and a new key replaces the whole slot,
+    so a path holds one profile and up to three tails, one per library
+    integrand.  ``integrands`` must therefore be a pure function of the profile,
+    and must not write to it.  The result has shape ``integrand rows + t.shape``
+    and is exactly 0 at t = T.
     """
     if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
         raise DomainError(f"panels must be an integer of at least 1, got {panels!r}")
@@ -279,16 +281,18 @@ def _tail_integrals(path: StrategyPath, params: MarketParams, t, panels: int,
                                np.concatenate([nodes, panel]) if off_node else nodes)
         y = integrands(profile)
         y_nodes, y = y[..., :nodes.size], y[..., nodes.size:]
-        kept = integrands, _tail_integral(y_nodes, h), y_nodes
+        kept = {integrands: (_tail_integral(y_nodes, h), y_nodes)}
     else:
         _, profile, kept = slot
-        if kept[0] is not integrands:
+        if integrands not in kept:
+            if len(kept) == _KEPT_TAILS:
+                del kept[next(iter(kept))]  # the oldest
             y_nodes = integrands(profile)[..., :nodes.size]
-            kept = integrands, _tail_integral(y_nodes, h), y_nodes
+            kept[integrands] = _tail_integral(y_nodes, h), y_nodes
         if off_node:
             y = integrands(path_profile(path, params, panel))
     path._node_profile = key, profile, kept
-    _, tail, y_nodes = kept
+    tail, y_nodes = kept[integrands]
 
     result = tail[..., above]
     if off_node:

@@ -118,10 +118,11 @@ class TestConfigErrors:
         (("--command", "trajectory", "--grid", "0:inf:3"), ("--grid", "finite", "0:inf:3")),
         (("--command", "simulate", "--paths", "0"), ("--paths 0", "at least one path")),
         (("--command", "simulate", "--paths", "-3"), ("--paths -3", "at least one path")),
+        (("--command", "simulate", "--paths", "1"), ("--paths 1:", "at least 2 paths")),
         (("--command", "simulate", "--seed", "-1"), ("--seed -1", "64-bit")),
     ], ids=["mu_zero", "beta_negative", "trajectory_past_horizon", "trajectory_nan_grid_end",
             "trajectory_infinite_grid_end", "simulate_zero_paths",
-            "simulate_negative_paths", "simulate_negative_seed"])
+            "simulate_negative_paths", "simulate_one_path", "simulate_negative_seed"])
     def test_value_outside_domain(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -721,7 +721,8 @@ class TestReplyDecidedByTheBox:
 
     def test_array_path_where_a_r1_falls_through_the_cap(self, monkeypatch):
         # a_R1(t) falls through the cap 0.9 between t = 5.06 and 5.07: of the 527 times
-        # where R1 replies, the box decides 507, and one array solve takes the other 20
+        # where R1 replies, the box decides 507, and one array solve takes the other 20;
+        # R2's 527 replies are closed-form, with no solve
         params = default_market_params(gamma_R1=0.5, rho_R1=[(0.0, 0.2)])
         ts = np.linspace(0.0, params.T, 801)
         sizes = []
@@ -732,7 +733,7 @@ class TestReplyDecidedByTheBox:
         monkeypatch.setattr(reaction, "chandrupatla", spy)
         regimes = constrained_equilibrium(params, ts).regime
         monkeypatch.undo()
-        assert sizes == [("_fixed_root", 801), ("_r2_reply", 527), ("_r1_reply", 20)]
+        assert sizes == [("_fixed_root", 801), ("_r1_reply", 20)]
         replies = [t for t, regime in zip(ts.tolist(), regimes) if regime is not Regime.INTERIOR]
         assert len(replies) == 527
         assert sum(self.misses_the_box(params, t) for t in replies) == 507

@@ -96,6 +96,52 @@ class TestAccumulation:
         assert curve != RateCurve(((0.0, 0.12), (1.5, 0.04)), 8.0)
 
 
+class TestFloatIntegral:
+    """A float t0 is read from the curve's pieces with plain comparisons; it must give
+    the bits of the same time's element in an array call, and the same errors."""
+
+    CURVES = [RateCurve.flat(0.07, 8.0), RateCurve(((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), 8.0)]
+
+    @staticmethod
+    def times(curve):
+        marks = [start for start, _ in curve.segments] + [curve.horizon]
+        near = {v for m in marks for v in (math.nextafter(m, -math.inf), m,
+                                           math.nextafter(m, math.inf))}
+        return [-0.0] + sorted(v for v in near if 0.0 <= v <= curve.horizon)
+
+    @pytest.mark.parametrize("curve", CURVES, ids=["flat", "three_segments"])
+    def test_float_is_the_array_element_bit_for_bit(self, curve):
+        times = self.times(curve)
+        for t1 in times:
+            lower = [t0 for t0 in times if t0 <= t1]
+            want = curve.integral(np.array(lower), t1).tolist()
+            for t0, w in zip(lower, want):
+                for t in (t0, np.float64(t0)):
+                    assert float(curve.integral(t, t1)).hex() == w.hex(), (t0, t1)
+
+    @pytest.mark.parametrize("curve", CURVES, ids=["flat", "three_segments"])
+    @pytest.mark.parametrize("t0, t1", [(math.nan, 8.0), (0.0, math.nan), (-1e-300, 8.0),
+                                        (5.0, 3.0), (0.0, 8.0 + 2e-12)])
+    def test_invalid_float_raises_as_an_array_does(self, curve, t0, t1):
+        with pytest.raises(DomainError) as array_error:
+            curve.integral(np.array([t0]), t1)
+        for t in (t0, np.float64(t0)):
+            with pytest.raises(DomainError) as float_error:
+                curve.integral(t, t1)
+            assert str(float_error.value) == str(array_error.value)
+
+    def test_pieces_change_no_equality_hash_or_repr(self):
+        curve = self.CURVES[1]
+        twin = RateCurve(((0, 0.12), (1.5, 0.03), (5, 0.21)), 8.0)
+        assert curve == twin and hash(curve) == hash(twin)
+        assert repr(curve) == ("RateCurve(segments=((0.0, 0.12), (1.5, 0.03), (5.0, 0.21)), "
+                               "horizon=8.0)")
+        longer = dataclasses.replace(curve, horizon=10.0)
+        assert longer != curve and longer.segments == curve.segments
+        assert longer.integral(8.0, 10.0) == pytest.approx(0.42, rel=1e-15)
+        assert longer.integral(np.array([8.0]), 10.0).tolist() == [longer.integral(8.0, 10.0)]
+
+
 class TestClaimMoments:
     def test_exponential_unit(self):
         dist = Exponential(1.0)

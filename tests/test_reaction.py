@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from reinsgame import reaction
 from reinsgame.config import default_market_params
 from reinsgame.errors import (ConvergenceError, DegeneratePremiumError, DomainError,
                               IntegrationError)
@@ -545,3 +546,42 @@ class TestGeneralLawGrid:
                                      claims=claim_laws["erlang2_rate2"])
         with pytest.raises(IntegrationError, match="tail_cut"):
             constrained_equilibrium(params, np.linspace(0.0, params.T, 9))
+
+
+class TestClosedFormR2Reply:
+    """Where the mean excess is one value, as for exponential claims, R2's FOC k m(d) = d
+    has the root d = k m and its reply is closed-form; other laws solve for d."""
+
+    @staticmethod
+    def spy_solves(monkeypatch):
+        calls = []
+        for name in ("chandrupatla", "chandrupatla_scalar"):
+            solve = getattr(reaction, name)
+            monkeypatch.setattr(reaction, name, lambda f, lo, hi, _name=name, _solve=solve:
+                                calls.append(_name) or _solve(f, lo, hi))
+        return calls
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 3.7])
+    def test_exponential_reply_takes_no_solve(self, monkeypatch, beta):
+        params = default_market_params(beta=beta, rho_R1=[(0.0, 0.1)],
+                                       rho_R2=[(0.0, 0.02), (3.0, 0.15)])
+        calls = self.spy_solves(monkeypatch)
+        xi1 = np.repeat([0.05, 0.9, 3.0, 1e3], 5)
+        ts = np.tile(np.linspace(0.0, params.T, 5), 4)
+        replies = [reaction_xi2(x, params, t) for x, t in zip(xi1.tolist(), ts.tolist())]
+        array = reaction._r2_reply(xi1, params, ts)
+        assert calls == []
+        assert [r.hex() for r in replies] == [r.hex() for r in array.tolist()]
+        for x, t, r in zip(xi1.tolist(), ts.tolist(), replies):
+            assert r == pytest.approx(h2(x, params, t), rel=1e-14, abs=0.0)
+
+    def test_uniform_reply_still_solves(self, monkeypatch, base_params):
+        params = dataclasses.replace(base_params, claims=uniform_claims())
+        assert params.claims.mean_excess_bounds[0] < params.claims.mean_excess_bounds[1]
+        calls = self.spy_solves(monkeypatch)
+        reply = reaction_xi2(0.9, params, 2.0)
+        array = reaction._r2_reply(np.array([0.9]), params, np.array([2.0]))
+        assert calls == ["chandrupatla_scalar", "chandrupatla"]
+        assert array.tolist() == pytest.approx([reply], rel=1e-12, abs=0.0)
+        point = PremiumPoint(0.9, reply, 2.0)
+        assert foc_residual_r2(point, params) == pytest.approx(0.0, abs=1e-8)

@@ -463,9 +463,10 @@ class TestSharedNodeProfile:
 
 
 class TestKeptNodeTail:
-    """The slot keeps the last integrand integrated on its nodes, with its node tail: the
-    three objectives evaluate ``_objective_rows`` on the nodes and run the Simpson once,
-    and another integrand, market or node count replaces what is kept."""
+    """The slot keeps each integrand integrated on its nodes, with its node tail, up to
+    three: the three objectives evaluate ``_objective_rows`` on the nodes and run the
+    Simpson once, other integrands between them keep that tail, and another market or
+    node count replaces what is kept."""
 
     fresh = staticmethod(TestSharedNodeProfile.fresh)
     bits = staticmethod(TestSharedNodeProfile.bits)
@@ -497,15 +498,15 @@ class TestKeptNodeTail:
                                           base_params.x0(party) + 1.0) for party in PARTIES]
         assert self.bits(shared) == self.bits(separate)
 
-    def test_intercepts_between_objectives_replace_the_tail(self, base_params, eq_path,
-                                                            row_calls):
+    def test_intercepts_between_objectives_keep_both_tails(self, base_params, eq_path,
+                                                           row_calls):
         path, times = self.fresh(eq_path), np.linspace(0.0, base_params.T, 81)
         first = self.objectives(path, base_params)
-        kept = path._node_profile[2]
         b = value_intercepts(path, base_params, times)
-        assert path._node_profile[2] is not kept
+        assert list(path._node_profile[2]) == [valuation._objective_rows,
+                                               valuation._intercept_rows]
         again = self.objectives(path, base_params)
-        assert row_calls == [3201, 3201]
+        assert row_calls == [3201]
         want = self.objectives(self.fresh(eq_path), base_params)
         assert self.bits(first) == self.bits(again) == self.bits(want)
         assert b.tobytes() == value_intercepts(self.fresh(eq_path), base_params,
@@ -527,6 +528,17 @@ class TestKeptNodeTail:
         assert again.tobytes() == first.tobytes()
         assert first.tobytes() == value_intercepts(self.fresh(eq_path), base_params,
                                                    0.0).tobytes()
+
+    def test_five_closures_keep_three_tails(self, base_params, eq_path):
+        # each closure is a new integrand: the slot drops the oldest beyond three, and a
+        # dropped one is integrated again with the same bits
+        path, closures = self.fresh(eq_path), [lambda p, k=k: np.stack(p.accum) * (k + 1.0)
+                                               for k in range(5)]
+        first = [valuation._tail_integrals(path, base_params, 0.0, 2000, f) for f in closures]
+        assert list(path._node_profile[2]) == closures[2:]
+        again = valuation._tail_integrals(path, base_params, 0.0, 2000, closures[0])
+        assert list(path._node_profile[2]) == closures[3:] + closures[:1]
+        assert again.tobytes() == first[0].tobytes()
 
     @pytest.mark.parametrize("change", ["params", "panels"])
     def test_another_key_replaces_the_tail(self, base_params, eq_path, row_calls, change):
